@@ -59,6 +59,8 @@ from .spotting import (
     NetVLADConfig,
     SpotPrediction,
     TrainSpec,
+    default_spot_epochs,
+    default_spot_lr,
     spot_game,
     train_spotting,
 )
@@ -331,9 +333,13 @@ def cmd_spot_train(args) -> int:
     t0 = time.time()
     cfg = _resolve_config(args, SPOT_TRAIN_DEFAULTS)
     if cfg["lr"] is None:
-        cfg["lr"] = 5e-4 if cfg["head"] == "transformer" else 1e-4
+        cfg["lr"] = default_spot_lr(cfg["head"])
     if cfg["epochs"] is None:
-        cfg["epochs"] = 50 if cfg["head"] == "transformer" else 40
+        cfg["epochs"] = default_spot_epochs(cfg["head"])
+    if cfg["head"] == "netvlad" and cfg["chunk"] % 2 != 0:
+        raise UsageError(
+            f"the netvlad head pools two halves and needs an even --chunk, got {cfg['chunk']}"
+        )
     vocab = _load_vocab_arg(args.vocab)
     halves = load_dataset(args.data, vocab=vocab)
     splits = _load_splits(Path(args.data), args.splits, halves)
@@ -442,6 +448,10 @@ GROUND_TRAIN_DEFAULTS = {
 def cmd_ground_train(args) -> int:
     t0 = time.time()
     cfg = _resolve_config(args, GROUND_TRAIN_DEFAULTS)
+    if cfg["mode"] != "ultra":
+        raise UsageError(
+            f"grounding trains on every half (ultra mode only), got --mode {cfg['mode']}"
+        )
     vocab = _load_vocab_arg(args.vocab)
     halves = load_dataset(args.data, vocab=vocab)
     spec = TrainSpec(
@@ -594,6 +604,7 @@ def cmd_ground_merge(args) -> int:
 
 
 EVAL_SPOT_DEFAULTS = {"tolerances": "5:60:5", "jobs": 1}
+EVAL_GROUND_DEFAULTS = {"tolerances": "5:60:5"}
 
 
 def _parse_tolerances(text: str) -> tuple[int, ...]:
@@ -668,7 +679,7 @@ def cmd_eval_spot(args) -> int:
 
 def cmd_eval_ground(args) -> int:
     t0 = time.time()
-    cfg = _resolve_config(args, EVAL_SPOT_DEFAULTS)
+    cfg = _resolve_config(args, EVAL_GROUND_DEFAULTS)
     tolerances = _parse_tolerances(cfg["tolerances"])
     labels_dir = Path(args.labels)
     preds_dir = Path(args.preds)
@@ -797,7 +808,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", help="JSON with train/valid/test game id lists")
     p.add_argument("--mode", choices=["regular", "ultra"])
     p.add_argument("--head", choices=["transformer", "netvlad"])
-    p.add_argument("--chunk", type=int, help="chunk size in seconds (default 7)")
+    p.add_argument("--chunk", type=int,
+                   help="chunk size in seconds (default 7; netvlad needs an even value)")
     p.add_argument("--nms", type=int, help="NMS window in seconds (default 20)")
     p.add_argument("--lr", type=float, help="default 5e-4 transformer, 1e-4 netvlad")
     p.add_argument("--epochs", type=int, help="default 50 transformer, 40 netvlad")
@@ -832,7 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vocab")
-    p.add_argument("--mode", choices=["regular", "ultra"])
+    p.add_argument("--mode", choices=["regular", "ultra"],
+                   help="ultra only: grounding has no splits (regular is rejected)")
     p.add_argument("--lr", type=float, help="default 2e-4")
     p.add_argument("--epochs", type=int, help="default 40")
     p.add_argument("--batch", type=int)

@@ -264,6 +264,11 @@ def encoder_forward(
     return logits[0], cache
 
 
+def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over every leading axis of a[..., i] * b[..., j], as one BLAS product."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
 def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate d loss / d logits through the cached forward pass."""
     params, config = cache.get("params"), cache.get("config")
@@ -297,11 +302,11 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
 
         df2 = dr2 * rec["ffn_drop"] if "ffn_drop" in rec else dr2
         dh1 = dr2.copy()
-        grads[pre + "ffn.w2"] = np.einsum("bth,btd->hd", rec["f1"], df2)
+        grads[pre + "ffn.w2"] = _weight_grad(rec["f1"], df2)
         grads[pre + "ffn.b2"] = df2.sum(axis=(0, 1))
         df1 = df2 @ params[pre + "ffn.w2"].T
         dfpre = df1 * (rec["f_pre"] > 0.0)
-        grads[pre + "ffn.w1"] = np.einsum("btd,bth->dh", rec["h1"], dfpre)
+        grads[pre + "ffn.w1"] = _weight_grad(rec["h1"], dfpre)
         grads[pre + "ffn.b1"] = dfpre.sum(axis=(0, 1))
         dh1 += dfpre @ params[pre + "ffn.w1"].T
 
@@ -311,7 +316,7 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
 
         dy = dr1 * rec["attn_drop"] if "attn_drop" in rec else dr1
         dx = dr1.copy()
-        grads[pre + "attn.wo"] = np.einsum("btm,btn->mn", rec["o"], dy)
+        grads[pre + "attn.wo"] = _weight_grad(rec["o"], dy)
         grads[pre + "attn.bo"] = dy.sum(axis=(0, 1))
         do = dy @ params[pre + "attn.wo"].T
 
@@ -328,7 +333,7 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
 
         x_l = rec["x"]
         for name, dt in (("q", dq), ("k", dk), ("v", dv)):
-            grads[pre + f"attn.w{name}"] = np.einsum("btd,bte->de", x_l, dt)
+            grads[pre + f"attn.w{name}"] = _weight_grad(x_l, dt)
             if name != "k":
                 grads[pre + f"attn.b{name}"] = dt.sum(axis=(0, 1))
         dx += (
@@ -347,7 +352,7 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
             demb[k] = dh[seg == k].sum(axis=0)
         grads["seg.emb"] = demb
     dproj = dh * cache["embed_scale"]
-    grads["in.w"] = np.einsum("bti,btm->im", cache["x"], dproj)
+    grads["in.w"] = _weight_grad(cache["x"], dproj)
     grads["in.b"] = dproj.sum(axis=(0, 1))
     return grads
 

@@ -171,7 +171,7 @@ def _vlad_half_forward(params, prefix, xh):
     assign = softmax(logits, axis=-1)  # (B, Th, K)
     mass = assign.sum(axis=1)  # (B, K)
     centers = params[prefix + "centers"]
-    vlad = np.einsum("btk,btd->bkd", assign, xh) - mass[:, :, None] * centers[None]
+    vlad = assign.transpose(0, 2, 1) @ xh - mass[:, :, None] * centers[None]
     normed, norms = _safe_row_normalize(vlad)
     rec = {"xh": xh, "assign": assign, "mass": mass, "vlad": vlad, "norms": norms,
            "normed": normed}
@@ -227,13 +227,13 @@ def _vlad_half_backward(params, prefix, rec, dflat, grads):
     dnormed = dflat.reshape(B, K, D)
     dvlad = _l2_normalize_backward(dnormed, rec["vlad"], rec["norms"])
     centers = params[prefix + "centers"]
-    grads[prefix + "centers"] = -np.einsum("bk,bkd->kd", mass, dvlad)
-    dmass = -np.einsum("bkd,kd->bk", dvlad, centers)
-    dassign = np.einsum("bkd,btd->btk", dvlad, xh) + dmass[:, None, :]
+    grads[prefix + "centers"] = -(mass[:, :, None] * dvlad).sum(axis=0)
+    dmass = -(dvlad * centers).sum(axis=-1)
+    dassign = xh @ dvlad.transpose(0, 2, 1) + dmass[:, None, :]
     dlogits = assign * (dassign - (dassign * assign).sum(axis=-1, keepdims=True))
-    grads[prefix + "assign_w"] = np.einsum("btd,btk->dk", xh, dlogits)
+    grads[prefix + "assign_w"] = xh.reshape(-1, D).T @ dlogits.reshape(-1, K)
     grads[prefix + "assign_b"] = dlogits.sum(axis=(0, 1))
-    return np.einsum("btk,bkd->btd", assign, dvlad) + dlogits @ params[prefix + "assign_w"].T
+    return assign @ dvlad + dlogits @ params[prefix + "assign_w"].T
 
 
 def netvlad_backward(cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:

@@ -241,6 +241,46 @@ class TestGroundPipeline:
         assert outs[0] == outs[1]
 
 
+class TestRejectedBeforeLoading:
+    """Invalid flag combinations exit 2 before any data is read or written."""
+
+    @staticmethod
+    def _forbid_loading(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("data was loaded for an invalid configuration")
+
+        monkeypatch.setattr("spotground.cli.load_dataset", fail)
+
+    def test_netvlad_odd_chunk_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        self._forbid_loading(monkeypatch)
+        for chunk in ([], ["--chunk", "9"]):  # the default chunk, 7, is odd too
+            out = tmp_path / "nv"
+            code = run(["spot", "train", "--data", str(tmp_path / "data"), "--out",
+                        str(out), "--head", "netvlad", *chunk])
+            assert code == 2
+            assert "even" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_ground_train_regular_mode_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        self._forbid_loading(monkeypatch)
+        out = tmp_path / "gtrain"
+        code = run(["ground", "train", "--data", str(tmp_path / "data"), "--out", str(out),
+                    "--mode", "regular"])
+        assert code == 2
+        assert "ultra" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_ground_rejects_jobs_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        out = tmp_path / "geval"
+        code = run(["eval", "ground", "--preds", str(tmp_path), "--labels", str(tmp_path),
+                    "--out", str(out), "--config", str(cfg)])
+        assert code == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAnalyze:
     def test_replay_stats_and_svg(self, tmp_path):
         data = tmp_path / "data"
