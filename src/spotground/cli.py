@@ -84,8 +84,23 @@ def _build_id() -> str:
     return f"spotground-{__version__}"
 
 
+def _config_value(key: str, value, expected: type | None):
+    """A config-file value checked against the type its key takes: bool is
+    not an int, an int is accepted (as a float) where a float is expected."""
+    if expected is None:
+        return value
+    if expected is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, expected) and (expected is bool or not isinstance(value, bool)):
+        return value
+    raise UsageError(
+        f"config key {key!r} must be {expected.__name__}, got {type(value).__name__} {value!r}"
+    )
+
+
 def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < JSON config file < explicit flags; reject unknown keys."""
+    """Merge defaults < JSON config file < explicit flags; reject unknown keys
+    and values of the wrong type."""
     cfg = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -93,10 +108,17 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
             loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {config_path} must hold a JSON object")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
+        flag_types = getattr(args, "flag_types", {})
+        for key, value in loaded.items():
+            if defaults[key] is None and value is None:
+                continue  # keeps the computed default
+            expected = flag_types.get(key) if defaults[key] is None else type(defaults[key])
+            cfg[key] = _config_value(key, value, expected)
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -403,6 +425,12 @@ def _spot_infer_game(task):
 def cmd_spot_infer(args) -> int:
     t0 = time.time()
     cfg = _resolve_config(args, SPOT_INFER_DEFAULTS)
+    if cfg["chunk"] < 1:
+        raise UsageError(f"--chunk must be >= 1 s, got {cfg['chunk']}")
+    if cfg["nms"] < 0:
+        raise UsageError(f"--nms must be >= 0 s, got {cfg['nms']}")
+    if not 0.0 <= cfg["threshold"] <= 1.0:
+        raise UsageError(f"--threshold must lie in [0, 1], got {cfg['threshold']}")
     vocab = _load_vocab_arg(args.vocab)
     data = Path(args.data)
     out = Path(args.out)
@@ -777,6 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config(p):
         p.add_argument("--config", help="JSON file with defaults; explicit flags override")
+        # what a config-file key must hold where its default is None
+        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type})
 
     p = sub.add_parser("synth", help="generate synthetic feature/label data")
     p.add_argument("--out", required=True)
@@ -830,9 +860,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vocab")
-    p.add_argument("--chunk", type=int)
-    p.add_argument("--nms", type=int)
-    p.add_argument("--threshold", type=float, help="pre-NMS score threshold (default 0.05)")
+    p.add_argument("--chunk", type=int, help="window length in seconds, >= 1 (default 7)")
+    p.add_argument("--nms", type=int, help="NMS window in seconds, >= 0 (default 20)")
+    p.add_argument("--threshold", type=float,
+                   help="pre-NMS score threshold in [0, 1] (default 0.05)")
     p.add_argument("--jobs", type=int, help="parallel processes over games")
     add_config(p)
     p.set_defaults(func=cmd_spot_infer)

@@ -6,9 +6,11 @@ before the positional encoding is added, per the original encoder recipe,
 so low-magnitude embedding rows are not drowned by the encoding), optional
 learned segment offsets, sinusoidal positional encoding, N x (multi-head
 self-attention + residual + layer-norm, ReLU feed-forward + residual +
-layer-norm), mean pooling over time, final linear projection. The backward
-pass is exact and is verified against central finite differences by
-grad_check.
+layer-norm), mean pooling over time, final linear projection. The input
+projection is its own step (`embed_input`), so inference can embed a
+sequence once and run the body on windows of it (`encoder_forward_embedded`).
+The backward pass is exact and is verified against central finite
+differences by grad_check.
 """
 
 from __future__ import annotations
@@ -154,6 +156,19 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, T, H * dk)
 
 
+def embed_input(params: dict[str, np.ndarray], config: EncoderConfig, x: np.ndarray):
+    """Input projection, (..., input_dim) -> (..., model_dim), scaled by sqrt(model_dim).
+
+    It acts on each row alone, so a sequence can be embedded once and
+    windows cut from the embedded rows. A zero row embeds to exactly
+    in.b * sqrt(model_dim).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != config.input_dim:
+        raise ShapeError(f"input dim {x.shape[-1]} != configured {config.input_dim}")
+    return (x @ params["in.w"] + params["in.b"]) * np.sqrt(config.model_dim)
+
+
 def encoder_forward_batch(
     params: dict[str, np.ndarray],
     config: EncoderConfig,
@@ -166,9 +181,32 @@ def encoder_forward_batch(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"expected (B, T, input_dim), got shape {x.shape}")
-    B, T, din = x.shape
-    if din != config.input_dim:
-        raise ShapeError(f"input dim {din} != configured {config.input_dim}")
+    logits, cache = _encode(params, config, embed_input(params, config, x), segments,
+                            train_mode, rng)
+    cache["x"] = x
+    return logits, cache
+
+
+def encoder_forward_embedded(
+    params: dict[str, np.ndarray],
+    config: EncoderConfig,
+    h: np.ndarray,
+    segments: np.ndarray | None = None,
+):
+    """Inference logits (B, out) from embedded rows (B, T, model_dim).
+
+    The rows come from `embed_input`; what follows is the body of
+    `encoder_forward_batch` after its input projection.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 3 or h.shape[2] != config.model_dim:
+        raise ShapeError(f"expected (B, T, {config.model_dim}) embedded rows, got {h.shape}")
+    return _encode(params, config, h, segments, False, None)[0]
+
+
+def _encode(params, config, h, segments, train_mode, rng):
+    """Encoder body from the embedded input h (B, T, model_dim) to logits."""
+    B, T, _ = h.shape
     if config.num_segments and segments is None:
         raise ShapeError("this encoder requires a segments array")
     dropping = train_mode and config.dropout_p > 0.0
@@ -178,14 +216,10 @@ def encoder_forward_batch(
     cache: dict = {
         "params": params,
         "config": config,
-        "x": x,
         "segments": segments,
         "train_mode": train_mode,
+        "embed_scale": np.sqrt(config.model_dim),
     }
-
-    embed_scale = np.sqrt(config.model_dim)
-    cache["embed_scale"] = embed_scale
-    h = (x @ params["in.w"] + params["in.b"]) * embed_scale
     if config.num_segments:
         seg = np.asarray(segments, dtype=np.int64)
         if seg.shape != (B, T) and seg.shape != (T,):

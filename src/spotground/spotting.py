@@ -8,6 +8,7 @@ score series with greedy temporal NMS.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import logging
 from dataclasses import dataclass, field
@@ -22,8 +23,10 @@ from .nn import (
     EncoderConfig,
     adam_step,
     cross_entropy_soft,
+    embed_input,
     encoder_backward,
     encoder_forward_batch,
+    encoder_forward_embedded,
     init_encoder_params,
     softmax,
 )
@@ -233,7 +236,6 @@ def _vlad_half_backward(params, prefix, rec, dflat, grads):
     dlogits = assign * (dassign - (dassign * assign).sum(axis=-1, keepdims=True))
     grads[prefix + "assign_w"] = xh.reshape(-1, D).T @ dlogits.reshape(-1, K)
     grads[prefix + "assign_b"] = dlogits.sum(axis=(0, 1))
-    return assign @ dvlad + dlogits @ params[prefix + "assign_w"].T
 
 
 def netvlad_backward(cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -403,27 +405,50 @@ def nms_1d(preds: list[SpotPrediction], window_s: int) -> list[SpotPrediction]:
     kept: list[SpotPrediction] = []
     for group in groups.values():
         group = sorted(group, key=lambda p: (-p.confidence, p.time_s))
-        taken: list[int] = []
+        taken: list[int] = []  # accepted times, sorted
         for p in group:
-            if all(abs(p.time_s - t) > window_s for t in taken):
+            # only the nearest accepted time on each side can be within the window
+            i = bisect.bisect_left(taken, p.time_s)
+            if ((i == 0 or p.time_s - taken[i - 1] > window_s)
+                    and (i == len(taken) or taken[i] - p.time_s > window_s)):
                 kept.append(p)
-                taken.append(p.time_s)
+                taken.insert(i, p.time_s)
     return sorted(kept, key=lambda p: (p.game_id, p.half, p.time_s, p.class_index))
 
 
 def score_series(model: Model, features: FeatureSequence, chunk_size_s: int,
-                 batch_size: int = 256) -> np.ndarray:
-    """(T, 18) class probabilities, one row per second (window centers)."""
-    data = features.data.astype(np.float64)
+                 batch_size: int = 64) -> np.ndarray:
+    """(T, 18) class probabilities, one row per second (window centers).
+
+    The window centred on second t starts at second t - chunk // 2 and has
+    zero rows outside the half. The transformer's input projection acts on
+    each row alone, so its windows slide over the half's rows embedded
+    once; a zero pad row embeds to in.b * sqrt(model_dim).
+    """
+    if chunk_size_s < 1 or batch_size < 1:
+        raise ShapeError("chunk size and batch size must be >= 1")
+    data = features.data
     T, D = data.shape
     left = chunk_size_s // 2
-    padded = np.zeros((T + chunk_size_s - 1, D))
-    padded[left : left + T] = data
+    embedded = model.kind == KIND_SPOT_TRANSFORMER
+    if embedded:
+        padded = np.empty((T + chunk_size_s - 1, model.config.model_dim))
+        padded[:] = embed_input(model.params, model.config, np.zeros(D))
+        for lo in range(0, T, batch_size):
+            hi = min(lo + batch_size, T)
+            padded[left + lo : left + hi] = embed_input(model.params, model.config, data[lo:hi])
+    else:
+        padded = np.zeros((T + chunk_size_s - 1, D), dtype=data.dtype)
+        padded[left : left + T] = data
     windows = np.lib.stride_tricks.sliding_window_view(padded, chunk_size_s, axis=0)
-    windows = windows.transpose(0, 2, 1)  # (T, chunk, D)
+    windows = windows.transpose(0, 2, 1)  # (T, chunk, width)
     probs = np.empty((T, NUM_OUTPUT_CLASSES))
     for lo in range(0, T, batch_size):
-        logits, _ = _head_forward(model, np.ascontiguousarray(windows[lo : lo + batch_size]))
+        xb = np.ascontiguousarray(windows[lo : lo + batch_size])
+        if embedded:
+            logits = encoder_forward_embedded(model.params, model.config, xb)
+        else:
+            logits, _ = _head_forward(model, xb)
         probs[lo : lo + logits.shape[0]] = softmax(logits, axis=-1)
     return probs
 
@@ -442,19 +467,13 @@ def select_predictions(
     so any strictly increasing transform of the series leaves the
     surviving (time, class) set unchanged. Background is never emitted.
     """
-    candidates: list[SpotPrediction] = []
-    for c in range(BACKGROUND_INDEX):
-        for t in np.nonzero(probs[:, c] >= threshold)[0]:
-            candidates.append(
-                SpotPrediction(
-                    game_id,
-                    half,
-                    int(t),
-                    c,
-                    vocab[c] if c < len(vocab) else str(c),
-                    float(probs[t, c]),
-                )
-            )
+    labels = [vocab[c] if c < len(vocab) else str(c) for c in range(BACKGROUND_INDEX)]
+    by_class = probs[:, :BACKGROUND_INDEX].T
+    cs, ts = np.nonzero(by_class >= threshold)
+    candidates = [
+        SpotPrediction(game_id, half, t, c, labels[c], conf)
+        for c, t, conf in zip(cs.tolist(), ts.tolist(), by_class[cs, ts].tolist())
+    ]
     return nms_1d(candidates, nms_window_s)
 
 
@@ -464,7 +483,7 @@ def spot_game(
     chunk_size_s: int = 7,
     nms_window_s: int = 20,
     threshold: float = 0.05,
-    batch_size: int = 256,
+    batch_size: int = 64,
 ) -> list[SpotPrediction]:
     """Slide at 1 s stride, threshold the per-class score series, NMS."""
     probs = score_series(model, features, chunk_size_s, batch_size)

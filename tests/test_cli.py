@@ -249,7 +249,8 @@ class TestRejectedBeforeLoading:
         def fail(*args, **kwargs):
             raise AssertionError("data was loaded for an invalid configuration")
 
-        monkeypatch.setattr("spotground.cli.load_dataset", fail)
+        for name in ("load_dataset", "load_game", "load_model"):
+            monkeypatch.setattr(f"spotground.cli.{name}", fail)
 
     def test_netvlad_odd_chunk_is_usage_error(self, tmp_path, capsys, monkeypatch):
         self._forbid_loading(monkeypatch)
@@ -279,6 +280,69 @@ class TestRejectedBeforeLoading:
         assert code == 2
         assert "jobs" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_spot_infer_out_of_range_values_are_usage_errors(self, tmp_path, capsys,
+                                                             monkeypatch):
+        self._forbid_loading(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nms": -1}))
+        cases = [
+            ("--chunk", ["--chunk", "0"]),
+            ("--nms", ["--nms", "-1"]),
+            ("--nms", ["--config", str(cfg)]),
+            ("--threshold", ["--threshold", "1.5"]),
+            ("--threshold", ["--threshold", "-0.1"]),
+        ]
+        for flag, extra in cases:
+            out = tmp_path / "infer"
+            code = run(["spot", "infer", "--model", str(tmp_path / "m.sgckpt"), "--data",
+                        str(tmp_path / "data"), "--out", str(out), *extra])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: usage:") and flag in err
+            assert not out.exists()
+
+
+class TestConfigTypes:
+    """Config-file values must have the type of their key's default or flag."""
+
+    def _spot_train(self, tmp_path, doc, monkeypatch):
+        TestRejectedBeforeLoading._forbid_loading(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return run(["spot", "train", "--data", str(tmp_path / "data"), "--out",
+                    str(tmp_path / "t"), "--config", str(cfg)])
+
+    def test_wrong_types_are_usage_errors_naming_the_key(self, tmp_path, capsys, monkeypatch):
+        for key, value in (("epochs", "3"), ("chunk", "8"), ("batch", True), ("mixup", "0.2"),
+                           ("lr", "1e-3"), ("head", 1), ("seed", 1.5)):
+            code = self._spot_train(tmp_path, {key: value}, monkeypatch)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: usage:") and repr(key) in err
+            assert not (tmp_path / "t").exists()
+
+    def test_int_accepted_for_float_key_bool_only_for_bool(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 1, "replays": 1}))
+        code = run(["synth", "--out", str(tmp_path / "bad"), "--config", str(cfg)])
+        assert code == 2
+        assert "'replays'" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"sigma": 1, "replays": False}))
+        out = tmp_path / "data"
+        assert run(["synth", "--out", str(out), "--duration", "100", "--dim", "4",
+                    "--classes", "1", "--events-per-class", "1", "--config", str(cfg)]) == 0
+        sigma = json.loads((out / "manifest.json").read_text())["config"]["sigma"]
+        assert sigma == 1.0 and isinstance(sigma, float)
+
+    def test_non_object_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for doc in ('["seed"]', "5"):
+            cfg.write_text(doc)
+            code = run(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)])
+            assert code == 2
+            assert "JSON object" in capsys.readouterr().err
 
 
 class TestAnalyze:

@@ -8,9 +8,11 @@ from spotground.nn import (
     adam_step,
     bce_plus_l2,
     cross_entropy_soft,
+    embed_input,
     encoder_backward,
     encoder_forward,
     encoder_forward_batch,
+    encoder_forward_embedded,
     grad_check,
     grounding_grad_check,
     init_encoder_params,
@@ -106,6 +108,33 @@ class TestForward:
         params = init_encoder_params(config, np.random.default_rng(6))
         with pytest.raises(ShapeError):
             encoder_forward(params, config, np.zeros((3, 4)), train_mode=True)
+
+
+class TestEmbeddedEntry:
+    def test_embedded_body_gives_the_batch_logits(self, rng):
+        params = init_encoder_params(SMALL, np.random.default_rng(7))
+        params["in.b"] = rng.normal(size=SMALL.model_dim)
+        x = rng.normal(size=(3, 5, SMALL.input_dim))
+        logits, _ = encoder_forward_batch(params, SMALL, x)
+        h = embed_input(params, SMALL, x)
+        np.testing.assert_array_equal(encoder_forward_embedded(params, SMALL, h), logits)
+
+    def test_embedding_is_rowwise_and_zero_row_is_scaled_bias(self, rng):
+        params = init_encoder_params(SMALL, np.random.default_rng(8))
+        params["in.b"] = rng.normal(size=SMALL.model_dim)
+        x = rng.normal(size=(4, SMALL.input_dim))
+        whole = embed_input(params, SMALL, x)
+        for t in range(4):
+            np.testing.assert_allclose(embed_input(params, SMALL, x[t]), whole[t], atol=1e-12)
+        np.testing.assert_array_equal(embed_input(params, SMALL, np.zeros(SMALL.input_dim)),
+                                      params["in.b"] * np.sqrt(SMALL.model_dim))
+
+    def test_embedded_width_is_checked(self):
+        params = init_encoder_params(SMALL, np.random.default_rng(9))
+        with pytest.raises(ShapeError):
+            encoder_forward_embedded(params, SMALL, np.zeros((1, 3, SMALL.input_dim)))
+        with pytest.raises(ShapeError):
+            embed_input(params, SMALL, np.zeros((3, SMALL.input_dim + 1)))
 
 
 def test_hand_computed_single_head_trace():

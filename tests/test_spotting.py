@@ -3,9 +3,16 @@ import pytest
 
 from conftest import make_event, make_features
 from spotground.checkpoint import KIND_SPOT_NETVLAD, KIND_SPOT_TRANSFORMER, Model
-from spotground.data import GameHalf
+from spotground.checkpoint import load_model, save_model
+from spotground.data import GameHalf, extract_window
 from spotground.errors import ParseError, ShapeError
-from spotground.nn import EncoderConfig, grad_check
+from spotground.nn import (
+    EncoderConfig,
+    encoder_forward_batch,
+    grad_check,
+    init_encoder_params,
+    softmax,
+)
 from spotground.spotting import (
     DatasetSplits,
     NetVLADConfig,
@@ -20,6 +27,7 @@ from spotground.spotting import (
     netvlad_forward_batch,
     netvlad_pool_forward,
     nms_1d,
+    score_series,
     select_predictions,
     spot_forward,
     spot_game,
@@ -241,6 +249,16 @@ class TestNms:
             preds = _random_preds(rng, int(rng.integers(0, 50)))
             window = int(rng.integers(1, 40))
             assert nms_1d(preds, window) == _brute_force_nms(preds, window)
+        for _ in range(100):  # window 0 suppresses only same-second duplicates
+            preds = _random_preds(rng, int(rng.integers(0, 50)), t_max=20)
+            assert nms_1d(preds, 0) == _brute_force_nms(preds, 0)
+        for window in (0, 1, 3, 10):  # tie-heavy: few times, three confidences
+            preds = [
+                SpotPrediction("g", 1, int(t), int(c), DEFAULT_VOCAB[int(c)], conf)
+                for t, c, conf in zip(rng.integers(0, 15, 200), rng.integers(0, 2, 200),
+                                      rng.choice([0.25, 0.5, 0.75], 200))
+            ]
+            assert nms_1d(preds, window) == _brute_force_nms(preds, window)
 
     def test_survivor_gaps_exceed_window(self, rng):
         for _ in range(50):
@@ -392,7 +410,52 @@ class TestSpotGame:
     def test_shorter_than_chunk_still_scores_every_second(self):
         model = _zero_transformer_model(input_dim=16)
         feats = make_features(T=3, D=16)
-        from spotground.spotting import score_series
-
         probs = score_series(model, feats, 7)
         assert probs.shape == (3, 18)
+
+
+def _window_reference(model, data, chunk):
+    """Per-window probabilities: each window cut with extract_window, centred
+    on its second, and run through the full forward pass."""
+    windows = np.stack([extract_window(data, t - chunk // 2, chunk) for t in range(len(data))])
+    if model.kind == KIND_SPOT_TRANSFORMER:
+        logits, _ = encoder_forward_batch(model.params, model.config, windows)
+    else:
+        logits, _ = netvlad_forward_batch(model.params, model.config, windows)
+    return softmax(logits, axis=-1)
+
+
+class TestScoreSeries:
+    def test_transformer_matches_per_window_forward(self, tmp_path):
+        config = EncoderConfig(input_dim=5, output_dim=18, model_dim=8, num_layers=2,
+                               num_heads=2, hidden_dim=16, dropout_p=0.0)
+        rng = np.random.default_rng(21)
+        params = init_encoder_params(config, rng)
+        for name in params:  # non-zero biases, so pad rows embed to a non-zero row
+            if name.endswith((".b", ".bq", ".bv", ".bo", ".b1", ".b2")):
+                params[name] = rng.normal(size=params[name].shape)
+        path = tmp_path / "model.sgckpt"
+        save_model(path, Model(KIND_SPOT_TRANSFORMER, config, list(DEFAULT_VOCAB), params))
+        model = load_model(path)
+        for T in (1, 3, 7, 50):
+            feats = make_features(T=T, D=5, seed=T)
+            for chunk in (1, 2, 7, 8):
+                ref = _window_reference(model, feats.data, chunk)
+                for batch in (256, 3):
+                    probs = score_series(model, feats, chunk, batch_size=batch)
+                    np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-12)
+
+    def test_netvlad_matches_per_window_forward(self):
+        config = NetVLADConfig(input_dim=4, clusters=3)
+        params = init_netvlad_params(config, np.random.default_rng(22))
+        model = Model(KIND_SPOT_NETVLAD, config, list(DEFAULT_VOCAB), params)
+        for T in (1, 7, 50):
+            feats = make_features(T=T, D=4, seed=T)
+            for chunk in (2, 8):
+                probs = score_series(model, feats, chunk, batch_size=16)
+                np.testing.assert_allclose(probs, _window_reference(model, feats.data, chunk),
+                                           rtol=0, atol=1e-12)
+
+    def test_chunk_below_one_rejected(self):
+        with pytest.raises(ShapeError):
+            score_series(_zero_transformer_model(input_dim=16), make_features(T=5, D=16), 0)
