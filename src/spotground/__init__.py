@@ -13,8 +13,6 @@ from .data import (  # noqa: F401
     FeatureSequence,
     GameHalf,
     ReplayAnnotation,
-    Snippet,
-    build_snippet_dataset,
     combine_features,
     parse_game_time,
     parse_labels,
@@ -34,8 +32,6 @@ from .grounding import (  # noqa: F401
     ReplayQuery,
     filter_predictions,
     fuse_with_spotting,
-    ground_forward,
-    ground_loss,
     infer_grounding,
     merge_nms,
     sample_grounding_pairs,
@@ -46,7 +42,7 @@ from .nn import (  # noqa: F401
     EncoderConfig,
     adam_step,
     encoder_backward,
-    encoder_forward,
+    encoder_forward_batch,
     grad_check,
     positional_encoding,
 )
@@ -59,9 +55,7 @@ from .spotting import (  # noqa: F401
     TrainSpec,
     make_chunks,
     mixup,
-    netvlad_pool_forward,
     nms_1d,
-    spot_forward,
     spot_game,
     train_spotting,
 )

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .data import (
     parse_game_time,
     parse_labels,
 )
-from .errors import ParseError, SpotGroundError
+from .errors import ParseError, ShapeError, SpotGroundError
 from .evaluation import (
     EvalReport,
     average_map,
@@ -65,7 +66,7 @@ from .spotting import (
     train_spotting,
 )
 from .synth import SynthConfig, write_synth_dataset
-from .vocab import DEFAULT_VOCAB, label_index, load_vocab, save_vocab
+from .vocab import DEFAULT_VOCAB, NUM_OUTPUT_CLASSES, label_index, load_vocab, save_vocab
 
 GRADCHECK_GATE = 1e-5
 
@@ -351,6 +352,27 @@ def _load_splits(data_dir: Path, splits_path: str | None, halves: list[GameHalf]
     )
 
 
+def _checked(build, **kwargs):
+    """build(**kwargs), with a rejected value reported as a usage error."""
+    try:
+        return build(**kwargs)
+    except ShapeError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _write_trained(out: Path, command: str, cfg: dict, t0: float, model, what: str) -> int:
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt = out / "model.sgckpt"
+    save_model(ckpt, model)
+    history_path = out / "history.json"
+    history_path.write_text(json.dumps(model.history, indent=2) + "\n", encoding="utf-8")
+    _write_manifest(out, command, cfg, t0, [ckpt, history_path])
+    print(f"trained {what}: {len(model.history)} epochs, "
+          f"final train loss {model.history[-1]['train_loss']:.4f}")
+    print(f"checkpoint: {ckpt}")
+    return 0
+
+
 def cmd_spot_train(args) -> int:
     t0 = time.time()
     cfg = _resolve_config(args, SPOT_TRAIN_DEFAULTS)
@@ -362,46 +384,25 @@ def cmd_spot_train(args) -> int:
         raise UsageError(
             f"the netvlad head pools two halves and needs an even --chunk, got {cfg['chunk']}"
         )
+    spec = _checked(TrainSpec, mode=cfg["mode"], lr=cfg["lr"], epochs=cfg["epochs"],
+                    batch_size=cfg["batch"], chunk_size_s=cfg["chunk"],
+                    mixup_alpha=cfg["mixup"], seed=cfg["seed"])
+    # checked before any data loads; the input width comes from the data
+    if cfg["head"] == "transformer":
+        config = _checked(EncoderConfig, input_dim=1, output_dim=NUM_OUTPUT_CLASSES,
+                          model_dim=cfg["model_dim"], num_layers=cfg["layers"],
+                          num_heads=cfg["heads"], hidden_dim=cfg["hidden"],
+                          dropout_p=cfg["dropout"])
+    else:
+        config = _checked(NetVLADConfig, input_dim=1, clusters=cfg["clusters"])
     vocab = _load_vocab_arg(args.vocab)
     halves = load_dataset(args.data, vocab=vocab)
     splits = _load_splits(Path(args.data), args.splits, halves)
     if cfg["mode"] == "regular" and not splits.valid:
         raise UsageError("regular mode needs --splits with a valid set")
-    spec = TrainSpec(
-        mode=cfg["mode"],
-        lr=cfg["lr"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch"],
-        chunk_size_s=cfg["chunk"],
-        nms_window_s=cfg["nms"],
-        mixup_alpha=cfg["mixup"],
-        seed=cfg["seed"],
-    )
-    input_dim = halves[0].features.dim
-    if cfg["head"] == "transformer":
-        config = EncoderConfig(
-            input_dim=input_dim,
-            output_dim=18,
-            model_dim=cfg["model_dim"],
-            num_layers=cfg["layers"],
-            num_heads=cfg["heads"],
-            hidden_dim=cfg["hidden"],
-            dropout_p=cfg["dropout"],
-        )
-    else:
-        config = NetVLADConfig(input_dim=input_dim, clusters=cfg["clusters"])
+    config = replace(config, input_dim=halves[0].features.dim)
     model = train_spotting(splits, spec, head=cfg["head"], config=config, vocab=vocab)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / "model.sgckpt"
-    save_model(ckpt, model)
-    history_path = out / "history.json"
-    history_path.write_text(json.dumps(model.history, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, "spot train", cfg, t0, [ckpt, history_path])
-    final = model.history[-1]["train_loss"] if model.history else float("nan")
-    print(f"trained {cfg['head']} head: {spec.epochs} epochs, final train loss {final:.4f}")
-    print(f"checkpoint: {ckpt}")
-    return 0
+    return _write_trained(Path(args.out), "spot train", cfg, t0, model, f"{cfg['head']} head")
 
 
 SPOT_INFER_DEFAULTS = {
@@ -412,8 +413,28 @@ SPOT_INFER_DEFAULTS = {
 }
 
 
+def _check_min(cfg: dict, **bounds) -> None:
+    """Reject, as a usage error, a value below its key's lower bound."""
+    for key, lo in bounds.items():
+        if cfg[key] < lo:
+            raise UsageError(f"--{key} must be >= {lo}, got {cfg[key]}")
+
+
+def _map_games(fn, data: Path, jobs: int, *args) -> list:
+    """fn((game_dir, *args)) for every game directory under data, in game
+    order; across a pool of `jobs` processes when jobs > 1."""
+    game_dirs = sorted(p for p in data.iterdir() if p.is_dir() and any(p.glob("*_*.npy")))
+    if not game_dirs:
+        raise ParseError(f"no game directories under {data}")
+    tasks = [(str(g), *args) for g in game_dirs]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _spot_infer_game(task):
-    model_path, game_dir, vocab, chunk, nms, threshold = task
+    game_dir, model_path, vocab, chunk, nms, threshold = task
     model = load_model(model_path)
     halves = load_game(Path(game_dir), vocab=vocab)
     preds: list[SpotPrediction] = []
@@ -425,36 +446,20 @@ def _spot_infer_game(task):
 def cmd_spot_infer(args) -> int:
     t0 = time.time()
     cfg = _resolve_config(args, SPOT_INFER_DEFAULTS)
-    if cfg["chunk"] < 1:
-        raise UsageError(f"--chunk must be >= 1 s, got {cfg['chunk']}")
-    if cfg["nms"] < 0:
-        raise UsageError(f"--nms must be >= 0 s, got {cfg['nms']}")
+    _check_min(cfg, chunk=1, nms=0, jobs=1)
     if not 0.0 <= cfg["threshold"] <= 1.0:
         raise UsageError(f"--threshold must lie in [0, 1], got {cfg['threshold']}")
     vocab = _load_vocab_arg(args.vocab)
-    data = Path(args.data)
     out = Path(args.out)
-    game_dirs = sorted(
-        p for p in data.iterdir() if p.is_dir() and any(p.glob("*_*.npy"))
-    )
-    if not game_dirs:
-        raise ParseError(f"no game directories under {data}")
-    tasks = [
-        (args.model, str(g), vocab, cfg["chunk"], cfg["nms"], cfg["threshold"])
-        for g in game_dirs
-    ]
-    if cfg["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            results = list(pool.map(_spot_infer_game, tasks))
-    else:
-        results = [_spot_infer_game(t) for t in tasks]
+    results = _map_games(_spot_infer_game, Path(args.data), cfg["jobs"], args.model, vocab,
+                         cfg["chunk"], cfg["nms"], cfg["threshold"])
     written = []
     total = 0
-    for game_id, preds in sorted(results):
+    for game_id, preds in results:
         written.append(write_spot_predictions(out, game_id, preds))
         total += len(preds)
     _write_manifest(out, "spot infer", cfg, t0, written)
-    print(f"{total} predictions over {len(game_dirs)} games -> {out}")
+    print(f"{total} predictions over {len(results)} games -> {out}")
     return 0
 
 
@@ -480,39 +485,17 @@ def cmd_ground_train(args) -> int:
         raise UsageError(
             f"grounding trains on every half (ultra mode only), got --mode {cfg['mode']}"
         )
+    spec = _checked(TrainSpec, mode=cfg["mode"], lr=cfg["lr"], epochs=cfg["epochs"],
+                    batch_size=cfg["batch"], mixup_alpha=0.0, seed=cfg["seed"])
+    # checked before any data loads; the input width comes from the data
+    config = _checked(EncoderConfig, input_dim=1, output_dim=2, model_dim=cfg["model_dim"],
+                      num_layers=cfg["layers"], num_heads=cfg["heads"],
+                      hidden_dim=cfg["hidden"], dropout_p=cfg["dropout"], num_segments=2)
     vocab = _load_vocab_arg(args.vocab)
     halves = load_dataset(args.data, vocab=vocab)
-    spec = TrainSpec(
-        mode=cfg["mode"],
-        lr=cfg["lr"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch"],
-        mixup_alpha=0.0,
-        seed=cfg["seed"],
-    )
-    input_dim = halves[0].features.dim
-    config = EncoderConfig(
-        input_dim=input_dim,
-        output_dim=2,
-        model_dim=cfg["model_dim"],
-        num_layers=cfg["layers"],
-        num_heads=cfg["heads"],
-        hidden_dim=cfg["hidden"],
-        dropout_p=cfg["dropout"],
-        num_segments=2,
-    )
+    config = replace(config, input_dim=halves[0].features.dim)
     model = train_grounding(halves, spec, config=config, offset_weight=cfg["offset_weight"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / "model.sgckpt"
-    save_model(ckpt, model)
-    history_path = out / "history.json"
-    history_path.write_text(json.dumps(model.history, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, "ground train", cfg, t0, [ckpt, history_path])
-    print(f"trained grounding head: {spec.epochs} epochs, "
-          f"final train loss {model.history[-1]['train_loss']:.4f}")
-    print(f"checkpoint: {ckpt}")
-    return 0
+    return _write_trained(Path(args.out), "ground train", cfg, t0, model, "grounding head")
 
 
 GROUND_INFER_DEFAULTS = {
@@ -523,7 +506,7 @@ GROUND_INFER_DEFAULTS = {
 
 
 def _ground_infer_game(task):
-    model_path, game_dir, stride, filter_s = task
+    game_dir, model_path, stride, filter_s = task
     model = load_model(model_path)
     halves = load_game(Path(game_dir))
     results = []
@@ -540,24 +523,17 @@ def _ground_infer_game(task):
 def cmd_ground_infer(args) -> int:
     t0 = time.time()
     cfg = _resolve_config(args, GROUND_INFER_DEFAULTS)
-    data = Path(args.data)
+    _check_min(cfg, stride=1, filter=0, jobs=1)
     out = Path(args.out)
-    game_dirs = sorted(p for p in data.iterdir() if p.is_dir() and any(p.glob("*_*.npy")))
-    if not game_dirs:
-        raise ParseError(f"no game directories under {data}")
-    tasks = [(args.model, str(g), cfg["stride"], cfg["filter"]) for g in game_dirs]
-    if cfg["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            results = list(pool.map(_ground_infer_game, tasks))
-    else:
-        results = [_ground_infer_game(t) for t in tasks]
+    results = _map_games(_ground_infer_game, Path(args.data), cfg["jobs"], args.model,
+                         cfg["stride"], cfg["filter"])
     written = []
     n_queries = 0
-    for game_id, game_results in sorted(results):
+    for game_id, game_results in results:
         written.append(write_ground_predictions(out, game_id, game_results))
         n_queries += len(game_results)
     _write_manifest(out, "ground infer", cfg, t0, written)
-    print(f"{n_queries} replay queries over {len(game_dirs)} games -> {out}")
+    print(f"{n_queries} replay queries over {len(results)} games -> {out}")
     return 0
 
 
@@ -636,16 +612,21 @@ EVAL_GROUND_DEFAULTS = {"tolerances": "5:60:5"}
 
 
 def _parse_tolerances(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"bad tolerance range {text!r}, expected start:stop:step")
-        start, stop, step = (int(p) for p in parts)
-        tols = tuple(range(start, stop + 1, step))
-    else:
-        tols = tuple(int(p) for p in text.split(",") if p)
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise UsageError(f"bad tolerance range {text!r}, expected start:stop:step")
+            start, stop, step = (int(p) for p in parts)
+            tols = tuple(range(start, stop + 1, step))
+        else:
+            tols = tuple(int(p) for p in text.split(",") if p)
+    except ValueError as exc:  # a non-integer, or a zero step
+        raise UsageError(f"bad --tolerances {text!r}: {exc}") from exc
     if not tols:
         raise UsageError(f"empty tolerance list {text!r}")
+    if min(tols) < 0:
+        raise UsageError(f"bad --tolerances {text!r}: tolerances must be >= 0 s")
     return tols
 
 
@@ -677,6 +658,7 @@ def _average_map_jobs(preds, gts, tolerances, vocab, jobs) -> EvalReport:
 def cmd_eval_spot(args) -> int:
     t0 = time.time()
     cfg = _resolve_config(args, EVAL_SPOT_DEFAULTS)
+    _check_min(cfg, jobs=1)
     tolerances = _parse_tolerances(cfg["tolerances"])
     vocab = _load_vocab_arg(args.vocab)
     labels_dir = Path(args.labels)
@@ -840,11 +822,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head", choices=["transformer", "netvlad"])
     p.add_argument("--chunk", type=int,
                    help="chunk size in seconds (default 7; netvlad needs an even value)")
-    p.add_argument("--nms", type=int, help="NMS window in seconds (default 20)")
-    p.add_argument("--lr", type=float, help="default 5e-4 transformer, 1e-4 netvlad")
+    p.add_argument("--nms", type=int,
+                   help="NMS window in seconds, only recorded in the manifest: "
+                        "spot infer --nms sets the one inference uses (default 20)")
+    p.add_argument("--lr", type=float, help="> 0; default 5e-4 transformer, 1e-4 netvlad")
     p.add_argument("--epochs", type=int, help="default 50 transformer, 40 netvlad")
     p.add_argument("--batch", type=int)
-    p.add_argument("--mixup", type=float, help="mixup Beta parameter, 0 disables")
+    p.add_argument("--mixup", type=float, help="mixup Beta parameter, >= 0 (0 disables)")
     p.add_argument("--seed", type=int)
     p.add_argument("--layers", type=int)
     p.add_argument("--heads", type=int)
@@ -894,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, help="candidate chunk stride (default 5)")
+    p.add_argument("--stride", type=int, help="candidate chunk stride, >= 1 (default 5)")
     p.add_argument("--filter", type=int,
                    help="keep predictions within this many seconds before replay end "
                         "(default 120, 0 disables)")

@@ -2,7 +2,7 @@
 
 Covers the per-second embedding matrices (NPY files, one per game half
 and source), the label JSON files, multi-source feature combination and
-snippet dataset construction for classifier-style pretraining.
+zero-padded window extraction.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     VocabularyError,
 )
 from .npyio import read_npy_file
-from .vocab import BACKGROUND_INDEX, DEFAULT_VOCAB, label_index
+from .vocab import DEFAULT_VOCAB
 
 logger = logging.getLogger(__name__)
 
@@ -96,12 +96,6 @@ class ReplayAnnotation:
     def interval_s(self) -> int:
         """Gap between replay end and the original event."""
         return self.replay_end_s - self.event_time_s
-
-
-@dataclass(frozen=True)
-class Snippet:
-    features: np.ndarray
-    target_class: int
 
 
 def parse_game_time(s: str) -> tuple[int, int]:
@@ -220,56 +214,6 @@ def extract_window(data: np.ndarray, start_s: int, length_s: int) -> np.ndarray:
     if lo < hi:
         out[lo - start_s : hi - start_s] = data[lo:hi]
     return out
-
-
-def build_snippet_dataset(
-    features: FeatureSequence,
-    events: list[EventAnnotation],
-    snippet_len_s: int = 5,
-    background_ratio: float = 1.0,
-    vocab: list[str] | tuple[str, ...] | None = None,
-    seed: int = 0,
-) -> list[Snippet]:
-    """Extract one snippet per event plus uniformly sampled background snippets.
-
-    Event snippets are centered on the event timestamp (boundary snippets
-    zero-padded); background snippets are drawn from seconds farther than
-    snippet_len_s from every event and carry the background class index.
-    """
-    if snippet_len_s < 1:
-        raise ShapeError("snippet length must be >= 1 s")
-    vocab = list(vocab if vocab is not None else DEFAULT_VOCAB)
-    T = features.duration_s
-    half_len = snippet_len_s // 2
-
-    snippets: list[Snippet] = []
-    kept_events = []
-    for ev in events:
-        if ev.time_s >= T:
-            logger.warning("event at %d s outside %d s features, skipped", ev.time_s, T)
-            continue
-        kept_events.append(ev)
-        window = extract_window(features.data, ev.time_s - half_len, snippet_len_s)
-        snippets.append(Snippet(window, label_index(vocab, ev.label)))
-
-    n_background = int(round(background_ratio * len(kept_events)))
-    if n_background > 0:
-        event_times = np.array([ev.time_s for ev in kept_events], dtype=np.int64)
-        seconds = np.arange(T)
-        if event_times.size:
-            dist = np.abs(seconds[:, None] - event_times[None, :]).min(axis=1)
-            candidates = seconds[dist > snippet_len_s]
-        else:
-            candidates = seconds
-        if candidates.size == 0:
-            logger.warning("no background seconds available, skipping background snippets")
-        else:
-            rng = np.random.default_rng(seed)
-            picks = rng.choice(candidates, size=n_background, replace=True)
-            for t in picks:
-                window = extract_window(features.data, int(t) - half_len, snippet_len_s)
-                snippets.append(Snippet(window, BACKGROUND_INDEX))
-    return snippets
 
 
 @dataclass

@@ -21,14 +21,13 @@ from .errors import IdentityError, ParseError, ShapeError
 from .nn import (
     AdamState,
     EncoderConfig,
-    adam_step,
     bce_plus_l2,
     encoder_backward,
     encoder_forward_batch,
     init_encoder_params,
     sigmoid,
 )
-from .spotting import SpotPrediction, TrainSpec
+from .spotting import SpotPrediction, TrainSpec, fit
 
 logger = logging.getLogger(__name__)
 
@@ -171,26 +170,6 @@ def _stack_samples(samples: list[GroundingSample]):
     return X, labels, offsets
 
 
-def ground_forward(model: Model, sample: GroundingSample) -> tuple[float, float]:
-    """(replay probability, raw positional offset) for one sample."""
-    X, _, _ = _stack_samples([sample])
-    out, _ = encoder_forward_batch(
-        model.params, model.config, X, segments=_segments(sample.candidate.shape[0])[None]
-    )
-    return float(sigmoid(out[0, 0])), float(out[0, 1])
-
-
-def ground_loss(pred: tuple[float, float], sample: GroundingSample,
-                offset_weight: float = 1.0) -> float:
-    """BCE on the probability plus weighted squared offset error (positives)."""
-    prob, offset = pred
-    p = min(max(prob, 1e-7), 1.0 - 1e-7)
-    loss = -(sample.label * np.log(p) + (1 - sample.label) * np.log(1.0 - p))
-    if sample.label == 1:
-        loss += offset_weight * (offset - sample.offset_target) ** 2
-    return float(loss)
-
-
 def default_grounding_config(input_dim: int, dropout_p: float = 0.1) -> EncoderConfig:
     return EncoderConfig(
         input_dim=input_dim,
@@ -233,28 +212,23 @@ def train_grounding(
                   opt=AdamState.for_params(params))
     seg_row = _segments(chunk_s)
 
-    for epoch in range(spec.epochs):
+    def epoch_pairs():
         samples: list[GroundingSample] = []
         for gh, rp in replays:
             samples.extend(sample_grounding_pairs(rp, gh.features, rng, chunk_s=chunk_s))
         if not samples:
             raise ParseError("no usable grounding samples (all replays skipped)")
-        X, labels, offsets = _stack_samples(samples)
-        perm = rng.permutation(len(X))
-        epoch_loss = 0.0
-        for lo in range(0, len(X), spec.batch_size):
-            idx = perm[lo : lo + spec.batch_size]
-            xb = X[idx]
-            seg = np.broadcast_to(seg_row, (len(idx), seg_row.size))
-            out, cache = encoder_forward_batch(
-                model.params, config, xb, segments=seg, train_mode=True, rng=rng
-            )
-            loss, dout = bce_plus_l2(out, labels[idx], offsets[idx], offset_weight)
-            grads = encoder_backward(cache, dout)
-            adam_step(model.params, grads, model.opt, spec.lr)
-            epoch_loss += loss * len(idx)
-        model.history.append({"epoch": epoch, "train_loss": epoch_loss / len(X)})
-        logger.debug("grounding epoch %d: %s", epoch, model.history[-1])
+        return _stack_samples(samples)
+
+    def step(xb, labels, offsets):
+        seg = np.broadcast_to(seg_row, (len(xb), seg_row.size))
+        out, cache = encoder_forward_batch(
+            model.params, config, xb, segments=seg, train_mode=True, rng=rng
+        )
+        loss, dout = bce_plus_l2(out, labels, offsets, offset_weight)
+        return loss, encoder_backward(cache, dout)
+
+    fit(model, spec, rng, epoch_pairs, step)
     return model
 
 

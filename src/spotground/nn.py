@@ -36,10 +36,12 @@ class EncoderConfig:
     num_segments: int = 0  # 2 for the grounding head, 0 otherwise
 
     def __post_init__(self):
-        if self.model_dim % self.num_heads != 0:
+        if self.num_heads < 1 or self.model_dim % self.num_heads != 0:
             raise ShapeError(
                 f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}"
             )
+        if self.model_dim % 2 != 0:  # sin/cos pairs of the positional encoding
+            raise ShapeError(f"model_dim must be even, got {self.model_dim}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ShapeError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if min(self.input_dim, self.output_dim, self.model_dim, self.hidden_dim) < 1:
@@ -279,25 +281,6 @@ def _encode(params, config, h, segments, train_mode, rng):
     return logits, cache
 
 
-def encoder_forward(
-    params,
-    config: EncoderConfig,
-    x: np.ndarray,
-    segments: np.ndarray | None = None,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-):
-    """Single-chunk forward: x is (T, input_dim), returns (logits (out,), cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"expected (T, input_dim), got shape {x.shape}")
-    seg = None if segments is None else np.asarray(segments)[None, :]
-    logits, cache = encoder_forward_batch(
-        params, config, x[None], segments=seg, train_mode=train_mode, rng=rng
-    )
-    return logits[0], cache
-
-
 def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum over every leading axis of a[..., i] * b[..., j], as one BLAS product."""
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
@@ -307,16 +290,13 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
     """Backpropagate d loss / d logits through the cached forward pass."""
     params, config = cache.get("params"), cache.get("config")
     if params is None or "layers" not in cache:
-        raise ConsistencyError("cache does not come from encoder_forward")
+        raise ConsistencyError("cache does not come from encoder_forward_batch")
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache["logits_shape"]:
-        if upstream.shape == cache["logits_shape"][1:]:
-            upstream = upstream[None]
-        else:
-            raise ConsistencyError(
-                f"upstream gradient shape {upstream.shape} does not match "
-                f"forward output {cache['logits_shape']}"
-            )
+        raise ConsistencyError(
+            f"upstream gradient shape {upstream.shape} does not match "
+            f"forward output {cache['logits_shape']}"
+        )
     B, T, _ = cache["x"].shape
     grads: dict[str, np.ndarray] = {}
 

@@ -67,15 +67,48 @@ class TrainSpec:
     epochs: int = 50
     batch_size: int = 32
     chunk_size_s: int = 7
-    nms_window_s: int = 20
-    mixup_alpha: float = 0.2
+    mixup_alpha: float = 0.2  # 0 disables mixup
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("regular", "ultra"):
             raise ShapeError(f"mode must be regular or ultra, got {self.mode!r}")
-        if self.epochs < 1 or self.batch_size < 1 or self.chunk_size_s < 1:
-            raise ShapeError("epochs, batch_size and chunk_size_s must be positive")
+        for name in ("epochs", "batch_size", "chunk_size_s"):
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.lr > 0.0:
+            raise ShapeError(f"lr must be > 0, got {self.lr}")
+        if not self.mixup_alpha >= 0.0:
+            raise ShapeError(f"mixup_alpha must be >= 0, got {self.mixup_alpha}")
+
+
+def fit(model: Model, spec: TrainSpec, rng: np.random.Generator, epoch_data, batch_step,
+        end_epoch=None) -> None:
+    """The training loop every head runs: epochs of shuffled batches, one
+    Adam update per batch, one history record per epoch.
+
+    epoch_data() returns the epoch's arrays, indexed alike along axis 0.
+    batch_step(*batch) runs forward, loss and backward on one batch of
+    them and returns (mean loss, grads). end_epoch(record), if given, may
+    add to the epoch's record before it joins model.history. Each epoch
+    the rng serves epoch_data first, then the permutation, then each
+    batch step in turn.
+    """
+    for epoch in range(spec.epochs):
+        data = epoch_data()
+        n = len(data[0])
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for lo in range(0, n, spec.batch_size):
+            idx = perm[lo : lo + spec.batch_size]
+            loss, grads = batch_step(*(a[idx] for a in data))
+            adam_step(model.params, grads, model.opt, spec.lr)
+            epoch_loss += loss * len(idx)
+        record = {"epoch": epoch, "train_loss": epoch_loss / n}
+        if end_epoch is not None:
+            end_epoch(record)
+        model.history.append(record)
+        logger.debug("%s epoch %d: %s", model.kind, epoch, record)
 
 
 @dataclass
@@ -115,15 +148,19 @@ def make_chunks(
     return chunks
 
 
-def mixup(a: Chunk, b: Chunk, alpha: float, rng: np.random.Generator, lam: float | None = None) -> Chunk:
-    """Convex combination of two chunks with a Beta(alpha, alpha) coefficient."""
-    if a.features.shape != b.features.shape:
-        raise ShapeError(f"mixup shapes differ: {a.features.shape} vs {b.features.shape}")
-    if lam is None:
-        lam = float(rng.beta(alpha, alpha))
-    feats = lam * a.features.astype(np.float64) + (1.0 - lam) * b.features.astype(np.float64)
-    target = lam * a.target + (1.0 - lam) * b.target
-    return Chunk(feats, target, a.origin)
+def mixup(xb: np.ndarray, yb: np.ndarray, alpha: float, rng: np.random.Generator):
+    """Mix each sample of a batch with a partner drawn from the same batch.
+
+    The rng draws the partner permutation, then one Beta(alpha, alpha)
+    coefficient lam per sample; inputs and targets both become
+    lam * own + (1 - lam) * partner, so targets stay on the simplex.
+    """
+    if len(xb) != len(yb):
+        raise ShapeError(f"mixup batch sizes differ: {len(xb)} inputs vs {len(yb)} targets")
+    partner = rng.permutation(len(xb))
+    lam = rng.beta(alpha, alpha, size=(len(xb), 1))
+    return (lam[:, :, None] * xb + (1.0 - lam[:, :, None]) * xb[partner],
+            lam * yb + (1.0 - lam) * yb[partner])
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +246,6 @@ def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray):
     return logits, cache
 
 
-def netvlad_pool_forward(params, x: np.ndarray, config: NetVLADConfig):
-    """Single-chunk convenience wrapper: x is (L, D), returns 18 logits."""
-    logits, _ = netvlad_forward_batch(params, config, np.asarray(x)[None])
-    return logits[0]
-
-
 def _l2_normalize_backward(dy, v, norms):
     # y = v / ||v|| rowwise; zero rows pass zero gradient
     safe = np.where(norms > 0.0, norms, 1.0)
@@ -242,9 +273,9 @@ def netvlad_backward(cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     params = cache["params"]
     grads: dict[str, np.ndarray] = {}
     out_desc = cache["out_desc"]
-    grads["vlad.out.w"] = out_desc.T @ np.atleast_2d(dlogits)
-    grads["vlad.out.b"] = np.atleast_2d(dlogits).sum(axis=0)
-    ddesc = np.atleast_2d(dlogits) @ params["vlad.out.w"].T
+    grads["vlad.out.w"] = out_desc.T @ dlogits
+    grads["vlad.out.b"] = dlogits.sum(axis=0)
+    ddesc = dlogits @ params["vlad.out.w"].T
     ddesc = _l2_normalize_backward(ddesc, cache["desc"], cache["desc_norms"])
     half = ddesc.shape[1] // 2
     _vlad_half_backward(params, "vlad.past.", cache["past"], ddesc[:, :half], grads)
@@ -254,13 +285,6 @@ def netvlad_backward(cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # training
-
-
-def spot_forward(model: Model, chunk_features: np.ndarray) -> np.ndarray:
-    """18-class probability vector for one chunk."""
-    x = np.asarray(chunk_features, dtype=np.float64)[None]
-    logits = _head_forward(model, x)[0]
-    return softmax(logits[0])
 
 
 def _head_forward(model: Model, xb: np.ndarray, train_mode=False, rng=None):
@@ -351,40 +375,28 @@ def train_spotting(
 
     model = Model(kind=kind, config=config, vocab=list(vocab), params=params,
                   opt=AdamState.for_params(params))
-    valid_tensors = None
+
+    def step(xb, yb):
+        if spec.mixup_alpha > 0.0:
+            xb, yb = mixup(xb, yb, spec.mixup_alpha, rng)
+        logits, cache = _head_forward(model, xb, train_mode=True, rng=rng)
+        loss, dlogits = cross_entropy_soft(logits, yb)
+        return loss, _head_backward(model, cache, dlogits)
+
+    best: dict = {}
+    keep_best = None
     if spec.mode == "regular":
-        valid_tensors = _chunk_tensors(splits.valid, spec, vocab)
-    best = None
+        valid = _chunk_tensors(splits.valid, spec, vocab)
 
-    n = len(X)
-    for epoch in range(spec.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for lo in range(0, n, spec.batch_size):
-            idx = perm[lo : lo + spec.batch_size]
-            xb, yb = X[idx], Y[idx]
-            if spec.mixup_alpha > 0.0:
-                partner = rng.permutation(len(idx))
-                lam = rng.beta(spec.mixup_alpha, spec.mixup_alpha, size=(len(idx), 1))
-                xb = lam[:, :, None] * xb + (1.0 - lam[:, :, None]) * xb[partner]
-                yb = lam * yb + (1.0 - lam) * yb[partner]
-            logits, cache = _head_forward(model, xb, train_mode=True, rng=rng)
-            loss, dlogits = cross_entropy_soft(logits, yb)
-            grads = _head_backward(model, cache, dlogits)
-            adam_step(model.params, grads, model.opt, spec.lr)
-            epoch_loss += loss * len(idx)
-        record = {"epoch": epoch, "train_loss": epoch_loss / n}
-        if valid_tensors is not None:
-            vloss = _eval_loss(model, *valid_tensors, spec.batch_size)
-            record["valid_loss"] = vloss
-            if best is None or vloss < best[0]:
-                best = (vloss, copy.deepcopy(model.params), copy.deepcopy(model.opt))
-        model.history.append(record)
-        logger.debug("epoch %d: %s", epoch, record)
+        def keep_best(record):
+            record["valid_loss"] = vloss = _eval_loss(model, *valid, spec.batch_size)
+            if not best or vloss < best["loss"]:
+                best.update(loss=vloss, params=copy.deepcopy(model.params),
+                            opt=copy.deepcopy(model.opt))
 
-    if spec.mode == "regular" and best is not None:
-        model.params = best[1]
-        model.opt = best[2]
+    fit(model, spec, rng, lambda: (X, Y), step, keep_best)
+    if best:
+        model.params, model.opt = best["params"], best["opt"]
     return model
 
 

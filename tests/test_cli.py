@@ -293,6 +293,8 @@ class TestRejectedBeforeLoading:
             ("--nms", ["--config", str(cfg)]),
             ("--threshold", ["--threshold", "1.5"]),
             ("--threshold", ["--threshold", "-0.1"]),
+            ("--jobs", ["--jobs", "0"]),
+            ("--jobs", ["--jobs", "-3"]),
         ]
         for flag, extra in cases:
             out = tmp_path / "infer"
@@ -302,6 +304,74 @@ class TestRejectedBeforeLoading:
             err = capsys.readouterr().err
             assert err.startswith("error: usage:") and flag in err
             assert not out.exists()
+
+    def _usage_errors(self, tmp_path, capsys, command, cases):
+        """Each (needle, extra flags) case exits 2 naming needle, writing nothing."""
+        for needle, extra in cases:
+            out = tmp_path / "out"
+            code = run([*command, "--out", str(out), *extra])
+            err = capsys.readouterr().err
+            assert code == 2, (extra, err)
+            assert err.startswith("error: usage:") and needle in err, (extra, err)
+            assert not out.exists()
+
+    def test_bad_tolerances_are_usage_errors(self, tmp_path, capsys):
+        for kind in ("spot", "ground"):
+            self._usage_errors(
+                tmp_path, capsys,
+                ["eval", kind, "--preds", str(tmp_path), "--labels", str(tmp_path)],
+                [("'5:60:0'", ["--tolerances", "5:60:0"]),
+                 ("'a'", ["--tolerances", "a,b"]),
+                 ("'5:x:5'", ["--tolerances", "5:x:5"]),
+                 ("'-5,10'", ["--tolerances=-5,10"])],
+            )
+
+    def test_train_out_of_range_values_are_usage_errors(self, tmp_path, capsys,
+                                                        monkeypatch):
+        self._forbid_loading(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": -1e-3}))
+        shared = [
+            ("batch", ["--batch", "0"]),
+            ("epochs", ["--epochs", "0"]),
+            ("lr", ["--lr", "0"]),
+            ("lr", ["--config", str(cfg)]),
+            ("heads", ["--heads", "3", "--model-dim", "64"]),
+            ("heads", ["--heads", "0"]),
+            ("model_dim", ["--model-dim", "5", "--heads", "1"]),
+            ("dropout", ["--dropout", "1.0"]),
+            ("dropout", ["--dropout", "-0.1"]),
+        ]
+        data = ["--data", str(tmp_path / "data")]
+        self._usage_errors(tmp_path, capsys, ["spot", "train", *data], shared + [
+            ("mixup", ["--mixup", "-0.5"]),
+            ("chunk", ["--chunk", "0"]),
+            ("cluster", ["--head", "netvlad", "--chunk", "8", "--clusters", "0"]),
+        ])
+        self._usage_errors(tmp_path, capsys, ["ground", "train", *data], shared)
+
+    def test_ground_infer_out_of_range_values_are_usage_errors(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        self._forbid_loading(monkeypatch)
+        command = ["ground", "infer", "--model", str(tmp_path / "m.sgckpt"), "--data",
+                   str(tmp_path / "data")]
+        self._usage_errors(tmp_path, capsys, command, [
+            ("--stride", ["--stride", "0"]),
+            ("--filter", ["--filter", "-5"]),
+            ("--jobs", ["--jobs", "0"]),
+        ])
+        calls = []  # --filter 0 still disables the filter
+        monkeypatch.setattr("spotground.cli._map_games",
+                            lambda fn, data, jobs, *args: calls.append(args) or [])
+        assert run([*command, "--out", str(tmp_path / "out"), "--filter", "0"]) == 0
+        assert calls == [(str(tmp_path / "m.sgckpt"), 5, 0)]
+
+    def test_eval_spot_jobs_below_one_is_usage_error(self, tmp_path, capsys):
+        self._usage_errors(
+            tmp_path, capsys,
+            ["eval", "spot", "--preds", str(tmp_path), "--labels", str(tmp_path)],
+            [("--jobs", ["--jobs", "0"])],
+        )
 
 
 class TestConfigTypes:

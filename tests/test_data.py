@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_event, make_features
+from conftest import make_features
 from spotground.data import (
     FeatureSequence,
-    build_snippet_dataset,
     combine_features,
+    extract_window,
     parse_game_time,
     parse_labels,
 )
@@ -18,7 +18,6 @@ from spotground.errors import (
     ParseError,
     VocabularyError,
 )
-from spotground.vocab import BACKGROUND_INDEX, DEFAULT_VOCAB
 
 
 class TestParseGameTime:
@@ -156,49 +155,16 @@ class TestFeatureSequenceInvariants:
             FeatureSequence("g", 1, np.ones((3, 2), dtype=np.float32), (3,))
 
 
-class TestSnippets:
-    def test_centered_snippet(self):
+class TestExtractWindow:
+    def test_centered_window(self):
         feats = make_features(T=200, D=4)
-        snips = build_snippet_dataset(feats, [make_event(100)], snippet_len_s=5,
-                                      background_ratio=0.0)
-        (snip,) = snips
-        np.testing.assert_array_equal(snip.features, feats.data[98:103])
-        assert snip.target_class == DEFAULT_VOCAB.index("Goal")
+        np.testing.assert_array_equal(extract_window(feats.data, 98, 5), feats.data[98:103])
 
     def test_boundary_zero_padding(self):
         feats = make_features(T=50, D=4)
-        (snip,) = build_snippet_dataset(feats, [make_event(1)], 5, 0.0)
-        assert np.all(snip.features[0] == 0.0)  # t = -1 row
-        np.testing.assert_array_equal(snip.features[1:], feats.data[0:4])
-
-    def test_background_count(self):
-        feats = make_features(T=2000, D=4)
-        events = [make_event(50 + 40 * i, DEFAULT_VOCAB[i]) for i in range(17)]
-        snips = build_snippet_dataset(feats, events, 5, background_ratio=1.0)
-        assert len(snips) == 34
-        assert sum(1 for s in snips if s.target_class == BACKGROUND_INDEX) == 17
-
-    def test_background_distance_property(self):
-        feats = make_features(T=500, D=4)
-        events = [make_event(t) for t in (100, 250, 400)]
-        snips = build_snippet_dataset(feats, events, 5, background_ratio=5.0, seed=3)
-        backgrounds = [s for s in snips if s.target_class == BACKGROUND_INDEX]
-        assert backgrounds
-        # recover each background center from its rows
-        for s in backgrounds:
-            center_row = s.features[2]
-            matches = np.nonzero((feats.data == center_row).all(axis=1))[0]
-            assert len(matches) == 1
-            assert all(abs(int(matches[0]) - ev.time_s) > 5 for ev in events)
-
-    def test_event_outside_range_skipped(self, caplog):
-        feats = make_features(T=50, D=4)
-        with caplog.at_level("WARNING"):
-            snips = build_snippet_dataset(feats, [make_event(120)], 5, 0.0)
-        assert snips == []
-        assert "outside" in caplog.text
-
-    def test_no_events_background_only(self):
-        feats = make_features(T=100, D=4)
-        snips = build_snippet_dataset(feats, [], 5, background_ratio=0.0)
-        assert snips == []
+        window = extract_window(feats.data, -1, 5)
+        assert np.all(window[0] == 0.0)  # t = -1 row
+        np.testing.assert_array_equal(window[1:], feats.data[0:4])
+        tail = extract_window(feats.data, 48, 5)
+        np.testing.assert_array_equal(tail[:2], feats.data[48:50])
+        assert np.all(tail[2:] == 0.0) and tail.dtype == feats.data.dtype

@@ -12,15 +12,13 @@ from spotground.grounding import (
     default_grounding_config,
     filter_predictions,
     fuse_with_spotting,
-    ground_forward,
-    ground_loss,
     infer_grounding,
     merge_nms,
     minmax_normalize,
     sample_grounding_pairs,
     train_grounding,
 )
-from spotground.nn import init_encoder_params
+from spotground.nn import bce_plus_l2, encoder_forward_batch, init_encoder_params, sigmoid
 from spotground.spotting import SpotPrediction, TrainSpec
 from spotground.synth import SynthConfig, synth_dataset
 
@@ -101,41 +99,56 @@ class TestSampling:
 
 
 class TestGroundForward:
-    def test_zero_weights_probability_half(self, rng):
+    def test_zero_weights_probability_half(self):
         model = _zero_ground_model()
-        sample = GroundingSample(rng.normal(size=(30, 8)), rng.normal(size=(30, 8)), 0, None)
-        prob, offset = ground_forward(model, sample)
-        assert prob == 0.5
-        assert offset == 0.0
+        feats = make_features(T=400, D=8)
+        query = ReplayQuery("g0", 1, 200, 210)
+        preds = infer_grounding(model, query, feats, stride_s=5)
+        assert preds
+        # probability sigmoid(0) and offset 0: each time is its chunk's start
+        assert all(p.confidence == 0.5 for p in preds)
+        assert [p.time_s for p in preds] == list(range(80, 171, 5))
 
-    def test_eval_determinism(self, rng):
+    def test_eval_determinism(self):
         config = default_grounding_config(8, dropout_p=0.0)
         model = Model(KIND_GROUNDING, config, [],
                       init_encoder_params(config, np.random.default_rng(1)))
-        sample = GroundingSample(rng.normal(size=(30, 8)), rng.normal(size=(30, 8)), 0, None)
-        assert ground_forward(model, sample) == ground_forward(model, sample)
+        feats = make_features(T=400, D=8, seed=3)
+        query = ReplayQuery("g0", 1, 200, 210)
+        assert infer_grounding(model, query, feats) == infer_grounding(model, query, feats)
+
+
+def _logit(p):
+    return np.log(p / (1.0 - p))
 
 
 class TestGroundLoss:
+    """bce_plus_l2 on (logit, offset) rows, as the grounding head emits them."""
+
     def test_bce_at_half_with_exact_offset(self):
-        sample = GroundingSample(np.zeros((30, 4)), np.zeros((30, 4)), 1, 0.4)
-        assert ground_loss((0.5, 0.4), sample) == pytest.approx(np.log(2.0))
+        loss, _ = bce_plus_l2(np.array([[0.0, 0.4]]), [1.0], [0.4])
+        assert loss == pytest.approx(np.log(2.0))
 
     def test_negative_ignores_offset(self):
-        sample = GroundingSample(np.zeros((30, 4)), np.zeros((30, 4)), 0, None)
-        assert ground_loss((0.5, 99.0), sample) == pytest.approx(np.log(2.0))
+        loss, dout = bce_plus_l2(np.array([[0.0, 99.0]]), [0.0], [0.0])
+        assert loss == pytest.approx(np.log(2.0))
+        assert dout[0, 1] == 0.0
 
     def test_clamped_at_extremes(self):
-        sample = GroundingSample(np.zeros((30, 4)), np.zeros((30, 4)), 0, None)
-        assert np.isfinite(ground_loss((1.0, 0.0), sample))
-        assert ground_loss((0.0, 0.0), sample) == pytest.approx(0.0, abs=1e-6)
+        # sigmoid(+-40) lies within 1e-17 of 1 and 0, far inside the clamp
+        high, d_high = bce_plus_l2(np.array([[40.0, 0.0]]), [0.0], [0.0])
+        low, d_low = bce_plus_l2(np.array([[-40.0, 0.0]]), [0.0], [0.0])
+        assert np.isfinite(high)
+        assert low == pytest.approx(0.0, abs=1e-6)
+        assert d_high[0, 0] == d_low[0, 0] == 0.0  # flat where clamped
 
     def test_nonnegative_and_zero_at_exact(self):
-        pos = GroundingSample(np.zeros((30, 4)), np.zeros((30, 4)), 1, 0.7)
-        assert ground_loss((1.0 - 1e-7, 0.7), pos) == pytest.approx(0.0, abs=1e-6)
+        loss, _ = bce_plus_l2(np.array([[_logit(1.0 - 1e-7), 0.7]]), [1.0], [0.7])
+        assert loss == pytest.approx(0.0, abs=1e-6)
         for prob in (0.1, 0.5, 0.9):
             for off in (0.0, 0.7, 1.0):
-                assert ground_loss((prob, off), pos) >= 0.0
+                loss, _ = bce_plus_l2(np.array([[_logit(prob), off]]), [1.0], [0.7])
+                assert loss >= 0.0
 
 
 def _grounding_halves(seed=21, n_halves=4, sigma=0.0):
@@ -166,13 +179,15 @@ class TestTrainGrounding:
 
     def test_trained_probabilities_separate(self, trained_grounding, rng):
         halves, model = trained_grounding
-        pos, neg = [], []
-        for gh in halves:
-            for rp in gh.replays:
-                for s in sample_grounding_pairs(rp, gh.features, rng):
-                    (pos if s.label else neg).append(ground_forward(model, s)[0])
-        assert np.mean(pos) > 0.8
-        assert np.mean(neg) < 0.2
+        samples = [s for gh in halves for rp in gh.replays
+                   for s in sample_grounding_pairs(rp, gh.features, rng)]
+        X = np.stack([np.concatenate([s.candidate, s.replay]) for s in samples])
+        seg = np.repeat([[0] * 30 + [1] * 30], len(samples), axis=0)  # candidate, replay
+        out, _ = encoder_forward_batch(model.params, model.config, X, segments=seg)
+        probs = sigmoid(out[:, 0])
+        labels = np.array([s.label for s in samples])
+        assert probs[labels == 1].mean() > 0.8
+        assert probs[labels == 0].mean() < 0.2
 
     def test_top_prediction_within_5s_of_event(self, trained_grounding):
         halves, model = trained_grounding

@@ -10,7 +10,6 @@ from spotground.nn import (
     cross_entropy_soft,
     embed_input,
     encoder_backward,
-    encoder_forward,
     encoder_forward_batch,
     encoder_forward_embedded,
     grad_check,
@@ -51,15 +50,15 @@ class TestPositionalEncoding:
 class TestForward:
     def test_zero_weights_zero_logits(self, rng):
         params = _zero_params(SMALL)
-        x = rng.normal(size=(4, SMALL.input_dim))
-        logits, _ = encoder_forward(params, SMALL, x)
-        np.testing.assert_array_equal(logits, np.zeros(SMALL.output_dim))
+        x = rng.normal(size=(3, 4, SMALL.input_dim))
+        logits, _ = encoder_forward_batch(params, SMALL, x)
+        np.testing.assert_array_equal(logits, np.zeros((3, SMALL.output_dim)))
 
     def test_eval_mode_deterministic(self, rng):
         params = init_encoder_params(SMALL, np.random.default_rng(1))
-        x = rng.normal(size=(5, SMALL.input_dim))
-        a, _ = encoder_forward(params, SMALL, x)
-        b, _ = encoder_forward(params, SMALL, x)
+        x = rng.normal(size=(2, 5, SMALL.input_dim))
+        a, _ = encoder_forward_batch(params, SMALL, x)
+        b, _ = encoder_forward_batch(params, SMALL, x)
         assert a.tobytes() == b.tobytes()
 
     def test_attention_rows_sum_to_one(self, rng):
@@ -92,22 +91,24 @@ class TestForward:
 
     def test_nan_input_raises_named_numeric_error(self):
         params = init_encoder_params(SMALL, np.random.default_rng(4))
-        x = np.zeros((3, SMALL.input_dim))
-        x[1, 2] = np.nan
+        x = np.zeros((2, 3, SMALL.input_dim))
+        x[1, 1, 2] = np.nan
         with pytest.raises(NumericError, match="input projection"):
-            encoder_forward(params, SMALL, x)
+            encoder_forward_batch(params, SMALL, x)
 
     def test_shape_mismatch(self):
         params = init_encoder_params(SMALL, np.random.default_rng(5))
         with pytest.raises(ShapeError):
-            encoder_forward(params, SMALL, np.zeros((3, SMALL.input_dim + 1)))
+            encoder_forward_batch(params, SMALL, np.zeros((1, 3, SMALL.input_dim + 1)))
+        with pytest.raises(ShapeError):  # one unbatched sequence
+            encoder_forward_batch(params, SMALL, np.zeros((3, SMALL.input_dim)))
 
     def test_dropout_needs_rng(self):
         config = EncoderConfig(input_dim=4, output_dim=2, model_dim=8, num_layers=1,
                                num_heads=1, hidden_dim=8, dropout_p=0.5)
         params = init_encoder_params(config, np.random.default_rng(6))
         with pytest.raises(ShapeError):
-            encoder_forward(params, config, np.zeros((3, 4)), train_mode=True)
+            encoder_forward_batch(params, config, np.zeros((1, 3, 4)), train_mode=True)
 
 
 class TestEmbeddedEntry:
@@ -193,32 +194,34 @@ def test_hand_computed_single_head_trace():
     h2 = ln(h1 + f, p["layer0.ln2.g"], p["layer0.ln2.b"])
     expected = h2.mean(axis=0) @ p["out.w"] + p["out.b"]
 
-    logits, _ = encoder_forward(p, config, x)
-    np.testing.assert_allclose(logits, expected, atol=1e-12)
+    logits, _ = encoder_forward_batch(p, config, x[None])
+    np.testing.assert_allclose(logits[0], expected, atol=1e-12)
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self, rng):
         params = init_encoder_params(SMALL, np.random.default_rng(7))
-        x = rng.normal(size=(4, SMALL.input_dim))
-        _, cache = encoder_forward(params, SMALL, x)
-        grads = encoder_backward(cache, np.zeros(SMALL.output_dim))
+        x = rng.normal(size=(2, 4, SMALL.input_dim))
+        _, cache = encoder_forward_batch(params, SMALL, x)
+        grads = encoder_backward(cache, np.zeros((2, SMALL.output_dim)))
         for name, g in grads.items():
             assert np.all(g == 0.0), name
 
     def test_final_bias_grad_equals_upstream(self, rng):
         params = init_encoder_params(SMALL, np.random.default_rng(8))
-        x = rng.normal(size=(4, SMALL.input_dim))
-        _, cache = encoder_forward(params, SMALL, x)
-        upstream = rng.normal(size=SMALL.output_dim)
+        x = rng.normal(size=(2, 4, SMALL.input_dim))
+        _, cache = encoder_forward_batch(params, SMALL, x)
+        upstream = rng.normal(size=(2, SMALL.output_dim))
         grads = encoder_backward(cache, upstream)
-        np.testing.assert_allclose(grads["out.b"], upstream, atol=1e-12)
+        np.testing.assert_allclose(grads["out.b"], upstream.sum(axis=0), atol=1e-12)
 
     def test_mismatched_upstream_raises(self, rng):
         params = init_encoder_params(SMALL, np.random.default_rng(9))
-        _, cache = encoder_forward(params, SMALL, rng.normal(size=(4, SMALL.input_dim)))
+        _, cache = encoder_forward_batch(params, SMALL, rng.normal(size=(1, 4, SMALL.input_dim)))
         with pytest.raises(ConsistencyError):
-            encoder_backward(cache, np.zeros(SMALL.output_dim + 1))
+            encoder_backward(cache, np.zeros((1, SMALL.output_dim + 1)))
+        with pytest.raises(ConsistencyError):  # upstream must keep the batch axis
+            encoder_backward(cache, np.zeros(SMALL.output_dim))
 
     def test_bogus_cache_raises(self):
         with pytest.raises(ConsistencyError):
@@ -248,16 +251,16 @@ class TestEdgeShapes:
         config = EncoderConfig(input_dim=4, output_dim=3, model_dim=8, num_layers=2,
                                num_heads=1, hidden_dim=8, dropout_p=0.0)
         params = init_encoder_params(config, np.random.default_rng(0))
-        logits, cache = encoder_forward(params, config, rng.normal(size=(1, 4)))
-        assert logits.shape == (3,)
-        grads = encoder_backward(cache, np.ones(3))
+        logits, cache = encoder_forward_batch(params, config, rng.normal(size=(2, 1, 4)))
+        assert logits.shape == (2, 3)
+        grads = encoder_backward(cache, np.ones((2, 3)))
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
     def test_head_width_one(self, rng):
         config = EncoderConfig(input_dim=2, output_dim=2, model_dim=4, num_layers=1,
                                num_heads=4, hidden_dim=2, dropout_p=0.0)
         params = init_encoder_params(config, np.random.default_rng(2))
-        logits, _ = encoder_forward(params, config, rng.normal(size=(5, 2)))
+        logits, _ = encoder_forward_batch(params, config, rng.normal(size=(3, 5, 2)))
         assert np.all(np.isfinite(logits))
 
     def test_gradients_through_dropout(self):

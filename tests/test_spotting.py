@@ -7,6 +7,7 @@ from spotground.checkpoint import load_model, save_model
 from spotground.data import GameHalf, extract_window
 from spotground.errors import ParseError, ShapeError
 from spotground.nn import (
+    AdamState,
     EncoderConfig,
     encoder_forward_batch,
     grad_check,
@@ -20,16 +21,15 @@ from spotground.spotting import (
     TrainSpec,
     default_spot_epochs,
     default_spot_lr,
+    fit,
     init_netvlad_params,
     make_chunks,
     mixup,
     netvlad_backward,
     netvlad_forward_batch,
-    netvlad_pool_forward,
     nms_1d,
     score_series,
     select_predictions,
-    spot_forward,
     spot_game,
     train_spotting,
 )
@@ -82,59 +82,69 @@ class TestMakeChunks:
         assert all(c.target[BACKGROUND_INDEX] == 1.0 for c in chunks)
 
 
+class _FixedDraws:
+    """Stands in for the generator: a fixed partner permutation and lam."""
+
+    def __init__(self, partner, lam):
+        self.partner, self.lam = np.asarray(partner), lam
+
+    def permutation(self, n):
+        assert n == len(self.partner)
+        return self.partner
+
+    def beta(self, a, b, size):
+        return np.full(size, self.lam)
+
+
 class TestMixup:
-    def _chunk(self, cls, seed):
-        rng = np.random.default_rng(seed)
-        target = np.zeros(18)
-        target[cls] = 1.0
-        from spotground.spotting import Chunk
+    @staticmethod
+    def _batch(classes, seed=0):
+        x = np.random.default_rng(seed).normal(size=(len(classes), 7, 4))
+        y = np.zeros((len(classes), 18))
+        y[np.arange(len(classes)), classes] = 1.0
+        return x, y
 
-        return Chunk(rng.normal(size=(7, 4)), target, ("g", 1, 0))
+    def test_lambda_one_returns_first(self):
+        x, y = self._batch([2, 5, 9])
+        xm, ym = mixup(x, y, 0.5, _FixedDraws([2, 0, 1], 1.0))
+        np.testing.assert_array_equal(xm, x)
+        np.testing.assert_array_equal(ym, y)
 
-    def test_lambda_one_returns_first(self, rng):
-        a, b = self._chunk(2, 0), self._chunk(5, 1)
-        out = mixup(a, b, 0.5, rng, lam=1.0)
-        np.testing.assert_array_equal(out.features, a.features)
-        np.testing.assert_array_equal(out.target, a.target)
-
-    def test_half_mix(self, rng):
-        a, b = self._chunk(2, 0), self._chunk(5, 1)
-        out = mixup(a, b, 0.5, rng, lam=0.5)
-        assert out.target[2] == 0.5 and out.target[5] == 0.5
+    def test_half_mix(self):
+        x, y = self._batch([2, 5])
+        xm, ym = mixup(x, y, 0.5, _FixedDraws([1, 0], 0.5))
+        assert ym[0, 2] == 0.5 and ym[0, 5] == 0.5
+        np.testing.assert_allclose(xm[0], 0.5 * (x[0] + x[1]), atol=1e-15)
+        np.testing.assert_array_equal(xm[0], xm[1])
 
     def test_simplex_preserved_over_draws(self, rng):
-        a, b = self._chunk(3, 0), self._chunk(9, 1)
-        for _ in range(1000):
-            out = mixup(a, b, 0.2, rng)
-            assert out.target.min() >= 0.0
-            assert out.target.sum() == pytest.approx(1.0)
+        x, y = self._batch([3, 9, 17, 0])
+        for _ in range(250):
+            xm, ym = mixup(x, y, 0.2, rng)
+            assert xm.shape == x.shape
+            assert ym.min() >= 0.0
+            np.testing.assert_allclose(ym.sum(axis=1), 1.0)
 
     def test_shape_mismatch(self, rng):
-        from spotground.spotting import Chunk
-
-        a = self._chunk(0, 0)
-        b = Chunk(np.zeros((5, 4)), a.target, ("g", 1, 0))
+        x, y = self._batch([0, 1, 2])
         with pytest.raises(ShapeError):
-            mixup(a, b, 0.2, rng)
+            mixup(x, y[:2], 0.2, rng)
 
 
 class TestSpotForward:
-    def test_zero_weights_uniform(self, rng):
+    def test_zero_weights_uniform(self):
         model = _zero_transformer_model()
-        probs = spot_forward(model, rng.normal(size=(7, 6)))
-        np.testing.assert_allclose(probs, np.full(18, 1 / 18), atol=1e-12)
+        probs = score_series(model, make_features(T=20, D=6), 7)
+        np.testing.assert_allclose(probs, np.full((20, 18), 1 / 18), atol=1e-12)
 
-    def test_sums_to_one(self, rng):
-        from spotground.nn import init_encoder_params
-
+    def test_sums_to_one(self):
         config = EncoderConfig(input_dim=6, output_dim=18, model_dim=16, num_layers=2,
                                num_heads=2, hidden_dim=16, dropout_p=0.0)
         model = Model(KIND_SPOT_TRANSFORMER, config, list(DEFAULT_VOCAB),
                       init_encoder_params(config, np.random.default_rng(1)))
-        for _ in range(10):
-            probs = spot_forward(model, rng.normal(size=(9, 6)))
-            assert probs.sum() == pytest.approx(1.0, abs=1e-6)
-            assert probs.min() >= 0.0
+        probs = score_series(model, make_features(T=30, D=6), 9, batch_size=8)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        assert probs.min() >= 0.0
 
 
 class TestNetVLAD:
@@ -175,7 +185,7 @@ class TestNetVLAD:
         config = NetVLADConfig(input_dim=4, clusters=2)
         params = init_netvlad_params(config, np.random.default_rng(5))
         with pytest.raises(ShapeError):
-            netvlad_pool_forward(params, rng.normal(size=(7, 4)), config)
+            netvlad_forward_batch(params, config, rng.normal(size=(1, 7, 4)))
 
     def test_gradients_match_finite_differences(self, rng):
         config = NetVLADConfig(input_dim=4, output_dim=5, clusters=3)
@@ -284,7 +294,7 @@ def trained_two_class():
     """Noiseless two-class training shared by the behavioural tests."""
     halves = _tiny_halves(seed=13)
     spec = TrainSpec(mode="ultra", lr=1e-3, epochs=25, batch_size=8, chunk_size_s=7,
-                     nms_window_s=20, mixup_alpha=0.0, seed=4)
+                     mixup_alpha=0.0, seed=4)
     config = EncoderConfig(input_dim=16, output_dim=18, model_dim=16, num_layers=1,
                            num_heads=2, hidden_dim=32, dropout_p=0.0)
     model = train_spotting(DatasetSplits(train=halves), spec, config=config)
@@ -298,7 +308,7 @@ class TestTraining:
         assert default_spot_lr("netvlad") == 1e-4
         assert default_spot_epochs("netvlad") == 40
         spec = TrainSpec()
-        assert (spec.chunk_size_s, spec.nms_window_s) == (7, 20)
+        assert (spec.chunk_size_s, spec.mixup_alpha) == (7, 0.2)
 
     def test_loss_decreases(self, trained_two_class):
         _, _, model = trained_two_class
@@ -307,17 +317,15 @@ class TestTraining:
 
     def test_event_chunk_argmax_recovers_planted_class(self, trained_two_class):
         halves, spec, model = trained_two_class
-        hits = total = 0
-        for gh in halves:
-            for chunk in make_chunks(gh.features, gh.events, spec.chunk_size_s,
-                                     spec.chunk_size_s):
-                if chunk.target[BACKGROUND_INDEX] == 1.0:
-                    continue
-                total += 1
-                probs = spot_forward(model, chunk.features)
-                hits += int(np.argmax(probs) == int(np.argmax(chunk.target)))
-        assert total >= 10
-        assert hits / total >= 0.95
+        chunks = [c for gh in halves
+                  for c in make_chunks(gh.features, gh.events, spec.chunk_size_s,
+                                       spec.chunk_size_s)
+                  if c.target[BACKGROUND_INDEX] != 1.0]
+        assert len(chunks) >= 10
+        logits, _ = encoder_forward_batch(model.params, model.config,
+                                          np.stack([c.features for c in chunks]))
+        hits = np.argmax(logits, axis=1) == np.argmax([c.target for c in chunks], axis=1)
+        assert hits.mean() >= 0.95
 
     def test_netvlad_loss_decreases(self):
         halves = _tiny_halves()
@@ -363,6 +371,13 @@ class TestTraining:
             min(h["valid_loss"] for h in model.history), abs=1e-12
         )
 
+    def test_spec_rejects_non_positive_lr_and_negative_mixup(self):
+        for bad in ({"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")},
+                    {"mixup_alpha": -0.1}, {"epochs": 0}, {"batch_size": 0}):
+            with pytest.raises(ShapeError, match=next(iter(bad))):
+                TrainSpec(**bad)
+        assert TrainSpec(mixup_alpha=0.0).mixup_alpha == 0.0
+
     def test_regular_mode_requires_valid_split(self):
         halves = _tiny_halves()
         spec = TrainSpec(mode="regular", epochs=1)
@@ -373,6 +388,31 @@ class TestTraining:
         spec = TrainSpec(epochs=1)
         with pytest.raises(ParseError):
             train_spotting(DatasetSplits(train=[]), spec)
+
+
+class TestFit:
+    def test_epochs_visit_every_sample_once_and_average_the_loss(self):
+        params = {"w": np.zeros(1)}
+        model = Model(KIND_SPOT_TRANSFORMER, None, [], params, AdamState.for_params(params))
+        x = np.arange(10.0)
+        seen = []
+
+        def step(xb, yb):
+            np.testing.assert_array_equal(yb, 2.0 * xb)  # arrays stay aligned
+            seen.append(xb)
+            return float(xb.mean()), {"w": np.ones(1)}
+
+        spec = TrainSpec(lr=0.1, epochs=3, batch_size=4)
+        fit(model, spec, np.random.default_rng(0), lambda: (x, 2.0 * x), step,
+            lambda record: record.update(extra=len(seen)))
+        assert len(seen) == 9 and model.opt.step == 9  # 3 batches of <= 4, per epoch
+        for e in range(3):
+            np.testing.assert_array_equal(np.sort(np.concatenate(seen[3 * e : 3 * e + 3])), x)
+        assert [h["epoch"] for h in model.history] == [0, 1, 2]
+        for h in model.history:
+            assert h["train_loss"] == pytest.approx(x.mean())
+        assert [h["extra"] for h in model.history] == [3, 6, 9]
+        assert params["w"][0] < 0.0  # Adam stepped against the constant gradient
 
 
 class TestSpotGame:
@@ -387,7 +427,7 @@ class TestSpotGame:
                           num_halves=2)
         halves = [GameHalf(f, e, r) for f, e, r in synth_dataset(cfg, seed=13)]
         spec = TrainSpec(mode="ultra", lr=1e-3, epochs=20, batch_size=8, chunk_size_s=7,
-                         nms_window_s=20, mixup_alpha=0.0, seed=4)
+                         mixup_alpha=0.0, seed=4)
         config = EncoderConfig(input_dim=16, output_dim=18, model_dim=16, num_layers=1,
                                num_heads=2, hidden_dim=32, dropout_p=0.0)
         model = train_spotting(DatasetSplits(train=halves), spec, config=config)
