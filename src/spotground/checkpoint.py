@@ -10,14 +10,15 @@ byte-comparable across reruns of the same seed.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, UnsupportedLayoutError
-from .nn import AdamState, EncoderConfig
+from .errors import FormatError, ShapeError, UnsupportedLayoutError
+from .nn import AdamState, EncoderConfig, encoder_param_shapes
 
 MAGIC = b"SGMODEL\x00"
 FORMAT_VERSION = 1
@@ -27,6 +28,10 @@ KIND_SPOT_NETVLAD = "spot_netvlad"
 KIND_GROUNDING = "grounding"
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
+_HEADER_START = len(MAGIC) + 4
+_HEADER_KEYS = {"version", "model_kind", "config", "vocab", "opt_step", "tensors"}
+_TENSOR_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
+_TENSOR_PREFIXES = ("param:", "adam_m:", "adam_v:")
 
 
 @dataclass
@@ -47,16 +52,43 @@ def _config_to_dict(config) -> dict:
     return d
 
 
-def _config_from_dict(d: dict):
+def _config_from_dict(d):
+    """A head config from its header dict: exactly the config's fields, each
+    an int (or, for a float field, an int or float) the config accepts."""
+    if not isinstance(d, dict):
+        raise FormatError("checkpoint config must be a JSON object")
     d = dict(d)
-    kind = d.pop("kind")
+    kind = d.pop("kind", None)
     if kind == "EncoderConfig":
-        return EncoderConfig.from_dict(d)
-    if kind == "NetVLADConfig":
+        cls = EncoderConfig
+    elif kind == "NetVLADConfig":
         from .spotting import NetVLADConfig
 
-        return NetVLADConfig(**d)
-    raise FormatError(f"unknown config kind {kind!r}")
+        cls = NetVLADConfig
+    else:
+        raise FormatError(f"unknown config kind {kind!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    if set(d) != set(types):
+        raise FormatError(f"{kind} fields {sorted(d)} are not {sorted(types)}")
+    for name, value in d.items():
+        number = (int,) if types[name] == "int" else (int, float)
+        if isinstance(value, bool) or not isinstance(value, number):
+            raise FormatError(f"{kind} field {name!r} has bad value {value!r}")
+    try:
+        return cls(**d)
+    except ShapeError as exc:
+        raise FormatError(f"bad {kind} in checkpoint: {exc}") from exc
+
+
+def _param_shapes(kind: str, config) -> dict[str, tuple[int, ...]]:
+    if kind == KIND_SPOT_NETVLAD:
+        from .spotting import NetVLADConfig, netvlad_param_shapes
+
+        if isinstance(config, NetVLADConfig):
+            return netvlad_param_shapes(config)
+    elif isinstance(config, EncoderConfig):
+        return encoder_param_shapes(config)
+    raise FormatError(f"a {kind!r} head cannot have a {type(config).__name__}")
 
 
 def save_model(path: str | Path, model: Model) -> None:
@@ -108,39 +140,83 @@ def save_model(path: str | Path, model: Model) -> None:
             fh.write(blob)
 
 
-def load_model(path: str | Path) -> Model:
-    raw = Path(path).read_bytes()
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_header(raw: bytes, path) -> tuple[dict, int]:
+    """The header dict and the offset its tensor bytes start at."""
     if raw[: len(MAGIC)] != MAGIC:
         raise FormatError(f"{path} is not a model checkpoint (bad magic)")
-    (header_len,) = struct.unpack("<I", raw[len(MAGIC) : len(MAGIC) + 4])
-    header_start = len(MAGIC) + 4
-    header = json.loads(raw[header_start : header_start + header_len].decode("utf-8"))
-    if header.get("version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {header.get('version')}")
-    data_start = header_start + header_len
+    if len(raw) < _HEADER_START:
+        raise FormatError(f"{path} is truncated inside the header length")
+    (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
+    data_start = _HEADER_START + header_len
+    if data_start > len(raw):
+        raise FormatError(f"{path} is truncated inside the header")
+    try:
+        header = json.loads(raw[_HEADER_START:data_start].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
+        raise FormatError(f"{path} has a malformed header: {exc}") from exc
+    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+        raise FormatError(f"{path} header must be an object with keys {sorted(_HEADER_KEYS)}")
+    if header["version"] != FORMAT_VERSION or not _is_count(header["version"]):
+        raise FormatError(f"unsupported checkpoint version {header['version']!r}")
+    if header["model_kind"] not in (KIND_SPOT_TRANSFORMER, KIND_SPOT_NETVLAD, KIND_GROUNDING):
+        raise FormatError(f"unknown model kind {header['model_kind']!r}")
+    vocab = header["vocab"]
+    if not isinstance(vocab, list) or not all(isinstance(v, str) for v in vocab):
+        raise FormatError("checkpoint vocab must be a list of strings")
+    if header["opt_step"] is not None and not _is_count(header["opt_step"]):
+        raise FormatError(f"bad optimizer step {header['opt_step']!r}")
+    if not isinstance(header["tensors"], list):
+        raise FormatError("checkpoint tensor manifest must be a list")
+    return header, data_start
 
-    tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        dtype = _DTYPES[entry["dtype"]]
-        start = data_start + entry["offset"]
-        blob = raw[start : start + entry["nbytes"]]
-        if len(blob) != entry["nbytes"]:
-            raise FormatError(f"checkpoint truncated at tensor {entry['name']}")
-        arr = np.frombuffer(blob, dtype=dtype).reshape(entry["shape"]).copy()
-        tensors[entry["name"]] = arr
 
-    params = {n[len("param:") :]: a for n, a in tensors.items() if n.startswith("param:")}
+def _read_tensor(entry, raw: bytes, data_start: int) -> tuple[str, np.ndarray]:
+    """One manifest entry's tensor, after checking its shape, size and bounds."""
+    if not isinstance(entry, dict) or set(entry) != _TENSOR_KEYS:
+        raise FormatError(f"tensor entry must be an object with keys {sorted(_TENSOR_KEYS)}")
+    name, shape, dtype = entry["name"], entry["shape"], _DTYPES.get(entry["dtype"])
+    if not isinstance(name, str) or not name.startswith(_TENSOR_PREFIXES):
+        raise FormatError(f"bad tensor name {name!r}")
+    if dtype is None:
+        raise FormatError(f"tensor {name} has unsupported dtype {entry['dtype']!r}")
+    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+        raise FormatError(f"tensor {name} has bad shape {shape!r}")
+    offset, nbytes = entry["offset"], entry["nbytes"]
+    if not (_is_count(offset) and _is_count(nbytes)) or nbytes != math.prod(shape) * dtype.itemsize:
+        raise FormatError(f"tensor {name}: {nbytes!r} bytes do not hold shape {shape}")
+    start = data_start + offset
+    if start + nbytes > len(raw):
+        raise FormatError(f"checkpoint truncated at tensor {name}")
+    return name, np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape).copy()
+
+
+def load_model(path: str | Path) -> Model:
+    """Read a checkpoint, checking its header schema and that its tensors are
+    exactly the parameters (and Adam moments) its head config defines."""
+    raw = Path(path).read_bytes()
+    header, data_start = _read_header(raw, path)
+    config = _config_from_dict(header["config"])
+    # a layer holds tensors: bounds the layout built below for a bogus layer count
+    if getattr(config, "num_layers", 0) > len(header["tensors"]):
+        raise FormatError(f"{path} holds fewer tensors than its config has layers")
+    shapes = _param_shapes(header["model_kind"], config)
+    tensors = dict(_read_tensor(entry, raw, data_start) for entry in header["tensors"])
+
+    def group(prefix):
+        arrays = {n[len(prefix):]: a for n, a in tensors.items() if n.startswith(prefix)}
+        if {n: a.shape for n, a in arrays.items()} != shapes:
+            raise FormatError(f"{path}: the {prefix[:-1]} tensors do not match the config")
+        return arrays
+
+    params = group("param:")
     opt = None
     if header["opt_step"] is not None:
-        opt = AdamState(
-            m={n[len("adam_m:") :]: a for n, a in tensors.items() if n.startswith("adam_m:")},
-            v={n[len("adam_v:") :]: a for n, a in tensors.items() if n.startswith("adam_v:")},
-            step=header["opt_step"],
-        )
-    return Model(
-        kind=header["model_kind"],
-        config=_config_from_dict(header["config"]),
-        vocab=list(header["vocab"]),
-        params=params,
-        opt=opt,
-    )
+        opt = AdamState(m=group("adam_m:"), v=group("adam_v:"), step=header["opt_step"])
+    elif len(tensors) != len(params):
+        raise FormatError(f"{path} holds Adam moments but no optimizer step")
+    return Model(kind=header["model_kind"], config=config, vocab=header["vocab"],
+                 params=params, opt=opt)

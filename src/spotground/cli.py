@@ -2,10 +2,12 @@
 
 One executable covering the pipeline end to end: data synthesis, training,
 inference, post-processing, evaluation, replay analysis and gradient
-self-verification. Every run writes a manifest (final config, seed, build
-id, wall time) next to its outputs; exit codes are 0 on success, 2 on
-usage errors and 1 on runtime errors with a single machine-parsable line
-on stderr.
+self-verification. Each command is one entry of `COMMANDS`: its words, its
+path arguments and its defaults table, whose keys are its flags. One runner
+resolves the config, range-checks it, runs the command and writes a
+manifest (final config, seed, build id, wall time) next to its outputs;
+exit codes are 0 on success, 2 on usage errors and 1 on runtime errors
+with a single machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,8 +31,8 @@ from .data import (
     format_game_time,
     load_dataset,
     load_game,
+    load_labels,
     parse_game_time,
-    parse_labels,
 )
 from .errors import ParseError, ShapeError, SpotGroundError
 from .evaluation import (
@@ -71,6 +74,10 @@ from .vocab import DEFAULT_VOCAB, NUM_OUTPUT_CLASSES, label_index, load_vocab, s
 GRADCHECK_GATE = 1e-5
 
 
+class UsageError(Exception):
+    pass
+
+
 def _build_id() -> str:
     here = Path(__file__).resolve().parent
     try:
@@ -85,87 +92,28 @@ def _build_id() -> str:
     return f"spotground-{__version__}"
 
 
-def _config_value(key: str, value, expected: type | None):
-    """A config-file value checked against the type its key takes: bool is
-    not an int, an int is accepted (as a float) where a float is expected."""
-    if expected is None:
-        return value
-    if expected is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, expected) and (expected is bool or not isinstance(value, bool)):
-        return value
-    raise UsageError(
-        f"config key {key!r} must be {expected.__name__}, got {type(value).__name__} {value!r}"
-    )
-
-
-def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < JSON config file < explicit flags; reject unknown keys
-    and values of the wrong type."""
-    cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config file {config_path} must hold a JSON object")
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        flag_types = getattr(args, "flag_types", {})
-        for key, value in loaded.items():
-            if defaults[key] is None and value is None:
-                continue  # keeps the computed default
-            expected = flag_types.get(key) if defaults[key] is None else type(defaults[key])
-            cfg[key] = _config_value(key, value, expected)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
-
-
-class UsageError(Exception):
-    pass
-
-
-def _write_manifest(out_dir: Path, command: str, cfg: dict, t0: float, outputs) -> None:
-    manifest = {
-        "version": 1,
-        "command": command,
-        "config": cfg,
-        "seed": cfg.get("seed"),
-        "build": _build_id(),
-        "wall_time_s": round(time.time() - t0, 3),
-        "outputs": sorted(str(Path(p).relative_to(out_dir)) for p in outputs),
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _write_json(path: Path, doc, sort_keys: bool = True) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
+    return path
 
 
 def _load_vocab_arg(path: str | None) -> list[str]:
     return load_vocab(path) if path else list(DEFAULT_VOCAB)
 
 
-def _iter_game_labels(labels_dir: Path, vocab=None):
-    """Yield (game_id, events, replays) for every labelled game directory."""
-    for game_dir in sorted(p for p in labels_dir.iterdir() if p.is_dir()):
-        events, replays = [], []
-        found = False
-        for name in ("labels.json", "replays.json"):
-            path = game_dir / name
-            if path.exists():
-                found = True
-                evs, rps = parse_labels(path.read_bytes(), game_id=game_dir.name,
-                                        vocab=vocab)
-                events.extend(evs)
-                replays.extend(rps)
-        if found:
-            yield game_dir.name, events, replays
+def _game_dirs(root: Path) -> list[Path]:
+    """The game directories under root, those holding feature files, in name order."""
+    game_dirs = sorted(p for p in root.iterdir() if p.is_dir() and any(p.glob("*_*.npy")))
+    if not game_dirs:
+        raise ParseError(f"no game directories under {root}")
+    return game_dirs
+
+
+def _game_labels(root: Path, vocab=None) -> dict:
+    """game id -> (events, replays) for every directory under root that holds labels."""
+    dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    return {d.name: labels for d in dirs if (labels := load_labels(d, vocab)) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +135,7 @@ def write_spot_predictions(out_dir: Path, game_id: str, preds: list[SpotPredicti
             for p in preds
         ],
     }
-    path = out_dir / game_id / "spotting.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return _write_json(out_dir / game_id / "spotting.json", doc)
 
 
 def read_spot_predictions(path: Path, vocab) -> list[SpotPrediction]:
@@ -209,10 +154,6 @@ def read_spot_predictions(path: Path, vocab) -> list[SpotPrediction]:
             )
         )
     return preds
-
-
-def _query_key(q: dict) -> tuple:
-    return (int(q["half"]), q["start"], q["end"])
 
 
 def write_ground_predictions(
@@ -235,10 +176,7 @@ def write_ground_predictions(
             for q, preds in results
         ],
     }
-    path = out_dir / game_id / "grounding.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return _write_json(out_dir / game_id / "grounding.json", doc)
 
 
 def read_ground_predictions(path: Path):
@@ -259,7 +197,15 @@ def read_ground_predictions(path: Path):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands: each body(args, cfg) does its own work and returns the files it wrote
+
+
+def _checked(build, **kwargs):
+    """build(**kwargs), with a rejected value reported as a usage error."""
+    try:
+        return build(**kwargs)
+    except ShapeError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 SYNTH_DEFAULTS = {
@@ -280,11 +226,9 @@ SYNTH_DEFAULTS = {
 }
 
 
-def cmd_synth(args) -> int:
-    t0 = time.time()
-    cfg = _resolve_config(args, SYNTH_DEFAULTS)
-    out = Path(args.out)
-    config = SynthConfig(
+def cmd_synth(args, cfg) -> list[Path]:
+    config = _checked(
+        SynthConfig,
         duration_s=cfg["duration"],
         feature_dim=cfg["dim"],
         num_classes=cfg["classes"],
@@ -299,14 +243,13 @@ def cmd_synth(args) -> int:
         replay_delay_max_s=cfg["delay_max"],
         replay_duration_s=cfg["replay_dur"],
     )
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)
     written = write_synth_dataset(out, config, cfg["seed"])
     vocab_path = out / "vocab.json"
     save_vocab(vocab_path, DEFAULT_VOCAB)
     written.append(vocab_path)
-    _write_manifest(out, "synth", cfg, t0, written)
     print(f"wrote {len(written)} files to {out}")
-    return 0
+    return written
 
 
 SPOT_TRAIN_DEFAULTS = {
@@ -315,7 +258,7 @@ SPOT_TRAIN_DEFAULTS = {
     "head": "transformer",
     "chunk": 7,
     "nms": 20,
-    "lr": None,  # per-head default resolved below
+    "lr": None,  # per-head default resolved by cmd_spot_train
     "epochs": None,
     "batch": 32,
     "mixup": 0.2,
@@ -328,54 +271,54 @@ SPOT_TRAIN_DEFAULTS = {
 }
 
 
-def _load_splits(data_dir: Path, splits_path: str | None, halves: list[GameHalf]) -> DatasetSplits:
-    if splits_path is None:
-        return DatasetSplits(train=halves)
-    doc = json.loads(Path(splits_path).read_text(encoding="utf-8"))
+def _read_splits(data: Path, path: str | None) -> dict[str, list[str]] | None:
+    """The --splits file's game lists, each name a game directory under data."""
+    if path is None:
+        return None
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise UsageError(f"cannot parse splits file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"splits file {path} must hold a JSON object")
     unknown = set(doc) - {"train", "valid", "test"}
     if unknown:
         raise UsageError(f"unknown split keys: {sorted(unknown)}")
+    games = {g.name for g in _game_dirs(data)}
+    for split, names in doc.items():
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise UsageError(f"split {split!r} must be a list of game directory names")
+        for name in names:
+            if name not in games:
+                raise UsageError(f"split references unknown game {name!r}")
+    return doc
+
+
+def _split_halves(halves: list[GameHalf], splits: dict[str, list[str]] | None) -> DatasetSplits:
+    if splits is None:
+        return DatasetSplits(train=halves)
     by_game: dict[str, list[GameHalf]] = {}
     for gh in halves:
         by_game.setdefault(gh.features.game_id, []).append(gh)
-    def take(names):
-        out = []
-        for name in names:
-            if name not in by_game:
-                raise UsageError(f"split references unknown game {name!r}")
-            out.extend(by_game[name])
-        return out
-    return DatasetSplits(
-        train=take(doc.get("train", [])),
-        valid=take(doc.get("valid", [])),
-        test=take(doc.get("test", [])),
-    )
+
+    def take(split):
+        return [gh for name in splits.get(split, []) for gh in by_game[name]]
+
+    return DatasetSplits(train=take("train"), valid=take("valid"), test=take("test"))
 
 
-def _checked(build, **kwargs):
-    """build(**kwargs), with a rejected value reported as a usage error."""
-    try:
-        return build(**kwargs)
-    except ShapeError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _write_trained(out: Path, command: str, cfg: dict, t0: float, model, what: str) -> int:
+def _write_trained(out: Path, model, what: str) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.sgckpt"
     save_model(ckpt, model)
-    history_path = out / "history.json"
-    history_path.write_text(json.dumps(model.history, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, command, cfg, t0, [ckpt, history_path])
+    history_path = _write_json(out / "history.json", model.history, sort_keys=False)
     print(f"trained {what}: {len(model.history)} epochs, "
           f"final train loss {model.history[-1]['train_loss']:.4f}")
     print(f"checkpoint: {ckpt}")
-    return 0
+    return [ckpt, history_path]
 
 
-def cmd_spot_train(args) -> int:
-    t0 = time.time()
-    cfg = _resolve_config(args, SPOT_TRAIN_DEFAULTS)
+def cmd_spot_train(args, cfg) -> list[Path]:
     if cfg["lr"] is None:
         cfg["lr"] = default_spot_lr(cfg["head"])
     if cfg["epochs"] is None:
@@ -396,13 +339,14 @@ def cmd_spot_train(args) -> int:
     else:
         config = _checked(NetVLADConfig, input_dim=1, clusters=cfg["clusters"])
     vocab = _load_vocab_arg(args.vocab)
-    halves = load_dataset(args.data, vocab=vocab)
-    splits = _load_splits(Path(args.data), args.splits, halves)
-    if cfg["mode"] == "regular" and not splits.valid:
+    splits = _read_splits(Path(args.data), args.splits)
+    if cfg["mode"] == "regular" and not (splits or {}).get("valid"):
         raise UsageError("regular mode needs --splits with a valid set")
+    halves = load_dataset(args.data, vocab=vocab)
     config = replace(config, input_dim=halves[0].features.dim)
-    model = train_spotting(splits, spec, head=cfg["head"], config=config, vocab=vocab)
-    return _write_trained(Path(args.out), "spot train", cfg, t0, model, f"{cfg['head']} head")
+    model = train_spotting(_split_halves(halves, splits), spec, head=cfg["head"],
+                           config=config, vocab=vocab)
+    return _write_trained(Path(args.out), model, f"{cfg['head']} head")
 
 
 SPOT_INFER_DEFAULTS = {
@@ -413,20 +357,10 @@ SPOT_INFER_DEFAULTS = {
 }
 
 
-def _check_min(cfg: dict, **bounds) -> None:
-    """Reject, as a usage error, a value below its key's lower bound."""
-    for key, lo in bounds.items():
-        if cfg[key] < lo:
-            raise UsageError(f"--{key} must be >= {lo}, got {cfg[key]}")
-
-
 def _map_games(fn, data: Path, jobs: int, *args) -> list:
     """fn((game_dir, *args)) for every game directory under data, in game
     order; across a pool of `jobs` processes when jobs > 1."""
-    game_dirs = sorted(p for p in data.iterdir() if p.is_dir() and any(p.glob("*_*.npy")))
-    if not game_dirs:
-        raise ParseError(f"no game directories under {data}")
-    tasks = [(str(g), *args) for g in game_dirs]
+    tasks = [(str(g), *args) for g in _game_dirs(data)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
@@ -443,24 +377,15 @@ def _spot_infer_game(task):
     return Path(game_dir).name, preds
 
 
-def cmd_spot_infer(args) -> int:
-    t0 = time.time()
-    cfg = _resolve_config(args, SPOT_INFER_DEFAULTS)
-    _check_min(cfg, chunk=1, nms=0, jobs=1)
-    if not 0.0 <= cfg["threshold"] <= 1.0:
-        raise UsageError(f"--threshold must lie in [0, 1], got {cfg['threshold']}")
+def cmd_spot_infer(args, cfg) -> list[Path]:
     vocab = _load_vocab_arg(args.vocab)
     out = Path(args.out)
     results = _map_games(_spot_infer_game, Path(args.data), cfg["jobs"], args.model, vocab,
                          cfg["chunk"], cfg["nms"], cfg["threshold"])
-    written = []
-    total = 0
-    for game_id, preds in results:
-        written.append(write_spot_predictions(out, game_id, preds))
-        total += len(preds)
-    _write_manifest(out, "spot infer", cfg, t0, written)
+    written = [write_spot_predictions(out, game_id, preds) for game_id, preds in results]
+    total = sum(len(preds) for _, preds in results)
     print(f"{total} predictions over {len(results)} games -> {out}")
-    return 0
+    return written
 
 
 GROUND_TRAIN_DEFAULTS = {
@@ -478,9 +403,7 @@ GROUND_TRAIN_DEFAULTS = {
 }
 
 
-def cmd_ground_train(args) -> int:
-    t0 = time.time()
-    cfg = _resolve_config(args, GROUND_TRAIN_DEFAULTS)
+def cmd_ground_train(args, cfg) -> list[Path]:
     if cfg["mode"] != "ultra":
         raise UsageError(
             f"grounding trains on every half (ultra mode only), got --mode {cfg['mode']}"
@@ -495,7 +418,7 @@ def cmd_ground_train(args) -> int:
     halves = load_dataset(args.data, vocab=vocab)
     config = replace(config, input_dim=halves[0].features.dim)
     model = train_grounding(halves, spec, config=config, offset_weight=cfg["offset_weight"])
-    return _write_trained(Path(args.out), "ground train", cfg, t0, model, "grounding head")
+    return _write_trained(Path(args.out), model, "grounding head")
 
 
 GROUND_INFER_DEFAULTS = {
@@ -520,21 +443,14 @@ def _ground_infer_game(task):
     return Path(game_dir).name, results
 
 
-def cmd_ground_infer(args) -> int:
-    t0 = time.time()
-    cfg = _resolve_config(args, GROUND_INFER_DEFAULTS)
-    _check_min(cfg, stride=1, filter=0, jobs=1)
+def cmd_ground_infer(args, cfg) -> list[Path]:
     out = Path(args.out)
     results = _map_games(_ground_infer_game, Path(args.data), cfg["jobs"], args.model,
                          cfg["stride"], cfg["filter"])
-    written = []
-    n_queries = 0
-    for game_id, game_results in results:
-        written.append(write_ground_predictions(out, game_id, game_results))
-        n_queries += len(game_results)
-    _write_manifest(out, "ground infer", cfg, t0, written)
+    written = [write_ground_predictions(out, game_id, rs) for game_id, rs in results]
+    n_queries = sum(len(rs) for _, rs in results)
     print(f"{n_queries} replay queries over {len(results)} games -> {out}")
-    return 0
+    return written
 
 
 GROUND_FUSE_DEFAULTS = {
@@ -545,16 +461,13 @@ GROUND_FUSE_DEFAULTS = {
 }
 
 
-def cmd_ground_fuse(args) -> int:
-    t0 = time.time()
-    cfg = _resolve_config(args, GROUND_FUSE_DEFAULTS)
+def cmd_ground_fuse(args, cfg) -> list[Path]:
     vocab = _load_vocab_arg(args.vocab)
-    labels_dir = Path(args.labels)
     spot_dir = Path(args.spot_preds)
     out = Path(args.out)
     written = []
     n_queries = 0
-    for game_id, _, replays in _iter_game_labels(labels_dir, vocab):
+    for game_id, (_, replays) in _game_labels(Path(args.labels), vocab).items():
         spot_path = spot_dir / game_id / "spotting.json"
         spots = read_spot_predictions(spot_path, vocab) if spot_path.exists() else []
         results = []
@@ -568,18 +481,14 @@ def cmd_ground_fuse(args) -> int:
             n_queries += 1
         if results:
             written.append(write_ground_predictions(out, game_id, results))
-    _write_manifest(out, "ground fuse", cfg, t0, written)
     print(f"fused spotting into {n_queries} replay queries -> {out}")
-    return 0
+    return written
 
 
 MERGE_DEFAULTS = {"nms": 25}
 
 
-def cmd_ground_merge(args) -> int:
-    t0 = time.time()
-    cfg = _resolve_config(args, MERGE_DEFAULTS)
-    a_path, b_path = Path(args.a), Path(args.b)
+def cmd_ground_merge(args, cfg) -> list[Path]:
     out = Path(args.out)
 
     def read_side(path: Path) -> dict[str, list]:
@@ -590,7 +499,7 @@ def cmd_ground_merge(args) -> int:
             }
         return {path.stem: read_ground_predictions(path)}
 
-    side_a, side_b = read_side(a_path), read_side(b_path)
+    side_a, side_b = read_side(Path(args.a)), read_side(Path(args.b))
     written = []
     for game_id in sorted(set(side_a) | set(side_b)):
         qa = {(q.half, q.start_s, q.end_s): (q, preds) for q, preds in side_a.get(game_id, [])}
@@ -602,9 +511,8 @@ def cmd_ground_merge(args) -> int:
             preds_b = qb.get(key, (None, []))[1]
             results.append((query, merge_nms(preds_a, preds_b, cfg["nms"])))
         written.append(write_ground_predictions(out, game_id, results))
-    _write_manifest(out, "ground merge", cfg, t0, written)
     print(f"merged {len(written)} games -> {out}")
-    return 0
+    return written
 
 
 EVAL_SPOT_DEFAULTS = {"tolerances": "5:60:5", "jobs": 1}
@@ -655,47 +563,31 @@ def _average_map_jobs(preds, gts, tolerances, vocab, jobs) -> EvalReport:
     return EvalReport(per_class, map_per_tol, avg, counts, tuple(tolerances))
 
 
-def cmd_eval_spot(args) -> int:
-    t0 = time.time()
-    cfg = _resolve_config(args, EVAL_SPOT_DEFAULTS)
-    _check_min(cfg, jobs=1)
+def cmd_eval_spot(args, cfg) -> list[Path]:
     tolerances = _parse_tolerances(cfg["tolerances"])
     vocab = _load_vocab_arg(args.vocab)
-    labels_dir = Path(args.labels)
     preds_dir = Path(args.preds)
-
     all_preds, all_gts = [], []
-    for game_id, events, _ in _iter_game_labels(labels_dir, vocab):
+    for game_id, (events, _) in _game_labels(Path(args.labels), vocab).items():
         all_gts.extend(events)
         spot_path = preds_dir / game_id / "spotting.json"
         if spot_path.exists():
             all_preds.extend(read_spot_predictions(spot_path, vocab))
     report = _average_map_jobs(all_preds, all_gts, tolerances, vocab, cfg["jobs"])
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "spot_eval.json"
-    report_path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    written = [report_path]
+    report_path = _write_json(out / "spot_eval.json", report.to_dict())
     csv_path = out / "spot_eval.csv"
     csv_path.write_text(report.to_csv(), encoding="utf-8")
-    written.append(csv_path)
-    _write_manifest(out, "eval spot", cfg, t0, written)
     print(f"Average-mAP: {report.average_map:.4f} "
           f"({len(all_preds)} predictions, {len(all_gts)} ground truths)")
-    return 0
+    return [report_path, csv_path]
 
 
-def cmd_eval_ground(args) -> int:
-    t0 = time.time()
-    cfg = _resolve_config(args, EVAL_GROUND_DEFAULTS)
+def cmd_eval_ground(args, cfg) -> list[Path]:
     tolerances = _parse_tolerances(cfg["tolerances"])
-    labels_dir = Path(args.labels)
     preds_dir = Path(args.preds)
-
     preds_per_query, gt_times = [], []
-    for game_id, _, replays in _iter_game_labels(labels_dir):
+    for game_id, (_, replays) in _game_labels(Path(args.labels)).items():
         pred_path = preds_dir / game_id / "grounding.json"
         by_key = {}
         if pred_path.exists():
@@ -709,64 +601,46 @@ def cmd_eval_ground(args) -> int:
                 by_key.get((rp.half, rp.replay_start_s, rp.replay_end_s), [])
             )
     report = replay_ap_report(preds_per_query, gt_times, tolerances)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "ground_eval.json"
     doc = {
         "average_ap": report["average_ap"],
         "ap_per_tolerance": {str(k): v for k, v in report["ap_per_tolerance"].items()},
         "num_queries": report["num_queries"],
         "num_predictions": report["num_predictions"],
     }
-    report_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_manifest(out, "eval ground", cfg, t0, [report_path])
+    report_path = _write_json(Path(args.out) / "ground_eval.json", doc)
     print(f"average-AP: {report['average_ap']:.4f} over {report['num_queries']} queries")
-    return 0
+    return [report_path]
 
 
 ANALYZE_DEFAULTS = {"buckets": 10}
 
 
-def cmd_analyze_replays(args) -> int:
-    t0 = time.time()
-    cfg = _resolve_config(args, ANALYZE_DEFAULTS)
-    labels_dir = Path(args.labels)
-
-    replays = []
-    for _, _, game_replays in _iter_game_labels(labels_dir):
-        replays.extend(game_replays)
+def cmd_analyze_replays(args, cfg) -> list[Path]:
+    replays = [rp for _, rps in _game_labels(Path(args.labels)).values() for rp in rps]
     stats = replay_stats(replays, bucket_s=cfg["buckets"])
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stats_path = out / "replay_stats.json"
-    stats_path.write_text(
-        json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    written = [stats_path]
+    written = [_write_json(out / "replay_stats.json", stats.to_dict())]
     if args.svg:
         svg_path = out / args.svg
         svg_path.write_text(interval_histogram_svg(stats), encoding="utf-8")
         written.append(svg_path)
-    _write_manifest(out, "analyze replays", cfg, t0, written)
     print(
         f"{stats.total} replays, fraction within 0-120 s: {stats.fraction_in_0_120:.4f}, "
         f"top labels: {', '.join(stats.top_labels)}"
     )
-    return 0
+    return written
 
 
 GRADCHECK_DEFAULTS = {"trials": 100, "h": 1e-5, "seed": 0}
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _resolve_config(args, GRADCHECK_DEFAULTS)
-    spot_err = spotting_grad_check(
-        SPOT_GRADCHECK_CONFIG, trials=cfg["trials"], h=cfg["h"], seed=cfg["seed"]
-    )
-    ground_err = grounding_grad_check(
-        GROUND_GRADCHECK_CONFIG, trials=cfg["trials"], h=cfg["h"], seed=cfg["seed"]
-    )
-    ok = spot_err < GRADCHECK_GATE and ground_err < GRADCHECK_GATE
+def cmd_gradcheck(args, cfg) -> int:
+    """The exit code: 0 if both heads pass the gate, 1 if not."""
+    spot_err = _checked(spotting_grad_check, config=SPOT_GRADCHECK_CONFIG,
+                        trials=cfg["trials"], h=cfg["h"], seed=cfg["seed"])
+    ground_err = _checked(grounding_grad_check, config=GROUND_GRADCHECK_CONFIG,
+                          trials=cfg["trials"], h=cfg["h"], seed=cfg["seed"])
+    ok = spot_err < GRADCHECK_GATE and ground_err < GRADCHECK_GATE  # NaN fails
     print(f"spotting head max relative error:  {spot_err:.3e}")
     print(f"grounding head max relative error: {ground_err:.3e}")
     print(f"gate {GRADCHECK_GATE:.0e}: {'PASS' if ok else 'FAIL'}")
@@ -774,7 +648,185 @@ def cmd_gradcheck(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table, and the parser and runner built from it
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command.
+
+    Each key of `defaults` is a flag, `--` plus the key with `_` turned into
+    `-`, taking the default's type (a bool gives `--key/--no-key`). `paths`
+    names its path arguments (see PATHS). `body(args, cfg)` does the work and
+    returns the files it wrote; a command without `--out` writes no manifest
+    and its body returns the exit code.
+    """
+
+    words: tuple[str, ...]
+    help: str
+    body: Callable
+    defaults: dict
+    paths: tuple[str, ...] = ()
+    helps: dict = field(default_factory=dict)
+
+
+# path argument -> help; --vocab, --splits and --svg are optional, a and b positional
+PATHS = {
+    "data": "dataset directory, one subdirectory of <half>_<source>.npy files per game",
+    "model": "trained checkpoint (model.sgckpt)",
+    "labels": "dataset directory with labels.json / replays.json per game",
+    "preds": "prediction directory, one subdirectory per game",
+    "spot_preds": "spotting prediction directory, one subdirectory per game",
+    "a": "prediction dir or single grounding JSON",
+    "b": "prediction dir or single grounding JSON",
+    "out": "output directory",
+    "vocab": "class vocabulary JSON (default: built-in 17 classes)",
+    "splits": "JSON with train/valid/test game id lists",
+    "svg": "also write an SVG histogram with this filename",
+}
+OPTIONAL_PATHS = {"vocab", "splits", "svg"}
+POSITIONAL_PATHS = {"a", "b"}
+
+# the type of a key whose default is None (computed by the command)
+TYPES = {"lr": float, "epochs": int}
+CHOICES = {"mode": ("regular", "ultra"), "head": ("transformer", "netvlad")}
+# (lowest, highest or None) of each key no library constructor checks
+BOUNDS = {
+    "seed": (0, None),
+    "chunk": (1, None),
+    "nms": (0, None),
+    "threshold": (0, 1),
+    "jobs": (1, None),
+    "stride": (1, None),
+    "filter": (0, None),
+    "offset_weight": (0, None),
+    "W": (0, None),
+    "S": (0, 1),
+    "b1": (0, None),
+    "b2": (0, None),
+    "buckets": (1, None),
+}
+
+GROUPS = {
+    "spot": "action spotting",
+    "ground": "replay grounding",
+    "eval": "tolerance-based metrics",
+    "analyze": "dataset analyses",
+}
+COMMANDS = (
+    Command(("synth",), "generate synthetic feature/label data", cmd_synth,
+            SYNTH_DEFAULTS, ("out",), {
+                "halves": "number of halves (two per game)",
+                "duration": "seconds per half",
+                "dim": "feature dimension",
+                "classes": "number of event classes, 1 to 17",
+                "events_per_class": "events per class and half",
+                "sigma": "noise standard deviation",
+                "min_gap": "minimum event spacing (s)",
+                "margin": "no events within this of the half edges",
+                "prefix": "game id prefix",
+                "replays": "plant replays after events",
+                "delay_min": "shortest replay end after its event (s)",
+                "delay_max": "longest replay end after its event (s)",
+                "replay_dur": "replay clip length (s)",
+            }),
+    Command(("spot", "train"), "train a spotting head", cmd_spot_train,
+            SPOT_TRAIN_DEFAULTS, ("data", "out", "vocab", "splits"), {
+                "chunk": "chunk size in seconds; netvlad needs an even value",
+                "nms": "NMS window in seconds, only recorded in the manifest: "
+                       "spot infer --nms sets the one inference uses",
+                "lr": "> 0; default 5e-4 transformer, 1e-4 netvlad",
+                "epochs": "default 50 transformer, 40 netvlad",
+                "mixup": "mixup Beta parameter, >= 0; 0 disables it",
+                "clusters": "netvlad clusters per temporal half",
+            }),
+    Command(("spot", "infer"), "slide a trained head over games", cmd_spot_infer,
+            SPOT_INFER_DEFAULTS, ("model", "data", "out", "vocab"), {
+                "chunk": "window length in seconds",
+                "nms": "NMS window in seconds",
+                "threshold": "pre-NMS score threshold",
+                "jobs": "parallel processes over games",
+            }),
+    Command(("ground", "train"), "train the grounding head", cmd_ground_train,
+            GROUND_TRAIN_DEFAULTS, ("data", "out", "vocab"), {
+                "mode": "ultra only: grounding has no splits (regular is rejected)",
+                "offset_weight": "weight of the offset L2 term",
+            }),
+    Command(("ground", "infer"), "ground replay queries against features", cmd_ground_infer,
+            GROUND_INFER_DEFAULTS, ("model", "data", "out"), {
+                "stride": "candidate chunk stride",
+                "filter": "keep predictions within this many seconds before replay end; "
+                          "0 disables the filter",
+                "jobs": "parallel processes over games",
+            }),
+    Command(("ground", "fuse"), "derive grounding output from spotting output",
+            cmd_ground_fuse, GROUND_FUSE_DEFAULTS, ("spot_preds", "labels", "out", "vocab"), {
+                "W": "lookback window before replay start",
+                "S": "spotting confidence floor",
+                "b1": "nearest-prediction weight",
+                "b2": "second-nearest weight",
+            }),
+    Command(("ground", "merge"), "score-normalize and NMS-merge two prediction sets",
+            cmd_ground_merge, MERGE_DEFAULTS, ("a", "b", "out"),
+            {"nms": "merge suppression window"}),
+    Command(("eval", "spot"), "Average-mAP for spotting predictions", cmd_eval_spot,
+            EVAL_SPOT_DEFAULTS, ("preds", "labels", "out", "vocab"), {
+                "tolerances": "start:stop:step or comma list",
+                "jobs": "parallel processes over tolerances",
+            }),
+    Command(("eval", "ground"), "average-AP for replay grounding predictions",
+            cmd_eval_ground, EVAL_GROUND_DEFAULTS, ("preds", "labels", "out"),
+            {"tolerances": "start:stop:step or comma list"}),
+    Command(("analyze", "replays"), "replay interval histogram and label counts",
+            cmd_analyze_replays, ANALYZE_DEFAULTS, ("labels", "out", "svg"),
+            {"buckets": "histogram bucket width in seconds"}),
+    Command(("gradcheck",), "verify analytic gradients of both heads", cmd_gradcheck,
+            GRADCHECK_DEFAULTS, (), {
+                "trials": "probed coordinates per head, >= 1",
+                "h": "finite-difference step, > 0",
+            }),
+)
+
+
+def _key_type(key: str, default) -> type:
+    return TYPES[key] if default is None else type(default)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _range_text(lo, hi) -> str:
+    return f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+
+def _key_help(cmd: Command, key: str) -> str:
+    """The key's help text, then its range and default from the tables."""
+    notes = [_range_text(*BOUNDS[key])] if key in BOUNDS else []
+    if cmd.defaults[key] is not None:
+        notes.append(f"default {cmd.defaults[key]}")
+    text = cmd.helps.get(key, "")
+    return f"{text} ({', '.join(notes)})".strip() if notes else text
+
+
+def _add_command(sub, cmd: Command) -> None:
+    p = sub.add_parser(cmd.words[-1], help=cmd.help)
+    for name in cmd.paths:
+        if name in POSITIONAL_PATHS:
+            p.add_argument(name, help=PATHS[name])
+        else:
+            p.add_argument(_flag(name), dest=name, required=name not in OPTIONAL_PATHS,
+                           help=PATHS[name])
+    for key, default in cmd.defaults.items():
+        kind = _key_type(key, default)
+        if kind is bool:
+            p.add_argument(_flag(key), dest=key, action=argparse.BooleanOptionalAction,
+                           help=_key_help(cmd, key))
+        else:
+            p.add_argument(_flag(key), dest=key, type=kind, choices=CHOICES.get(key),
+                           help=_key_help(cmd, key))
+    p.add_argument("--config", help="JSON file with defaults; explicit flags override")
+    p.set_defaults(cmd=cmd)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -783,169 +835,88 @@ def build_parser() -> argparse.ArgumentParser:
         description="Action spotting and replay grounding over per-second embeddings.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config(p):
-        p.add_argument("--config", help="JSON file with defaults; explicit flags override")
-        # what a config-file key must hold where its default is None
-        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type})
-
-    p = sub.add_parser("synth", help="generate synthetic feature/label data")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--halves", type=int, help="number of halves (two per game)")
-    p.add_argument("--duration", type=int, help="seconds per half")
-    p.add_argument("--dim", type=int, help="feature dimension")
-    p.add_argument("--classes", type=int, help="number of event classes (<= 17)")
-    p.add_argument("--events-per-class", type=int, dest="events_per_class")
-    p.add_argument("--sigma", type=float, help="noise standard deviation")
-    p.add_argument("--min-gap", type=int, dest="min_gap", help="minimum event spacing (s)")
-    p.add_argument("--margin", type=int, help="no events within this of the half edges")
-    p.add_argument("--prefix", help="game id prefix")
-    p.add_argument("--replays", action=argparse.BooleanOptionalAction,
-                   help="plant replays after events")
-    p.add_argument("--delay-min", type=int, dest="delay_min")
-    p.add_argument("--delay-max", type=int, dest="delay_max")
-    p.add_argument("--replay-dur", type=int, dest="replay_dur")
-    add_config(p)
-    p.set_defaults(func=cmd_synth)
-
-    spot = sub.add_parser("spot", help="action spotting").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = spot.add_parser("train", help="train a spotting head")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--vocab", help="class vocabulary JSON (default: built-in 17 classes)")
-    p.add_argument("--splits", help="JSON with train/valid/test game id lists")
-    p.add_argument("--mode", choices=["regular", "ultra"])
-    p.add_argument("--head", choices=["transformer", "netvlad"])
-    p.add_argument("--chunk", type=int,
-                   help="chunk size in seconds (default 7; netvlad needs an even value)")
-    p.add_argument("--nms", type=int,
-                   help="NMS window in seconds, only recorded in the manifest: "
-                        "spot infer --nms sets the one inference uses (default 20)")
-    p.add_argument("--lr", type=float, help="> 0; default 5e-4 transformer, 1e-4 netvlad")
-    p.add_argument("--epochs", type=int, help="default 50 transformer, 40 netvlad")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--mixup", type=float, help="mixup Beta parameter, >= 0 (0 disables)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--model-dim", type=int, dest="model_dim")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--clusters", type=int, help="netvlad clusters per temporal half")
-    add_config(p)
-    p.set_defaults(func=cmd_spot_train)
-
-    p = spot.add_parser("infer", help="slide a trained head over games")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--chunk", type=int, help="window length in seconds, >= 1 (default 7)")
-    p.add_argument("--nms", type=int, help="NMS window in seconds, >= 0 (default 20)")
-    p.add_argument("--threshold", type=float,
-                   help="pre-NMS score threshold in [0, 1] (default 0.05)")
-    p.add_argument("--jobs", type=int, help="parallel processes over games")
-    add_config(p)
-    p.set_defaults(func=cmd_spot_infer)
-
-    ground = sub.add_parser("ground", help="replay grounding").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = ground.add_parser("train", help="train the grounding head")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--mode", choices=["regular", "ultra"],
-                   help="ultra only: grounding has no splits (regular is rejected)")
-    p.add_argument("--lr", type=float, help="default 2e-4")
-    p.add_argument("--epochs", type=int, help="default 40")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--model-dim", type=int, dest="model_dim")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--offset-weight", type=float, dest="offset_weight")
-    add_config(p)
-    p.set_defaults(func=cmd_ground_train)
-
-    p = ground.add_parser("infer", help="ground replay queries against features")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, help="candidate chunk stride, >= 1 (default 5)")
-    p.add_argument("--filter", type=int,
-                   help="keep predictions within this many seconds before replay end "
-                        "(default 120, 0 disables)")
-    p.add_argument("--jobs", type=int)
-    add_config(p)
-    p.set_defaults(func=cmd_ground_infer)
-
-    p = ground.add_parser("fuse", help="derive grounding output from spotting output")
-    p.add_argument("--spot-preds", required=True, dest="spot_preds")
-    p.add_argument("--labels", required=True, help="dataset dir with replay queries")
-    p.add_argument("--out", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--W", type=int, help="lookback window before replay start (default 42)")
-    p.add_argument("--S", type=float, help="spotting confidence floor (default 0.02)")
-    p.add_argument("--b1", type=float, help="nearest-prediction weight (default 1.25)")
-    p.add_argument("--b2", type=float, help="second-nearest weight (default 0.8)")
-    add_config(p)
-    p.set_defaults(func=cmd_ground_fuse)
-
-    p = ground.add_parser("merge", help="score-normalize and NMS-merge two prediction sets")
-    p.add_argument("a", help="prediction dir or single grounding JSON")
-    p.add_argument("b", help="prediction dir or single grounding JSON")
-    p.add_argument("--out", required=True)
-    p.add_argument("--nms", type=int, help="merge suppression window (default 25)")
-    add_config(p)
-    p.set_defaults(func=cmd_ground_merge)
-
-    ev = sub.add_parser("eval", help="tolerance-based metrics").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = ev.add_parser("spot", help="Average-mAP for spotting predictions")
-    p.add_argument("--preds", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--tolerances", help="start:stop:step or comma list (default 5:60:5)")
-    p.add_argument("--jobs", type=int, help="parallel processes over tolerances")
-    add_config(p)
-    p.set_defaults(func=cmd_eval_spot)
-
-    p = ev.add_parser("ground", help="average-AP for replay grounding predictions")
-    p.add_argument("--preds", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--tolerances")
-    add_config(p)
-    p.set_defaults(func=cmd_eval_ground)
-
-    an = sub.add_parser("analyze", help="dataset analyses").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = an.add_parser("replays", help="replay interval histogram and label counts")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--buckets", type=int, help="histogram bucket width in seconds")
-    p.add_argument("--svg", help="also write an SVG histogram with this filename")
-    add_config(p)
-    p.set_defaults(func=cmd_analyze_replays)
-
-    p = sub.add_parser("gradcheck", help="verify analytic gradients of both heads")
-    p.add_argument("--trials", type=int, help="probed coordinates per head (default 100)")
-    p.add_argument("--h", type=float, help="finite-difference step (default 1e-5)")
-    p.add_argument("--seed", type=int)
-    add_config(p)
-    p.set_defaults(func=cmd_gradcheck)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for cmd in COMMANDS:
+        sub = top
+        if len(cmd.words) == 2:
+            group = cmd.words[0]
+            if group not in groups:
+                groups[group] = top.add_parser(group, help=GROUPS[group]).add_subparsers(
+                    dest="subcommand", required=True)
+            sub = groups[group]
+        _add_command(sub, cmd)
     return parser
+
+
+def _config_value(key: str, value, expected: type):
+    """A config-file value checked against the type its key takes: bool is
+    not an int, an int is accepted (as a float) where a float is expected."""
+    if expected is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, expected) and (expected is bool or not isinstance(value, bool)):
+        return value
+    raise UsageError(
+        f"config key {key!r} must be {expected.__name__}, got {type(value).__name__} {value!r}"
+    )
+
+
+def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
+    """Merge defaults < JSON config file < explicit flags; reject unknown keys
+    and values of the wrong type."""
+    cfg = dict(defaults)
+    if args.config:
+        try:
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
+        unknown = set(loaded) - set(defaults)
+        if unknown:
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            if defaults[key] is None and value is None:
+                continue  # keeps the computed default
+            cfg[key] = _config_value(key, value, _key_type(key, defaults[key]))
+    for key in defaults:
+        val = getattr(args, key)
+        if val is not None:
+            cfg[key] = val
+    return cfg
+
+
+def _check_ranges(cfg: dict) -> None:
+    """Reject, as a usage error, a value outside its key's choices or bounds."""
+    for key, value in cfg.items():
+        if key in CHOICES and value not in CHOICES[key]:
+            raise UsageError(f"{_flag(key)} must be one of {CHOICES[key]}, got {value!r}")
+        if key in BOUNDS:
+            lo, hi = BOUNDS[key]
+            if not (lo <= value and (hi is None or value <= hi)):  # NaN fails too
+                raise UsageError(f"{_flag(key)} must be {_range_text(lo, hi)}, got {value}")
+
+
+def _run_command(cmd: Command, args: argparse.Namespace) -> int:
+    t0 = time.time()
+    cfg = _resolve_config(args, cmd.defaults)
+    _check_ranges(cfg)
+    # looked up by name, so a rebound command function (tracing, tests) is the one run
+    result = globals()[cmd.body.__name__](args, cfg)
+    if "out" not in cmd.paths:
+        return result
+    out = Path(args.out)
+    manifest = {
+        "version": 1,
+        "command": " ".join(cmd.words),
+        "config": cfg,
+        "seed": cfg.get("seed"),
+        "build": _build_id(),
+        "wall_time_s": round(time.time() - t0, 3),
+        "outputs": sorted(str(Path(p).relative_to(out)) for p in result),
+    }
+    _write_json(out / "manifest.json", manifest)
+    return 0
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -955,7 +926,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run_command(args.cmd, args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2

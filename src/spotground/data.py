@@ -100,7 +100,7 @@ class ReplayAnnotation:
 
 def parse_game_time(s: str) -> tuple[int, int]:
     """Parse "H - MM:SS" into (half, seconds within the half)."""
-    m = GAME_TIME_RE.match(s)
+    m = GAME_TIME_RE.match(s) if isinstance(s, str) else None
     if m is None:
         raise ParseError(f"bad game time {s!r}, expected '<half> - <MM>:<SS>'")
     half, minutes, seconds = int(m.group(1)), int(m.group(2)), int(m.group(3))
@@ -127,11 +127,17 @@ def parse_labels(
     """
     try:
         doc = json.loads(stream)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
         raise ParseError(f"malformed label JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("label document must be a JSON object")
     known = set(vocab if vocab is not None else DEFAULT_VOCAB)
+
+    def entries(key):
+        value = doc.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
+            raise ParseError(f"{key!r} must be an array of objects")
+        return value
 
     def check_label(label):
         if not isinstance(label, str) or not label:
@@ -142,7 +148,7 @@ def parse_labels(
             logger.warning("unknown label %r in %s", label, game_id or "<stream>")
 
     events: list[EventAnnotation] = []
-    for entry in doc.get("annotations", []):
+    for entry in entries("annotations"):
         if "gameTime" not in entry or "label" not in entry:
             raise ParseError(f"annotation entry missing gameTime/label: {entry!r}")
         half, secs = parse_game_time(entry["gameTime"])
@@ -150,7 +156,7 @@ def parse_labels(
         events.append(EventAnnotation(game_id, half, secs, entry["label"]))
 
     replays: list[ReplayAnnotation] = []
-    for entry in doc.get("replays", []):
+    for entry in entries("replays"):
         for key in ("start", "end", "event", "label"):
             if key not in entry:
                 raise ParseError(f"replay entry missing {key!r}: {entry!r}")
@@ -240,24 +246,33 @@ def load_game_half(game_dir: str | Path, game_id: str, half: int) -> FeatureSequ
     return combine_features(sources)
 
 
-def load_game(game_dir: str | Path, vocab=None, strict: bool = False) -> list[GameHalf]:
-    """Load both halves of a game directory together with its labels.
+def load_labels(
+    game_dir: str | Path, vocab=None, strict: bool = False
+) -> tuple[list[EventAnnotation], list[ReplayAnnotation]] | None:
+    """Events and replays of one game directory, or None if it holds no labels.
 
     Events and replays may live in one labels.json or in separate
     labels.json / replays.json documents.
     """
     game_dir = Path(game_dir)
-    game_id = game_dir.name
+    paths = [p for p in (game_dir / "labels.json", game_dir / "replays.json") if p.exists()]
+    if not paths:
+        return None
     events: list[EventAnnotation] = []
     replays: list[ReplayAnnotation] = []
-    for name in ("labels.json", "replays.json"):
-        path = game_dir / name
-        if path.exists():
-            evs, rps = parse_labels(
-                path.read_bytes(), game_id=game_id, vocab=vocab, strict=strict
-            )
-            events.extend(evs)
-            replays.extend(rps)
+    for path in paths:
+        evs, rps = parse_labels(path.read_bytes(), game_id=game_dir.name, vocab=vocab,
+                                strict=strict)
+        events.extend(evs)
+        replays.extend(rps)
+    return events, replays
+
+
+def load_game(game_dir: str | Path, vocab=None, strict: bool = False) -> list[GameHalf]:
+    """Load both halves of a game directory together with its labels."""
+    game_dir = Path(game_dir)
+    game_id = game_dir.name
+    events, replays = load_labels(game_dir, vocab, strict) or ([], [])
     halves = []
     for half in (1, 2):
         if not list(game_dir.glob(f"{half}_*.npy")):

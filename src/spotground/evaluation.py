@@ -67,6 +67,19 @@ def _sorted_entries(preds):
     return sorted(preds, key=lambda e: (-e[2], e[1], e[0]))
 
 
+def _class_entries(preds, gts, label):
+    """One class's rank-ordered (group, time, confidence) entries, its
+    ground-truth times per (game, half) group and its ground-truth count."""
+    entries = _sorted_entries(
+        [((p.game_id, p.half), p.time_s, p.confidence) for p in preds if p.label == label]
+    )
+    gts_by_group: dict = {}
+    for g in gts:
+        if g.label == label:
+            gts_by_group.setdefault((g.game_id, g.half), []).append(g.time_s)
+    return entries, gts_by_group, sum(len(times) for times in gts_by_group.values())
+
+
 def average_precision_at_tol(
     preds: list[SpotPrediction],
     gts: list[EventAnnotation],
@@ -74,16 +87,8 @@ def average_precision_at_tol(
     tolerance_s: int,
 ) -> float:
     """AP for one class at one tolerance. No ground truths means AP 0."""
-    class_preds = [p for p in preds if p.label == label]
-    class_gts = [g for g in gts if g.label == label]
-    entries = _sorted_entries(
-        [((p.game_id, p.half), p.time_s, p.confidence) for p in class_preds]
-    )
-    gts_by_group: dict = {}
-    for g in class_gts:
-        gts_by_group.setdefault((g.game_id, g.half), []).append(g.time_s)
-    flags = _match_flags(entries, gts_by_group, tolerance_s)
-    return _ap_from_flags(flags, len(class_gts))
+    entries, gts_by_group, n_gt = _class_entries(preds, gts, label)
+    return _ap_from_flags(_match_flags(entries, gts_by_group, tolerance_s), n_gt)
 
 
 @dataclass
@@ -142,27 +147,18 @@ def average_map(
     ]
 
     per_class: dict[str, list[tuple[int, float]]] = {lb: [] for lb in active}
+    by_class = {lb: _class_entries(preds, gts, lb) for lb in active}
     map_per_tol: dict[int, float] = {}
     counts: dict[int, dict[str, int]] = {}
     for tol in tolerances:
         aps = []
         tp_total = 0
-        for lb in active:
-            ap = average_precision_at_tol(preds, gts, lb, tol)
+        for lb, (entries, gts_by_group, n_gt) in by_class.items():
+            flags = _match_flags(entries, gts_by_group, tol)
+            ap = _ap_from_flags(flags, n_gt)
             per_class[lb].append((tol, ap))
             aps.append(ap)
-            entries = _sorted_entries(
-                [
-                    ((p.game_id, p.half), p.time_s, p.confidence)
-                    for p in preds
-                    if p.label == lb
-                ]
-            )
-            gts_by_group: dict = {}
-            for g in gts:
-                if g.label == lb:
-                    gts_by_group.setdefault((g.game_id, g.half), []).append(g.time_s)
-            tp_total += int(_match_flags(entries, gts_by_group, tol).sum())
+            tp_total += int(flags.sum())
         map_per_tol[tol] = float(np.mean(aps)) if aps else 0.0
         counts[tol] = {
             "matched": tp_total,

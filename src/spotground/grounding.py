@@ -195,6 +195,8 @@ def train_grounding(
     Deterministic for a given (spec.seed, config). spec.lr/epochs default
     to 2e-4 and 40 via the CLI.
     """
+    if not offset_weight >= 0.0:
+        raise ShapeError(f"offset_weight must be >= 0, got {offset_weight}")
     replays = [(gh, rp) for gh in halves for rp in gh.replays]
     if not replays:
         raise ParseError("empty dataset: no replay annotations")

@@ -48,6 +48,8 @@ class EncoderConfig:
             raise ShapeError("all dimensions must be positive")
         if self.num_layers < 1:
             raise ShapeError("need at least one encoder layer")
+        if self.num_segments < 0:
+            raise ShapeError(f"num_segments must be >= 0, got {self.num_segments}")
 
     def to_dict(self) -> dict:
         return {
@@ -60,10 +62,6 @@ class EncoderConfig:
             "dropout_p": self.dropout_p,
             "num_segments": self.num_segments,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "EncoderConfig":
-        return EncoderConfig(**d)
 
 
 def positional_encoding(T: int, d: int) -> np.ndarray:
@@ -92,31 +90,40 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def encoder_param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder parameter, in initialisation order."""
     dm, dh, dout = config.model_dim, config.hidden_dim, config.output_dim
-    p: dict[str, np.ndarray] = {}
-    p["in.w"] = _glorot(rng, config.input_dim, dm)
-    p["in.b"] = np.zeros(dm)
+    shapes: dict[str, tuple[int, ...]] = {"in.w": (config.input_dim, dm), "in.b": (dm,)}
     if config.num_segments:
-        p["seg.emb"] = rng.normal(0.0, 0.02, size=(config.num_segments, dm))
+        shapes["seg.emb"] = (config.num_segments, dm)
     for i in range(config.num_layers):
         pre = f"layer{i}."
-        for name in ("wq", "wk", "wv", "wo"):
-            p[pre + "attn." + name] = _glorot(rng, dm, dm)
+        for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
+            shapes[pre + name] = (dm, dm)
         # no key bias: a shared shift on the keys cancels inside the row
         # softmax, leaving a provably inert parameter
-        for name in ("bq", "bv", "bo"):
-            p[pre + "attn." + name] = np.zeros(dm)
-        p[pre + "ln1.g"] = np.ones(dm)
-        p[pre + "ln1.b"] = np.zeros(dm)
-        p[pre + "ffn.w1"] = _glorot(rng, dm, dh)
-        p[pre + "ffn.b1"] = np.zeros(dh)
-        p[pre + "ffn.w2"] = _glorot(rng, dh, dm)
-        p[pre + "ffn.b2"] = np.zeros(dm)
-        p[pre + "ln2.g"] = np.ones(dm)
-        p[pre + "ln2.b"] = np.zeros(dm)
-    p["out.w"] = _glorot(rng, dm, dout)
-    p["out.b"] = np.zeros(dout)
+        for name in ("attn.bq", "attn.bv", "attn.bo", "ln1.g", "ln1.b"):
+            shapes[pre + name] = (dm,)
+        shapes[pre + "ffn.w1"] = (dm, dh)
+        shapes[pre + "ffn.b1"] = (dh,)
+        shapes[pre + "ffn.w2"] = (dh, dm)
+        for name in ("ffn.b2", "ln2.g", "ln2.b"):
+            shapes[pre + name] = (dm,)
+    shapes["out.w"] = (dm, dout)
+    shapes["out.b"] = (dout,)
+    return shapes
+
+
+def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Glorot weights, N(0, 0.02) segment offsets, unit layer-norm gains, zero biases."""
+    p: dict[str, np.ndarray] = {}
+    for name, shape in encoder_param_shapes(config).items():
+        if name == "seg.emb":
+            p[name] = rng.normal(0.0, 0.02, size=shape)
+        elif len(shape) == 2:
+            p[name] = _glorot(rng, *shape)
+        else:
+            p[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
     return p
 
 
@@ -492,8 +499,13 @@ def grad_check(
 
     loss_fn(params, want_grads) must return (loss, grads-or-None) and be a
     pure function of params. Probes `trials` uniformly random coordinates
-    and returns the maximum relative error |a - n| / max(|a|, |n|, 1e-12).
+    and returns the maximum relative error |a - n| / max(|a|, |n|, 1e-12),
+    NaN if any probe's error is NaN.
     """
+    if trials < 1:
+        raise ShapeError(f"trials must be >= 1, got {trials}")
+    if not h > 0.0:
+        raise ShapeError(f"finite-difference step h must be > 0, got {h}")
     rng = rng if rng is not None else np.random.default_rng(0)
     _, grads = loss_fn(params, True)
     names = sorted(params)
@@ -501,7 +513,7 @@ def grad_check(
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = int(offsets[-1])
 
-    max_err = 0.0
+    errs = []
     for _ in range(trials):
         flat = int(rng.integers(0, total))
         which = int(np.searchsorted(offsets, flat, side="right") - 1)
@@ -516,9 +528,8 @@ def grad_check(
         arr.flat[idx] = orig
         numeric = (loss_plus - loss_minus) / (2.0 * h)
         analytic = grads[name].flat[idx]
-        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
-        max_err = max(max_err, err)
-    return max_err
+        errs.append(abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12))
+    return float(np.max(errs))  # np.max keeps a NaN, the builtin max can drop it
 
 
 SPOT_GRADCHECK_CONFIG = EncoderConfig(

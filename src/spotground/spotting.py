@@ -20,6 +20,7 @@ from .data import EventAnnotation, FeatureSequence, GameHalf, extract_window
 from .errors import ParseError, ShapeError
 from .nn import (
     AdamState,
+    _glorot,
     EncoderConfig,
     adam_step,
     cross_entropy_soft,
@@ -176,6 +177,8 @@ class NetVLADConfig:
     def __post_init__(self):
         if self.clusters < 1:
             raise ShapeError("need at least one cluster")
+        if min(self.input_dim, self.output_dim) < 1:
+            raise ShapeError("all dimensions must be positive")
 
     def to_dict(self) -> dict:
         return {
@@ -185,18 +188,29 @@ class NetVLADConfig:
         }
 
 
-def init_netvlad_params(config: NetVLADConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def netvlad_param_shapes(config: NetVLADConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every NetVLAD head parameter, in initialisation order."""
     D, K = config.input_dim, config.clusters
-    limit = np.sqrt(6.0 / (D + K))
-    p: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     for half in ("past", "future"):
-        p[f"vlad.{half}.assign_w"] = rng.uniform(-limit, limit, size=(D, K))
-        p[f"vlad.{half}.assign_b"] = np.zeros(K)
-        p[f"vlad.{half}.centers"] = rng.normal(0.0, 1.0 / np.sqrt(D), size=(K, D))
-    out_in = 2 * K * D
-    lim_out = np.sqrt(6.0 / (out_in + config.output_dim))
-    p["vlad.out.w"] = rng.uniform(-lim_out, lim_out, size=(out_in, config.output_dim))
-    p["vlad.out.b"] = np.zeros(config.output_dim)
+        shapes[f"vlad.{half}.assign_w"] = (D, K)
+        shapes[f"vlad.{half}.assign_b"] = (K,)
+        shapes[f"vlad.{half}.centers"] = (K, D)
+    shapes["vlad.out.w"] = (2 * K * D, config.output_dim)
+    shapes["vlad.out.b"] = (config.output_dim,)
+    return shapes
+
+
+def init_netvlad_params(config: NetVLADConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Glorot assignment and output weights, N(0, 1/D) centres, zero biases."""
+    p: dict[str, np.ndarray] = {}
+    for name, shape in netvlad_param_shapes(config).items():
+        if len(shape) == 1:
+            p[name] = np.zeros(shape)
+        elif name.endswith("centers"):
+            p[name] = rng.normal(0.0, 1.0 / np.sqrt(config.input_dim), size=shape)
+        else:
+            p[name] = _glorot(rng, *shape)
     return p
 
 

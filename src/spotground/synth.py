@@ -42,6 +42,12 @@ class SynthConfig:
     replay_duration_s: int = 8
 
     def __post_init__(self):
+        for name in ("duration_s", "num_halves", "events_per_class", "replay_duration_s"):
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("min_gap_s", "edge_margin_s", "noise_sigma"):
+            if not getattr(self, name) >= 0:
+                raise ShapeError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 1 <= self.num_classes <= 17:
             raise ShapeError(f"num_classes must be in 1..17, got {self.num_classes}")
         directions_needed = 2 * self.num_classes if self.with_replays else self.num_classes
@@ -84,8 +90,6 @@ def _place_events(rng, config: SynthConfig) -> np.ndarray:
         right_margin = max(right_margin, config.replay_delay_max_s + 1)
     hi = config.duration_s - right_margin
     slack = (hi - lo) - (n - 1) * config.min_gap_s
-    if n < 1:
-        raise PlacementError("no events to place")
     if slack < 0:
         raise PlacementError(
             f"{n} events with {config.min_gap_s} s gaps do not fit in "

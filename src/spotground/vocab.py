@@ -38,8 +38,11 @@ NUM_OUTPUT_CLASSES = 18
 
 
 def load_vocab(path: str | Path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        vocab = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            vocab = json.load(fh)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise VocabularyError(f"cannot parse vocabulary {path}: {exc}") from exc
     validate_vocab(vocab)
     return list(vocab)
 

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spotground.checkpoint import (
     KIND_GROUNDING,
@@ -8,9 +13,9 @@ from spotground.checkpoint import (
     load_model,
     save_model,
 )
-from spotground.errors import FormatError
-from spotground.nn import AdamState, EncoderConfig, init_encoder_params
-from spotground.spotting import NetVLADConfig, init_netvlad_params
+from spotground.errors import FormatError, SpotGroundError
+from spotground.nn import AdamState, EncoderConfig, encoder_forward_batch, init_encoder_params
+from spotground.spotting import NetVLADConfig, init_netvlad_params, netvlad_forward_batch
 from spotground.vocab import DEFAULT_VOCAB
 
 
@@ -100,3 +105,66 @@ def test_float32_tensors_preserved(tmp_path):
     back = load_model(tmp_path / "f32.sgckpt")
     assert back.params["in.w"].dtype == np.float32
     assert back.params["in.w"].tobytes() == params["in.w"].tobytes()
+
+
+def _valid_checkpoints():
+    """Raw bytes of one checkpoint per head kind, the transformer with Adam moments."""
+    rng = np.random.default_rng(5)
+    enc = EncoderConfig(input_dim=4, output_dim=18, model_dim=8, num_layers=1, num_heads=2,
+                        hidden_dim=8)
+    params = init_encoder_params(enc, rng)
+    nv = NetVLADConfig(input_dim=4, clusters=2)
+    ground = EncoderConfig(input_dim=4, output_dim=2, model_dim=8, num_layers=1, num_heads=2,
+                           hidden_dim=8, num_segments=2)
+    models = [
+        Model(KIND_SPOT_TRANSFORMER, enc, list(DEFAULT_VOCAB), params,
+              AdamState.for_params(params)),
+        Model("spot_netvlad", nv, list(DEFAULT_VOCAB), init_netvlad_params(nv, rng)),
+        Model(KIND_GROUNDING, ground, [], init_encoder_params(ground, rng)),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.sgckpt"
+        out = []
+        for model in models:
+            save_model(path, model)
+            out.append(path.read_bytes())
+        return out
+
+
+VALID_CHECKPOINTS = _valid_checkpoints()
+
+
+def _load_bytes(tmp_dir: Path, raw: bytes):
+    path = tmp_dir / "fuzz.sgckpt"
+    path.write_bytes(raw)
+    return load_model(path)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_header_fails_only_with_format_errors(tmp_path_factory, data):
+    raw = bytearray(data.draw(st.sampled_from(VALID_CHECKPOINTS)))
+    header_end = 12 + int.from_bytes(raw[8:12], "little")
+    raw[data.draw(st.integers(0, header_end - 1))] = data.draw(st.integers(0, 255))
+    try:
+        model = _load_bytes(tmp_path_factory.getbasetemp(), bytes(raw))
+    except FormatError:
+        return
+    # a checkpoint that loads holds every tensor its head's forward reads
+    x = np.zeros((2, 4, model.config.input_dim))
+    try:
+        if isinstance(model.config, NetVLADConfig):
+            netvlad_forward_batch(model.params, model.config, x)
+        else:
+            segments = np.zeros((2, 4), dtype=int) if model.config.num_segments else None
+            encoder_forward_batch(model.params, model.config, x, segments=segments)
+    except SpotGroundError:
+        pass
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_truncated_checkpoint_is_a_format_error(tmp_path_factory, data):
+    raw = data.draw(st.sampled_from(VALID_CHECKPOINTS))
+    with pytest.raises(FormatError):
+        _load_bytes(tmp_path_factory.getbasetemp(), raw[: data.draw(st.integers(0, len(raw) - 1))])

@@ -1,8 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
 
-from spotground.cli import run
+from spotground.cli import COMMANDS, OPTIONAL_PATHS, POSITIONAL_PATHS, run
 
 SYNTH_SMALL = [
     "--halves", "2", "--duration", "200", "--dim", "16", "--classes", "2",
@@ -61,17 +62,23 @@ class TestConfigFile:
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"durat1on": 100}))
-        code = run(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)])
-        assert code == 2
-        assert "error: usage:" in capsys.readouterr().err
+        for raw in (json.dumps({"durat1on": 100}).encode(), b"\xff{}"):  # or bad UTF-8
+            cfg.write_bytes(raw)
+            code = run(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)])
+            assert code == 2
+            assert "error: usage:" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        code = run(["spot", "infer", "--model", str(tmp_path / "nope.sgckpt"),
-                    "--data", str(tmp_path), "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "\n" not in err.strip("\n")
+        vocab = tmp_path / "vocab.json"
+        vocab.write_bytes(b"\xff[")  # not UTF-8
+        for argv in (["spot", "infer", "--model", str(tmp_path / "nope.sgckpt"),
+                      "--data", str(tmp_path)],
+                     ["eval", "spot", "--preds", str(tmp_path), "--labels", str(tmp_path),
+                      "--vocab", str(vocab)]):
+            code = run([*argv, "--out", str(tmp_path / "o")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "\n" not in err.strip("\n")
 
 
 TRAIN_FAST = [
@@ -249,7 +256,7 @@ class TestRejectedBeforeLoading:
         def fail(*args, **kwargs):
             raise AssertionError("data was loaded for an invalid configuration")
 
-        for name in ("load_dataset", "load_game", "load_model"):
+        for name in ("load_dataset", "load_game", "load_model", "load_labels"):
             monkeypatch.setattr(f"spotground.cli.{name}", fail)
 
     def test_netvlad_odd_chunk_is_usage_error(self, tmp_path, capsys, monkeypatch):
@@ -366,6 +373,60 @@ class TestRejectedBeforeLoading:
         assert run([*command, "--out", str(tmp_path / "out"), "--filter", "0"]) == 0
         assert calls == [(str(tmp_path / "m.sgckpt"), 5, 0)]
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["ground", "train", "--data", "{tmp}", "--offset-weight", "-1"], "--offset-weight"),
+        (["ground", "fuse", "--spot-preds", "{tmp}", "--labels", "{tmp}", "--W", "-5"], "--W"),
+        (["ground", "fuse", "--spot-preds", "{tmp}", "--labels", "{tmp}", "--S", "1.5"], "--S"),
+        (["ground", "merge", "{tmp}", "{tmp}", "--nms", "-1"], "--nms"),
+        (["analyze", "replays", "--labels", "{tmp}", "--buckets", "0"], "--buckets"),
+        (["spot", "infer", "--model", "{tmp}", "--data", "{tmp}", "--threshold", "nan"],
+         "--threshold"),
+        (["spot", "train", "--data", "{tmp}", "--seed", "-1"], "--seed"),
+        (["synth", "--duration", "-5"], "duration"),
+        (["synth", "--halves", "0"], "halves"),
+        (["synth", "--classes", "40"], "classes"),
+        (["synth", "--sigma", "-1"], "sigma"),
+        (["gradcheck", "--h", "0"], "step h"),
+        (["gradcheck", "--trials", "0"], "trials"),
+    ])
+    def test_out_of_range_values_are_usage_errors(self, argv, needle, tmp_path, capsys,
+                                                  monkeypatch):
+        self._forbid_loading(monkeypatch)
+        argv = [str(tmp_path) if a == "{tmp}" else a for a in argv]
+        out = tmp_path / "out"
+        if argv[0] != "gradcheck":
+            argv += ["--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and needle in err, err
+        assert not out.exists()
+
+    def test_bad_splits_are_usage_errors(self, tmp_path, capsys, monkeypatch):
+        self._forbid_loading(monkeypatch)
+        data = tmp_path / "data"
+        for game in ("g1", "g2"):
+            (data / game).mkdir(parents=True)
+            (data / game / "1_feat.npy").write_bytes(b"")  # listed, never read
+        splits = tmp_path / "splits.json"
+        cases = [
+            ("list of game directory names", '{"train": "g1"}', []),
+            ("list of game directory names", '{"train": [1]}', []),
+            ("unknown game 'nope'", '{"train": ["g1"], "test": ["nope"]}', []),
+            ("unknown split keys", '{"bogus": ["g1"]}', []),
+            ("JSON object", '["g1"]', []),
+            ("cannot parse", '{"train": ["g1"]', []),
+            ("cannot parse", '\xff{}', []),  # not UTF-8 once written as latin-1
+            ("valid set", '{"train": ["g1"]}', ["--mode", "regular"]),
+        ]
+        for needle, doc, extra in cases:
+            splits.write_text(doc, encoding="latin-1")
+            out = tmp_path / "out"
+            code = run(["spot", "train", "--data", str(data), "--out", str(out),
+                        "--splits", str(splits), *extra])
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith("error: usage:") and needle in err, (doc, err)
+            assert not out.exists()
+
     def test_eval_spot_jobs_below_one_is_usage_error(self, tmp_path, capsys):
         self._usage_errors(
             tmp_path, capsys,
@@ -426,6 +487,52 @@ class TestAnalyze:
         assert stats["total"] == 12
         assert 0.0 <= stats["fraction_in_0_120"] <= 1.0
         assert (out / "hist.svg").read_text().startswith("<svg")
+
+    def test_malformed_label_documents_exit_one_with_one_line(self, tmp_path, capsys):
+        for i, doc in enumerate(('{"annotations": null}', '{"replays": [1]}',
+                                 '{"annotations": [{"gameTime": 754, "label": "Goal"}]}')):
+            game = tmp_path / f"labels{i}" / "game"
+            game.mkdir(parents=True)
+            (game / "labels.json").write_text(doc)
+            code = run(["analyze", "replays", "--labels", str(game.parent), "--out",
+                        str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 1 and err.startswith("error: ParseError:"), err
+            assert len(err.strip("\n").splitlines()) == 1
+
+
+class TestCommandTable:
+    """Every command of the table parses, documents its defaults and resolves
+    a config file holding exactly its defaults to its defaults."""
+
+    @pytest.mark.parametrize("cmd", COMMANDS, ids=lambda c: " ".join(c.words))
+    def test_help_and_defaults_config_file(self, cmd, tmp_path, capsys, monkeypatch):
+        assert run([*cmd.words, "--help"]) == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        for key, default in cmd.defaults.items():
+            assert "--" + key.replace("_", "-") in shown
+            assert default is None or f"default {default}" in shown, key
+
+        seen = []
+        monkeypatch.setattr(f"spotground.cli.{cmd.body.__name__}",
+                            lambda args, cfg: seen.append(dict(cfg)) or
+                            ([] if "out" in cmd.paths else 0))
+        argv = list(cmd.words)
+        for name in cmd.paths:
+            if name in POSITIONAL_PATHS:
+                argv.append(str(tmp_path / name))
+            elif name not in OPTIONAL_PATHS:
+                argv += ["--" + name.replace("_", "-"), str(tmp_path / name)]
+        config = tmp_path / "defaults.json"
+        config.write_text(json.dumps(cmd.defaults))
+        manifests = []
+        for extra in ([], ["--config", str(config)]):
+            assert run([*argv, *extra]) == 0
+            if "out" in cmd.paths:
+                manifest = tmp_path / "out" / "manifest.json"
+                manifests.append(json.loads(manifest.read_text())["config"])
+        assert seen == [cmd.defaults, cmd.defaults]
+        assert manifests in ([], [cmd.defaults, cmd.defaults])
 
 
 class TestGradcheckCommand:

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_features
 from spotground.data import (
     FeatureSequence,
     combine_features,
     extract_window,
+    load_labels,
     parse_game_time,
     parse_labels,
 )
@@ -16,6 +19,7 @@ from spotground.errors import (
     DomainError,
     IdentityError,
     ParseError,
+    SpotGroundError,
     VocabularyError,
 )
 
@@ -63,8 +67,32 @@ class TestParseLabels:
         assert rp.replay_end_s - rp.event_time_s == 50
 
     def test_malformed_json(self):
-        with pytest.raises(ParseError):
-            parse_labels(b"{not json")
+        for doc in (b"{not json", b"\xff\xfe{}", b'{"annotations": null}', b'{"replays": [1]}',
+                    b'{"annotations": [{"gameTime": 754, "label": "Goal"}]}'):
+            with pytest.raises(ParseError):
+                parse_labels(doc)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(doc=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+        | st.sampled_from(["1 - 10:00", "2 - 00:05", "3 - 01:00", "1 - 9:99", "Goal"]),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+            st.sampled_from(["annotations", "replays", "gameTime", "label", "start", "end",
+                             "event"]), inner, max_size=5),
+        max_leaves=25))
+    def test_only_spotground_errors_escape(self, doc):
+        try:
+            parse_labels(json.dumps(doc))
+        except SpotGroundError:
+            pass
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(stream=st.binary(max_size=40))
+    def test_only_spotground_errors_escape_raw_bytes(self, stream):
+        try:
+            parse_labels(stream)
+        except SpotGroundError:
+            pass
 
     def test_unknown_label_strict(self):
         doc = b'{"annotations":[{"gameTime":"1 - 00:01","label":"Dance"}]}'
@@ -77,6 +105,21 @@ class TestParseLabels:
             events, _ = parse_labels(doc)
         assert len(events) == 1
         assert "Dance" in caplog.text
+
+
+class TestLoadLabels:
+    def test_events_and_replays_from_both_documents(self, tmp_path):
+        (tmp_path / "labels.json").write_text(
+            '{"annotations": [{"gameTime": "2 - 00:07", "label": "Goal"}]}')
+        (tmp_path / "replays.json").write_text(
+            '{"replays": [{"start": "1 - 00:10", "end": "1 - 00:20", "event": "1 - 00:05",'
+            ' "label": "Foul"}]}')
+        events, replays = load_labels(tmp_path)
+        assert [(e.game_id, e.half, e.time_s) for e in events] == [(tmp_path.name, 2, 7)]
+        assert [(r.replay_end_s, r.event_label) for r in replays] == [(20, "Foul")]
+
+    def test_directory_without_labels_is_none(self, tmp_path):
+        assert load_labels(tmp_path) is None
 
 
 class TestCombineFeatures:

@@ -239,6 +239,19 @@ class TestGradCheck:
         err = grad_check(params, loss_fn, trials=20, h=1e-5)
         assert err < 1e-9
 
+    def test_nan_error_fails_and_empty_or_zero_step_probes_are_rejected(self):
+        params = {"w": np.array([1.0, -2.0, 0.5])}
+
+        def loss_fn(p, want_grads):  # all-NaN analytic gradient
+            loss = float((p["w"] ** 2).sum())
+            return loss, {"w": np.full(3, np.nan)} if want_grads else None
+
+        assert np.isnan(grad_check(params, loss_fn, trials=5))
+        for bad in ({"trials": 0}, {"trials": -1}, {"h": 0.0}, {"h": -1e-5},
+                    {"h": float("nan")}):
+            with pytest.raises(ShapeError):
+                grad_check(params, loss_fn, **bad)
+
     def test_spotting_head_small(self):
         assert spotting_grad_check(trials=40, seed=1) < 1e-5
 

@@ -112,3 +112,8 @@ def test_config_validation():
         SynthConfig(num_classes=5, feature_dim=4)
     with pytest.raises(ShapeError):
         SynthConfig(with_replays=True, num_classes=5, feature_dim=8)
+    for bad in ({"duration_s": -5}, {"num_halves": 0}, {"events_per_class": 0},
+                {"replay_duration_s": 0}, {"min_gap_s": -1}, {"edge_margin_s": -1},
+                {"noise_sigma": -1.0}):
+        with pytest.raises(ShapeError, match=next(iter(bad))):
+            SynthConfig(**bad)
