@@ -138,19 +138,54 @@ def write_spot_predictions(out_dir: Path, game_id: str, preds: list[SpotPredicti
     return _write_json(out_dir / game_id / "spotting.json", doc)
 
 
-def read_spot_predictions(path: Path, vocab) -> list[SpotPrediction]:
-    doc = json.loads(path.read_text(encoding="utf-8"))
+def _read_prediction_doc(path: Path, key: str) -> tuple[str, list[dict]]:
+    """A prediction document's game id (its directory's name by default) and
+    the array of objects under key; a document of any other shape is a
+    ParseError."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
+        raise ParseError(f"malformed prediction JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path} must hold a JSON object")
     game_id = doc.get("game_id", path.parent.name)
+    if not isinstance(game_id, str):
+        raise ParseError(f"{path}: game_id must be a string, got {game_id!r}")
+    return game_id, _objects(doc, key, path)
+
+
+def _objects(doc: dict, key: str, path: Path) -> list[dict]:
+    entries = doc.get(key)
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError(f"{path}: {key!r} must be an array of objects")
+    return entries
+
+
+def _field(entry: dict, key: str, kind: type, path: Path):
+    """entry[key] as kind (int, float or str); an int is a number, a bool is neither."""
+    value = entry.get(key)
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, bool) and isinstance(value, accepted):
+        try:
+            return kind(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ParseError(f"{path}: prediction field {key!r} has bad value {value!r}")
+
+
+def read_spot_predictions(path: Path, vocab) -> list[SpotPrediction]:
+    game_id, entries = _read_prediction_doc(path, "predictions")
     preds = []
-    for entry in doc["predictions"]:
+    for entry in entries:
+        label = _field(entry, "label", str, path)
         preds.append(
             SpotPrediction(
                 game_id,
-                int(entry["half"]),
-                int(entry["position_s"]),
-                label_index(vocab, entry["label"]),
-                entry["label"],
-                float(entry["confidence"]),
+                _field(entry, "half", int, path),
+                _field(entry, "position_s", int, path),
+                label_index(vocab, label),
+                label,
+                _field(entry, "confidence", float, path),
             )
         )
     return preds
@@ -180,17 +215,19 @@ def write_ground_predictions(
 
 
 def read_ground_predictions(path: Path):
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    game_id = doc.get("game_id", path.parent.name)
+    game_id, entries = _read_prediction_doc(path, "queries")
     results = []
-    for entry in doc["queries"]:
-        q = entry["query"]
-        half, start = parse_game_time(q["start"])
-        _, end = parse_game_time(q["end"])
+    for entry in entries:
+        q = entry.get("query")
+        if not isinstance(q, dict):
+            raise ParseError(f"{path}: a query entry needs a 'query' object")
+        half, start = parse_game_time(q.get("start"))
+        _, end = parse_game_time(q.get("end"))
         query = ReplayQuery(game_id, half, start, end)
         preds = [
-            GroundingPrediction(game_id, half, int(p["position_s"]), float(p["confidence"]))
-            for p in entry["predictions"]
+            GroundingPrediction(game_id, half, _field(p, "position_s", int, path),
+                                _field(p, "confidence", float, path))
+            for p in _objects(entry, "predictions", path)
         ]
         results.append((query, preds))
     return results

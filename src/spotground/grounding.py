@@ -19,7 +19,6 @@ from .checkpoint import KIND_GROUNDING, Model
 from .data import FeatureSequence, GameHalf, ReplayAnnotation, extract_window
 from .errors import IdentityError, ParseError, ShapeError
 from .nn import (
-    AdamState,
     EncoderConfig,
     bce_plus_l2,
     encoder_backward,
@@ -27,7 +26,7 @@ from .nn import (
     init_encoder_params,
     sigmoid,
 )
-from .spotting import SpotPrediction, TrainSpec, fit
+from .spotting import SpotPrediction, TrainSpec, fit, training_model
 
 logger = logging.getLogger(__name__)
 
@@ -160,9 +159,7 @@ def _segments(chunk_s: int) -> np.ndarray:
 
 
 def _stack_samples(samples: list[GroundingSample]):
-    X = np.stack(
-        [np.concatenate([s.candidate, s.replay], axis=0) for s in samples]
-    ).astype(np.float64)
+    X = np.stack([np.concatenate([s.candidate, s.replay], axis=0) for s in samples])
     labels = np.array([s.label for s in samples], dtype=np.float64)
     offsets = np.array(
         [s.offset_target if s.offset_target is not None else 0.0 for s in samples]
@@ -209,9 +206,7 @@ def train_grounding(
         raise ShapeError(f"config input_dim {config.input_dim} != data dim {input_dim}")
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
-    params = init_encoder_params(config, rng)
-    model = Model(kind=KIND_GROUNDING, config=config, vocab=[], params=params,
-                  opt=AdamState.for_params(params))
+    model = training_model(KIND_GROUNDING, config, [], init_encoder_params(config, rng))
     seg_row = _segments(chunk_s)
 
     def epoch_pairs():
@@ -263,7 +258,7 @@ def infer_grounding(
             np.concatenate([extract_window(features.data, cs, chunk_s), clip], axis=0)
             for cs in starts
         ]
-    ).astype(np.float64)
+    )
     seg = np.broadcast_to(_segments(chunk_s), (len(starts), 2 * chunk_s))
     out, _ = encoder_forward_batch(model.params, model.config, X, segments=seg)
     probs = sigmoid(out[:, 0])

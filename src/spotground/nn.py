@@ -1,6 +1,10 @@
 """Dense numerical kernel: encoder heads with hand-written backprop.
 
-Everything here runs in float64 on plain numpy arrays. The encoder is the
+Everything here runs on plain numpy arrays in the dtype of the parameters:
+training casts its freshly initialised parameters to float32, while
+grad_check drives the very same functions with float64 parameters.
+Scalars inside the kernel are Python floats, never numpy float64 scalars,
+which would silently promote a float32 array to float64. The encoder is the
 classic post-norm arrangement: input projection (scaled by sqrt(model_dim)
 before the positional encoding is added, per the original encoder recipe,
 so low-magnitude embedding rows are not drowned by the encoding), optional
@@ -15,6 +19,7 @@ differences by grad_check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -132,8 +137,8 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
         raise NumericError(f"non-finite values after {where}")
 
 
-def _dropout_mask(rng, shape, p):
-    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+def _dropout_mask(rng, shape, p, dtype):
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
 def _layernorm_forward(x, g, b):
@@ -172,10 +177,10 @@ def embed_input(params: dict[str, np.ndarray], config: EncoderConfig, x: np.ndar
     windows cut from the embedded rows. A zero row embeds to exactly
     in.b * sqrt(model_dim).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params["in.w"].dtype)
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"input dim {x.shape[-1]} != configured {config.input_dim}")
-    return (x @ params["in.w"] + params["in.b"]) * np.sqrt(config.model_dim)
+    return (x @ params["in.w"] + params["in.b"]) * math.sqrt(config.model_dim)
 
 
 def encoder_forward_batch(
@@ -187,7 +192,7 @@ def encoder_forward_batch(
     rng: np.random.Generator | None = None,
 ):
     """Run the encoder on a batch. Returns (logits (B, out), cache for backward)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params["in.w"].dtype)
     if x.ndim != 3:
         raise ShapeError(f"expected (B, T, input_dim), got shape {x.shape}")
     logits, cache = _encode(params, config, embed_input(params, config, x), segments,
@@ -207,7 +212,7 @@ def encoder_forward_embedded(
     The rows come from `embed_input`; what follows is the body of
     `encoder_forward_batch` after its input projection.
     """
-    h = np.asarray(h, dtype=np.float64)
+    h = np.asarray(h, dtype=params["in.w"].dtype)
     if h.ndim != 3 or h.shape[2] != config.model_dim:
         raise ShapeError(f"expected (B, T, {config.model_dim}) embedded rows, got {h.shape}")
     return _encode(params, config, h, segments, False, None)[0]
@@ -227,7 +232,7 @@ def _encode(params, config, h, segments, train_mode, rng):
         "config": config,
         "segments": segments,
         "train_mode": train_mode,
-        "embed_scale": np.sqrt(config.model_dim),
+        "embed_scale": math.sqrt(config.model_dim),
     }
     if config.num_segments:
         seg = np.asarray(segments, dtype=np.int64)
@@ -237,14 +242,14 @@ def _encode(params, config, h, segments, train_mode, rng):
             seg = np.broadcast_to(seg, (B, T))
         cache["segments"] = seg
         h = h + params["seg.emb"][seg]
-    h = h + positional_encoding(T, config.model_dim)
+    h = h + positional_encoding(T, config.model_dim).astype(h.dtype, copy=False)
     if dropping:
-        mask0 = _dropout_mask(rng, h.shape, config.dropout_p)
+        mask0 = _dropout_mask(rng, h.shape, config.dropout_p, h.dtype)
         h = h * mask0
         cache["drop0"] = mask0
     _check_finite(h, "input projection")
 
-    scale = 1.0 / np.sqrt(config.model_dim // config.num_heads)
+    scale = 1.0 / math.sqrt(config.model_dim // config.num_heads)
     layers = []
     for i in range(config.num_layers):
         pre = f"layer{i}."
@@ -261,7 +266,7 @@ def _encode(params, config, h, segments, train_mode, rng):
         rec["o"] = o
         y = o @ params[pre + "attn.wo"] + params[pre + "attn.bo"]
         if dropping:
-            rec["attn_drop"] = _dropout_mask(rng, y.shape, config.dropout_p)
+            rec["attn_drop"] = _dropout_mask(rng, y.shape, config.dropout_p, y.dtype)
             y = y * rec["attn_drop"]
         h1, xhat1, inv1 = _layernorm_forward(h + y, params[pre + "ln1.g"], params[pre + "ln1.b"])
         rec["ln1"] = (xhat1, inv1)
@@ -272,7 +277,7 @@ def _encode(params, config, h, segments, train_mode, rng):
         rec["f_pre"], rec["f1"] = f_pre, f1
         f2 = f1 @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
         if dropping:
-            rec["ffn_drop"] = _dropout_mask(rng, f2.shape, config.dropout_p)
+            rec["ffn_drop"] = _dropout_mask(rng, f2.shape, config.dropout_p, f2.dtype)
             f2 = f2 * rec["ffn_drop"]
         h, xhat2, inv2 = _layernorm_forward(h1 + f2, params[pre + "ln2.g"], params[pre + "ln2.b"])
         rec["ln2"] = (xhat2, inv2)
@@ -298,7 +303,7 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
     params, config = cache.get("params"), cache.get("config")
     if params is None or "layers" not in cache:
         raise ConsistencyError("cache does not come from encoder_forward_batch")
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=params["in.w"].dtype)
     if upstream.shape != cache["logits_shape"]:
         raise ConsistencyError(
             f"upstream gradient shape {upstream.shape} does not match "
@@ -313,7 +318,7 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
     dpooled = upstream @ params["out.w"].T
     dh = np.repeat(dpooled[:, None, :], T, axis=1) / T
 
-    scale = 1.0 / np.sqrt(config.model_dim // config.num_heads)
+    scale = 1.0 / math.sqrt(config.model_dim // config.num_heads)
     for i in reversed(range(config.num_layers)):
         pre = f"layer{i}."
         rec = cache["layers"][i]
@@ -409,8 +414,10 @@ def bce_plus_l2(
     offset error on outputs[:, 1], the latter only for positive samples.
 
     Probabilities are clamped to [1e-7, 1 - 1e-7] before the log; inside
-    the clamp region the gradient is zero, matching the clamped loss.
-    Returns (mean loss, d loss / d outputs).
+    the clamp region the gradient is zero, matching the clamped loss. The
+    loss is computed in float64 whatever the outputs' dtype, so no finite
+    logit overflows. Returns (mean loss, d loss / d outputs), the latter
+    in the outputs' dtype.
     """
     outputs = np.atleast_2d(outputs)
     if outputs.shape[1] != 2:
@@ -418,8 +425,8 @@ def bce_plus_l2(
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     offset_targets = np.asarray(offset_targets, dtype=np.float64).reshape(-1)
     B = outputs.shape[0]
-    z, off = outputs[:, 0], outputs[:, 1]
-    prob = 1.0 / (1.0 + np.exp(-z))
+    prob = sigmoid(outputs[:, 0])
+    off = outputs[:, 1].astype(np.float64)
     clamped = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
     bce = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
     off_err = off - offset_targets
@@ -434,7 +441,10 @@ def bce_plus_l2(
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+    """The logistic function in float64; exp only ever sees -|x|, so it never overflows."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------

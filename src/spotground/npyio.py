@@ -46,13 +46,15 @@ def parse_npy(stream: bytes) -> np.ndarray:
 
     if header["descr"] != "<f4":
         raise UnsupportedLayoutError(f"dtype {header['descr']!r} not supported, expected '<f4'")
+    if not isinstance(header["fortran_order"], bool):
+        raise FormatError(f"fortran_order {header['fortran_order']!r} is not a bool")
     if header["fortran_order"]:
         raise UnsupportedLayoutError("fortran-ordered payloads are not supported")
     shape = header["shape"]
     if (
         not isinstance(shape, tuple)
         or len(shape) != 2
-        or not all(isinstance(n, int) and n >= 0 for n in shape)
+        or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
     ):
         raise UnsupportedLayoutError(f"shape {shape!r} is not a 2-D shape")
 

@@ -112,6 +112,15 @@ def fit(model: Model, spec: TrainSpec, rng: np.random.Generator, epoch_data, bat
         logger.debug("%s epoch %d: %s", model.kind, epoch, record)
 
 
+def training_model(kind: str, config, vocab, params: dict[str, np.ndarray]) -> Model:
+    """A model about to be trained: the initialised parameters cast to
+    float32, the dtype every training step then runs in, and zeroed Adam
+    moments of the same dtype."""
+    params = {name: p.astype(np.float32) for name, p in params.items()}
+    return Model(kind=kind, config=config, vocab=list(vocab), params=params,
+                 opt=AdamState.for_params(params))
+
+
 @dataclass
 class DatasetSplits:
     train: list[GameHalf]
@@ -159,7 +168,7 @@ def mixup(xb: np.ndarray, yb: np.ndarray, alpha: float, rng: np.random.Generator
     if len(xb) != len(yb):
         raise ShapeError(f"mixup batch sizes differ: {len(xb)} inputs vs {len(yb)} targets")
     partner = rng.permutation(len(xb))
-    lam = rng.beta(alpha, alpha, size=(len(xb), 1))
+    lam = rng.beta(alpha, alpha, size=(len(xb), 1)).astype(xb.dtype)
     return (lam[:, :, None] * xb + (1.0 - lam[:, :, None]) * xb[partner],
             lam * yb + (1.0 - lam) * yb[partner])
 
@@ -227,14 +236,13 @@ def _vlad_half_forward(params, prefix, xh):
     centers = params[prefix + "centers"]
     vlad = assign.transpose(0, 2, 1) @ xh - mass[:, :, None] * centers[None]
     normed, norms = _safe_row_normalize(vlad)
-    rec = {"xh": xh, "assign": assign, "mass": mass, "vlad": vlad, "norms": norms,
-           "normed": normed}
+    rec = {"xh": xh, "assign": assign, "mass": mass, "norms": norms, "normed": normed}
     return normed.reshape(xh.shape[0], -1), rec
 
 
 def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray):
     """Past/future VLAD descriptors, intra- then L2-normalized, to logits."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params["vlad.out.w"].dtype)
     if x.ndim != 3:
         raise ShapeError(f"expected (B, L, D), got {x.shape}")
     B, L, D = x.shape
@@ -253,19 +261,19 @@ def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray):
         "config": config,
         "past": rec_p,
         "future": rec_f,
-        "desc": desc,
         "desc_norms": desc_norms,
         "out_desc": out_desc,
     }
     return logits, cache
 
 
-def _l2_normalize_backward(dy, v, norms):
-    # y = v / ||v|| rowwise; zero rows pass zero gradient
-    safe = np.where(norms > 0.0, norms, 1.0)
-    y = v / safe
-    dv = (dy - y * (y * dy).sum(axis=-1, keepdims=True)) / safe
-    return np.where(norms > 0.0, dv, 0.0)
+def _l2_normalize_backward(dy, y, norms):
+    """dL/dv from dL/dy for the forward's rowwise y = v / ||v||, given its
+    output y and norms; zero rows (y = 0) pass zero gradient."""
+    dv = y * np.einsum("...d,...d->...", y, dy)[..., None]
+    np.subtract(dy, dv, out=dv)
+    dv /= np.where(norms > 0.0, norms, np.inf)
+    return dv
 
 
 def _vlad_half_backward(params, prefix, rec, dflat, grads):
@@ -273,7 +281,7 @@ def _vlad_half_backward(params, prefix, rec, dflat, grads):
     B = xh.shape[0]
     K, D = params[prefix + "centers"].shape
     dnormed = dflat.reshape(B, K, D)
-    dvlad = _l2_normalize_backward(dnormed, rec["vlad"], rec["norms"])
+    dvlad = _l2_normalize_backward(dnormed, rec["normed"], rec["norms"])
     centers = params[prefix + "centers"]
     grads[prefix + "centers"] = -(mass[:, :, None] * dvlad).sum(axis=0)
     dmass = -(dvlad * centers).sum(axis=-1)
@@ -285,12 +293,13 @@ def _vlad_half_backward(params, prefix, rec, dflat, grads):
 
 def netvlad_backward(cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     params = cache["params"]
+    dlogits = np.asarray(dlogits, dtype=params["vlad.out.w"].dtype)
     grads: dict[str, np.ndarray] = {}
     out_desc = cache["out_desc"]
     grads["vlad.out.w"] = out_desc.T @ dlogits
     grads["vlad.out.b"] = dlogits.sum(axis=0)
     ddesc = dlogits @ params["vlad.out.w"].T
-    ddesc = _l2_normalize_backward(ddesc, cache["desc"], cache["desc_norms"])
+    ddesc = _l2_normalize_backward(ddesc, out_desc, cache["desc_norms"])
     half = ddesc.shape[1] // 2
     _vlad_half_backward(params, "vlad.past.", cache["past"], ddesc[:, :half], grads)
     _vlad_half_backward(params, "vlad.future.", cache["future"], ddesc[:, half:], grads)
@@ -332,7 +341,7 @@ def _chunk_tensors(halves, spec, vocab):
         )
     if not chunks:
         raise ParseError("empty dataset: no chunks to train on")
-    X = np.stack([c.features for c in chunks]).astype(np.float64)
+    X = np.stack([c.features for c in chunks])
     Y = np.stack([c.target for c in chunks])
     return X, Y
 
@@ -387,8 +396,7 @@ def train_spotting(
     if config.input_dim != input_dim:
         raise ShapeError(f"config input_dim {config.input_dim} != data dim {input_dim}")
 
-    model = Model(kind=kind, config=config, vocab=list(vocab), params=params,
-                  opt=AdamState.for_params(params))
+    model = training_model(kind, config, vocab, params)
 
     def step(xb, yb):
         if spec.mixup_alpha > 0.0:
@@ -458,7 +466,8 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int,
     left = chunk_size_s // 2
     embedded = model.kind == KIND_SPOT_TRANSFORMER
     if embedded:
-        padded = np.empty((T + chunk_size_s - 1, model.config.model_dim))
+        padded = np.empty((T + chunk_size_s - 1, model.config.model_dim),
+                          dtype=model.params["in.w"].dtype)
         padded[:] = embed_input(model.params, model.config, np.zeros(D))
         for lo in range(0, T, batch_size):
             hi = min(lo + batch_size, T)

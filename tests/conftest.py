@@ -19,3 +19,14 @@ def make_features(T=100, D=8, game_id="g0", half=1, seed=0, data=None):
 
 def make_event(time_s, label="Goal", game_id="g0", half=1):
     return EventAnnotation(game_id, half, time_s, label)
+
+
+def float_arrays(obj):
+    """Every floating-point array inside nested dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if np.issubdtype(obj.dtype, np.floating) else []
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in float_arrays(item)]
+    return []

@@ -2,8 +2,19 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from spotground.cli import COMMANDS, OPTIONAL_PATHS, POSITIONAL_PATHS, run
+from spotground.cli import (
+    COMMANDS,
+    OPTIONAL_PATHS,
+    POSITIONAL_PATHS,
+    read_ground_predictions,
+    read_spot_predictions,
+    run,
+)
+from spotground.errors import SpotGroundError
+from spotground.vocab import DEFAULT_VOCAB
 
 SYNTH_SMALL = [
     "--halves", "2", "--duration", "200", "--dim", "16", "--classes", "2",
@@ -499,6 +510,70 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert code == 1 and err.startswith("error: ParseError:"), err
             assert len(err.strip("\n").splitlines()) == 1
+
+
+SPOT_ENTRY = {"gameTime": "1 - 00:05", "label": "Goal", "half": 1, "position_s": 5,
+              "confidence": 0.5}
+GROUND_QUERY = {"half": 1, "start": "1 - 02:00", "end": "1 - 02:10"}
+
+# JSON documents built from the prediction files' own keys and values
+PREDICTION_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["1 - 00:05", "3 - 00:05", "Goal", "Dance"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["game_id", "predictions", "queries", "query", "half", "position_s",
+                         "label", "confidence", "start", "end"]), inner, max_size=5),
+    max_leaves=25)
+
+
+class TestPredictionReaders:
+    def test_round_trip_documents_are_read(self, tmp_path):
+        path = tmp_path / "g" / "spotting.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({"predictions": [SPOT_ENTRY]}))
+        (p,) = read_spot_predictions(path, DEFAULT_VOCAB)
+        assert (p.game_id, p.half, p.time_s, p.label, p.confidence) == ("g", 1, 5, "Goal", 0.5)
+        path.write_text(json.dumps({"game_id": "h", "queries": [
+            {"query": GROUND_QUERY, "predictions": [{"position_s": 115, "confidence": 1}]}]}))
+        ((query, (pred,)),) = read_ground_predictions(path)
+        assert (query.game_id, query.start_s, query.end_s) == ("h", 120, 130)
+        assert (pred.time_s, pred.confidence) == (115, 1.0)
+
+    @pytest.mark.parametrize("command,name,doc", [
+        ("spot", "spotting.json", {"predictions": None}),
+        ("spot", "spotting.json", {"predictions": [
+            {k: v for k, v in SPOT_ENTRY.items() if k != "half"}]}),
+        ("spot", "spotting.json", {"predictions": [dict(SPOT_ENTRY, confidence="high")]}),
+        ("ground", "grounding.json", {"queries": None}),
+        ("ground", "grounding.json", {"queries": [{"query": GROUND_QUERY}]}),
+        ("ground", "grounding.json", {"queries": [
+            {"query": GROUND_QUERY, "predictions": [{"position_s": True, "confidence": 1}]}]}),
+    ])
+    def test_malformed_documents_exit_one_with_one_line(self, command, name, doc, tmp_path,
+                                                        capsys):
+        (tmp_path / "labels" / "g").mkdir(parents=True)
+        (tmp_path / "labels" / "g" / "labels.json").write_text('{"annotations": []}')
+        (tmp_path / "preds" / "g").mkdir(parents=True)
+        (tmp_path / "preds" / "g" / name).write_text(json.dumps(doc))
+        code = run(["eval", command, "--preds", str(tmp_path / "preds"),
+                    "--labels", str(tmp_path / "labels"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ParseError:"), err
+        assert len(err.strip("\n").splitlines()) == 1
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=PREDICTION_DOCS)
+    def test_only_spotground_errors_escape(self, doc, tmp_path):
+        path = tmp_path / "g" / "predictions.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(doc))
+        for read in (lambda: read_spot_predictions(path, DEFAULT_VOCAB),
+                     lambda: read_ground_predictions(path)):
+            try:
+                read()
+            except SpotGroundError:
+                pass
 
 
 class TestCommandTable:

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from conftest import float_arrays
 from spotground.errors import ConsistencyError, NumericError, ShapeError
 from spotground.nn import (
     AdamState,
@@ -18,6 +21,7 @@ from spotground.nn import (
     positional_encoding,
     spotting_grad_check,
 )
+from spotground.spotting import mixup
 
 SMALL = EncoderConfig(input_dim=6, output_dim=5, model_dim=16, num_layers=2,
                       num_heads=2, hidden_dim=24, dropout_p=0.0)
@@ -316,6 +320,17 @@ class TestLosses:
         loss_b, _ = bce_plus_l2(np.array([[0.2, -5.0]]), [0.0], [0.0])
         assert loss_a == pytest.approx(loss_b)
 
+    def test_bce_on_saturated_float32_logits_is_silent_and_matches_float64(self):
+        outputs = np.array([[-200.0, 0.5], [200.0, 0.1], [-200.0, 0.0], [200.0, 0.0]])
+        labels, offsets = [1.0, 0.0, 0.0, 1.0], [0.25, 0.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss32, dout32 = bce_plus_l2(outputs.astype(np.float32), labels, offsets)
+        loss64, dout64 = bce_plus_l2(outputs, labels, offsets)
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        assert dout32.dtype == np.float32 and dout64.dtype == np.float64
+        np.testing.assert_allclose(dout32, dout64, rtol=1e-6)
+
 
 class TestAdam:
     def test_zero_gradients_leave_params_unchanged(self):
@@ -343,3 +358,41 @@ class TestAdam:
         state = AdamState.for_params(params)
         with pytest.raises(NumericError):
             adam_step(params, {"w": np.array([np.inf])}, state, lr=0.1)
+
+
+class TestDtype:
+    """The kernel runs in the parameters' dtype: a numpy float64 scalar or a
+    float64 temporary anywhere in a step would show up as a promoted array."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("head", ["spotting", "grounding"])
+    def test_train_step_stays_in_the_parameters_dtype(self, head, dtype):
+        rng = np.random.default_rng(0)
+        config = EncoderConfig(input_dim=6, output_dim=18 if head == "spotting" else 2,
+                               model_dim=16, num_layers=2, num_heads=2, hidden_dim=24,
+                               dropout_p=0.2, num_segments=0 if head == "spotting" else 2)
+        params = {k: v.astype(dtype) for k, v in init_encoder_params(config, rng).items()}
+        state = AdamState.for_params(params)
+        x = rng.normal(size=(4, 6, 6)).astype(np.float32)  # features are stored as <f4
+        segments = None
+        if head == "spotting":
+            targets = np.eye(18)[rng.integers(0, 18, 4)]
+            x, targets = mixup(x, targets, 0.2, rng)
+            assert x.dtype == np.float32
+        else:
+            segments = np.repeat([[0, 0, 0, 1, 1, 1]], 4, axis=0)
+        logits, cache = encoder_forward_batch(params, config, x, segments=segments,
+                                              train_mode=True, rng=rng)
+        if head == "spotting":
+            _, dlogits = cross_entropy_soft(logits, targets)
+        else:
+            _, dlogits = bce_plus_l2(logits, [1, 0, 1, 0], [0.5, 0.0, 0.2, 0.0])
+        grads = encoder_backward(cache, dlogits)
+        adam_step(params, grads, state, lr=1e-3)
+
+        assert "drop0" in cache and "ffn_drop" in cache["layers"][0]
+        arrays = float_arrays([logits, cache, grads, params, state.m, state.v])
+        assert len(arrays) > 100
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+        assert {a.dtype for a in float_arrays(embed_input(params, config, x))} == {
+            np.dtype(dtype)}

@@ -69,6 +69,18 @@ def test_fortran_order_rejected():
         parse_npy(_manual_stream("(1, 1)", [0.0], fortran="True"))
 
 
+def test_fortran_order_must_be_a_bool():
+    for fortran in ("[]", "0", "None", "'False'"):  # falsy, or a true string, but no bool
+        with pytest.raises(FormatError, match="fortran_order"):
+            parse_npy(_manual_stream("(1, 1)", [0.0], fortran=fortran))
+
+
+def test_shape_entries_must_be_ints_not_bools():
+    for shape in ("(True, True)", "(1, False)", "(1.0, 1)"):
+        with pytest.raises(UnsupportedLayoutError):
+            parse_npy(_manual_stream(shape, [0.0]))
+
+
 def test_non_2d_shape_rejected():
     with pytest.raises(UnsupportedLayoutError):
         parse_npy(_manual_stream("(4,)", [0.0] * 4))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_event, make_features
+from conftest import float_arrays, make_event, make_features
 from spotground.checkpoint import KIND_SPOT_NETVLAD, KIND_SPOT_TRANSFORMER, Model
 from spotground.checkpoint import load_model, save_model
 from spotground.data import GameHalf, extract_window
@@ -203,6 +203,38 @@ class TestNetVLAD:
             return loss, netvlad_backward(cache, dlogits)
 
         assert grad_check(params, loss_fn, trials=60, rng=np.random.default_rng(7)) < 1e-5
+
+    def test_normalize_backward_from_the_cached_output(self, rng):
+        from spotground.spotting import _l2_normalize_backward, _safe_row_normalize
+
+        v = rng.normal(size=(3, 4, 5))
+        v[1, 2] = 0.0
+        dy = rng.normal(size=v.shape)
+        y, norms = _safe_row_normalize(v)
+        got = _l2_normalize_backward(dy, y, norms)
+        # d(v / |v|) = (dy - y (y . dy)) / |v|, and a zero row passes nothing
+        want = (dy - y * (y * dy).sum(axis=-1, keepdims=True)) / np.maximum(norms, 1e-300)
+        want[1, 2] = 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_step_stays_in_the_parameters_dtype(self, rng, dtype):
+        from spotground.nn import adam_step, cross_entropy_soft
+
+        config = NetVLADConfig(input_dim=6, output_dim=5, clusters=3)
+        params = {k: v.astype(dtype)
+                  for k, v in init_netvlad_params(config, np.random.default_rng(8)).items()}
+        state = AdamState.for_params(params)
+        x = rng.normal(size=(4, 8, 6)).astype(np.float32)
+        targets = np.eye(5)[[0, 1, 2, 4]]
+        x, targets = mixup(x, targets, 0.2, rng)
+        logits, cache = netvlad_forward_batch(params, config, x)
+        _, dlogits = cross_entropy_soft(logits, targets)
+        grads = netvlad_backward(cache, dlogits)
+        adam_step(params, grads, state, lr=1e-3)
+        arrays = float_arrays([logits, cache, grads, params, state.m, state.v])
+        assert len(arrays) > 30
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
 
 
 def _brute_force_nms(preds, window_s):
