@@ -162,12 +162,14 @@ def _objects(doc: dict, key: str, path: Path) -> list[dict]:
 
 
 def _field(entry: dict, key: str, kind: type, path: Path):
-    """entry[key] as kind (int, float or str); an int is a number, a bool is neither."""
+    """entry[key] if it is a kind (int, float or str); an int is also a
+    float, a bool is neither."""
     value = entry.get(key)
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(value, bool) and isinstance(value, accepted):
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
         try:
-            return kind(value)
+            return float(value)
         except OverflowError:  # an int too large for a float
             pass
     raise ParseError(f"{path}: prediction field {key!r} has bad value {value!r}")

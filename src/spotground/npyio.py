@@ -39,7 +39,7 @@ def parse_npy(stream: bytes) -> np.ndarray:
         raise TruncationError("stream ends inside the header")
     try:
         header = ast.literal_eval(stream[10:header_end].decode("latin1"))
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, SyntaxError, TypeError, RecursionError) as exc:  # TypeError: {[]: 1}
         raise FormatError(f"malformed NPY header: {exc}") from exc
     if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
         raise FormatError("NPY header is not the expected dict")

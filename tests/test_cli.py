@@ -544,6 +544,7 @@ class TestPredictionReaders:
         ("spot", "spotting.json", {"predictions": [
             {k: v for k, v in SPOT_ENTRY.items() if k != "half"}]}),
         ("spot", "spotting.json", {"predictions": [dict(SPOT_ENTRY, confidence="high")]}),
+        ("spot", "spotting.json", {"predictions": [dict(SPOT_ENTRY, confidence=10**400)]}),
         ("ground", "grounding.json", {"queries": None}),
         ("ground", "grounding.json", {"queries": [{"query": GROUND_QUERY}]}),
         ("ground", "grounding.json", {"queries": [

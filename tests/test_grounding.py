@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_features
+from conftest import float_arrays, make_features
 from spotground.checkpoint import KIND_GROUNDING, Model
 from spotground.data import GameHalf, ReplayAnnotation
 from spotground.errors import ShapeError
@@ -176,6 +176,8 @@ class TestTrainGrounding:
         losses = [h["train_loss"] for h in model.history]
         assert losses[9] < losses[0]
         assert losses[-1] < 0.1
+        assert {a.dtype for a in float_arrays([model.params, model.opt.m, model.opt.v])} == {
+            np.dtype(np.float32)}
 
     def test_trained_probabilities_separate(self, trained_grounding, rng):
         halves, model = trained_grounding

@@ -3,8 +3,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spotground.errors import FormatError, ShapeError, TruncationError, UnsupportedLayoutError
+from spotground.errors import (
+    FormatError,
+    ShapeError,
+    SpotGroundError,
+    TruncationError,
+    UnsupportedLayoutError,
+)
 from spotground.npyio import parse_npy, write_npy
 
 
@@ -97,12 +105,25 @@ def test_truncated_payload():
 
 
 def test_malformed_header_dict():
-    header = "not a dict"
-    pad = (-(6 + 2 + 2 + len(header) + 1)) % 64
-    header_bytes = (header + " " * pad + "\n").encode("latin1")
-    stream = b"\x93NUMPY" + bytes((1, 0)) + struct.pack("<H", len(header_bytes)) + header_bytes
-    with pytest.raises(FormatError):
-        parse_npy(stream)
+    for header in ("not a dict", "{[]: 1}"):  # the latter is a TypeError to literal_eval
+        pad = (-(6 + 2 + 2 + len(header) + 1)) % 64
+        header_bytes = (header + " " * pad + "\n").encode("latin1")
+        stream = b"\x93NUMPY" + bytes((1, 0)) + struct.pack("<H", len(header_bytes)) + header_bytes
+        with pytest.raises(FormatError):
+            parse_npy(stream)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(edits=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), min_size=1,
+                      max_size=3))
+def test_mutated_header_fails_only_with_spotground_errors(edits):
+    stream = bytearray(write_npy(np.zeros((3, 2), dtype=np.float32)))
+    for at, value in edits:
+        stream[at] = value
+    try:
+        parse_npy(bytes(stream))
+    except SpotGroundError:
+        pass
 
 
 def test_writer_rejects_non_2d():

@@ -359,6 +359,15 @@ class TestTraining:
         hits = np.argmax(logits, axis=1) == np.argmax([c.target for c in chunks], axis=1)
         assert hits.mean() >= 0.95
 
+    def test_training_runs_in_float32_and_saves_f4(self, trained_two_class, tmp_path):
+        _, _, model = trained_two_class
+        arrays = float_arrays([model.params, model.opt.m, model.opt.v])
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        save_model(tmp_path / "m.sgckpt", model)  # as <f4 tensors, read back as float32
+        loaded = load_model(tmp_path / "m.sgckpt")
+        assert {a.dtype for a in float_arrays([loaded.params, loaded.opt.m, loaded.opt.v])} == {
+            np.dtype(np.float32)}
+
     def test_netvlad_loss_decreases(self):
         halves = _tiny_halves()
         spec = TrainSpec(mode="ultra", lr=1e-3, epochs=8, batch_size=8, chunk_size_s=8,
@@ -367,6 +376,7 @@ class TestTraining:
         model = train_spotting(DatasetSplits(train=halves), spec, head="netvlad",
                                config=config)
         assert model.kind == KIND_SPOT_NETVLAD
+        assert {a.dtype for a in float_arrays(model.params)} == {np.dtype(np.float32)}
         assert model.history[-1]["train_loss"] < model.history[0]["train_loss"]
 
     def test_seed_determinism_bit_identical(self, tmp_path):
