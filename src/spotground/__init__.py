@@ -28,7 +28,6 @@ from .evaluation import (  # noqa: F401
 )
 from .grounding import (  # noqa: F401
     GroundingPrediction,
-    GroundingSample,
     ReplayQuery,
     filter_predictions,
     fuse_with_spotting,
@@ -48,7 +47,6 @@ from .nn import (  # noqa: F401
 )
 from .npyio import parse_npy, write_npy  # noqa: F401
 from .spotting import (  # noqa: F401
-    Chunk,
     DatasetSplits,
     NetVLADConfig,
     SpotPrediction,

@@ -2,9 +2,10 @@
 
 One self-describing binary file: an 8-byte magic, a little-endian uint32
 header length, a JSON header (version, head kind, config, vocabulary,
-tensor manifest, optimizer step), then the raw little-endian tensor
-bytes. Round-trips are bit-exact, which also makes trained checkpoints
-byte-comparable across reruns of the same seed.
+tensor manifest), then the raw little-endian parameter bytes. Optimizer
+state is not kept: nothing resumes training. Round-trips are bit-exact,
+which also makes trained checkpoints byte-comparable across reruns of
+the same seed.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ShapeError, UnsupportedLayoutError
-from .nn import AdamState, EncoderConfig, encoder_param_shapes
+from .nn import EncoderConfig, encoder_param_shapes
 
 MAGIC = b"SGMODEL\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 KIND_SPOT_TRANSFORMER = "spot_transformer"
 KIND_SPOT_NETVLAD = "spot_netvlad"
@@ -29,20 +30,19 @@ KIND_GROUNDING = "grounding"
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
 _HEADER_START = len(MAGIC) + 4
-_HEADER_KEYS = {"version", "model_kind", "config", "vocab", "opt_step", "tensors"}
+_HEADER_KEYS = {"version", "model_kind", "config", "vocab", "tensors"}
 _TENSOR_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
-_TENSOR_PREFIXES = ("param:", "adam_m:", "adam_v:")
+_PARAM_PREFIX = "param:"
 
 
 @dataclass
 class Model:
-    """A trained head: weights plus everything needed to run or resume it."""
+    """A trained head: weights plus everything needed to run it."""
 
     kind: str
     config: object  # EncoderConfig or spotting.NetVLADConfig
     vocab: list[str]
     params: dict[str, np.ndarray]
-    opt: AdamState | None = None
     history: list[dict] = field(default_factory=list)  # not serialized
 
 
@@ -92,16 +92,7 @@ def _param_shapes(kind: str, config) -> dict[str, tuple[int, ...]]:
 
 
 def save_model(path: str | Path, model: Model) -> None:
-    tensors: dict[str, np.ndarray] = {}
-    for name, arr in model.params.items():
-        tensors["param:" + name] = arr
-    opt_step = None
-    if model.opt is not None:
-        opt_step = model.opt.step
-        for name, arr in model.opt.m.items():
-            tensors["adam_m:" + name] = arr
-        for name, arr in model.opt.v.items():
-            tensors["adam_v:" + name] = arr
+    tensors = {_PARAM_PREFIX + name: arr for name, arr in model.params.items()}
 
     manifest = []
     offset = 0
@@ -128,7 +119,6 @@ def save_model(path: str | Path, model: Model) -> None:
         "model_kind": model.kind,
         "config": _config_to_dict(model.config),
         "vocab": list(model.vocab),
-        "opt_step": opt_step,
         "tensors": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -158,17 +148,18 @@ def _read_header(raw: bytes, path) -> tuple[dict, int]:
         header = json.loads(raw[_HEADER_START:data_start].decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
         raise FormatError(f"{path} has a malformed header: {exc}") from exc
-    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
-        raise FormatError(f"{path} header must be an object with keys {sorted(_HEADER_KEYS)}")
-    if header["version"] != FORMAT_VERSION or not _is_count(header["version"]):
-        raise FormatError(f"unsupported checkpoint version {header['version']!r}")
+    if not isinstance(header, dict):
+        raise FormatError(f"{path} header must be a JSON object")
+    version = header.get("version")
+    if version != FORMAT_VERSION or not _is_count(version):
+        raise FormatError(f"{path} has checkpoint version {version!r}, not {FORMAT_VERSION}")
+    if set(header) != _HEADER_KEYS:
+        raise FormatError(f"{path} header must have keys {sorted(_HEADER_KEYS)}")
     if header["model_kind"] not in (KIND_SPOT_TRANSFORMER, KIND_SPOT_NETVLAD, KIND_GROUNDING):
         raise FormatError(f"unknown model kind {header['model_kind']!r}")
     vocab = header["vocab"]
     if not isinstance(vocab, list) or not all(isinstance(v, str) for v in vocab):
         raise FormatError("checkpoint vocab must be a list of strings")
-    if header["opt_step"] is not None and not _is_count(header["opt_step"]):
-        raise FormatError(f"bad optimizer step {header['opt_step']!r}")
     if not isinstance(header["tensors"], list):
         raise FormatError("checkpoint tensor manifest must be a list")
     return header, data_start
@@ -179,7 +170,7 @@ def _read_tensor(entry, raw: bytes, data_start: int) -> tuple[str, np.ndarray]:
     if not isinstance(entry, dict) or set(entry) != _TENSOR_KEYS:
         raise FormatError(f"tensor entry must be an object with keys {sorted(_TENSOR_KEYS)}")
     name, shape, dtype = entry["name"], entry["shape"], _DTYPES.get(entry["dtype"])
-    if not isinstance(name, str) or not name.startswith(_TENSOR_PREFIXES):
+    if not isinstance(name, str) or not name.startswith(_PARAM_PREFIX):
         raise FormatError(f"bad tensor name {name!r}")
     if dtype is None:
         raise FormatError(f"tensor {name} has unsupported dtype {entry['dtype']!r}")
@@ -196,7 +187,7 @@ def _read_tensor(entry, raw: bytes, data_start: int) -> tuple[str, np.ndarray]:
 
 def load_model(path: str | Path) -> Model:
     """Read a checkpoint, checking its header schema and that its tensors are
-    exactly the parameters (and Adam moments) its head config defines."""
+    exactly the parameters its head config defines."""
     raw = Path(path).read_bytes()
     header, data_start = _read_header(raw, path)
     config = _config_from_dict(header["config"])
@@ -204,19 +195,9 @@ def load_model(path: str | Path) -> Model:
     if getattr(config, "num_layers", 0) > len(header["tensors"]):
         raise FormatError(f"{path} holds fewer tensors than its config has layers")
     shapes = _param_shapes(header["model_kind"], config)
-    tensors = dict(_read_tensor(entry, raw, data_start) for entry in header["tensors"])
-
-    def group(prefix):
-        arrays = {n[len(prefix):]: a for n, a in tensors.items() if n.startswith(prefix)}
-        if {n: a.shape for n, a in arrays.items()} != shapes:
-            raise FormatError(f"{path}: the {prefix[:-1]} tensors do not match the config")
-        return arrays
-
-    params = group("param:")
-    opt = None
-    if header["opt_step"] is not None:
-        opt = AdamState(m=group("adam_m:"), v=group("adam_v:"), step=header["opt_step"])
-    elif len(tensors) != len(params):
-        raise FormatError(f"{path} holds Adam moments but no optimizer step")
+    params = {name[len(_PARAM_PREFIX):]: arr for name, arr in
+              (_read_tensor(entry, raw, data_start) for entry in header["tensors"])}
+    if {n: a.shape for n, a in params.items()} != shapes:
+        raise FormatError(f"{path}: the param tensors do not match the config")
     return Model(kind=header["model_kind"], config=config, vocab=header["vocab"],
-                 params=params, opt=opt)
+                 params=params)

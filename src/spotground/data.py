@@ -291,13 +291,23 @@ def load_game(game_dir: str | Path, vocab=None, strict: bool = False) -> list[Ga
 
 
 def load_dataset(root: str | Path, vocab=None, strict: bool = False) -> list[GameHalf]:
-    """Load every game directory under root (any directory with NPY files)."""
+    """Load every game directory under root (any directory with NPY files).
+
+    Every half must have the same feature width: one model reads them all.
+    """
     root = Path(root)
     halves: list[GameHalf] = []
     for game_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         if not any(game_dir.glob("*_*.npy")):
             continue
-        halves.extend(load_game(game_dir, vocab=vocab, strict=strict))
+        for gh in load_game(game_dir, vocab=vocab, strict=strict):
+            if halves and gh.features.dim != halves[0].features.dim:
+                first = halves[0].features
+                raise ShapeError(
+                    f"{gh.features.game_id} half {gh.features.half} has {gh.features.dim} "
+                    f"feature columns, but {first.game_id} half {first.half} has {first.dim}"
+                )
+            halves.append(gh)
     if not halves:
         raise ParseError(f"no game directories with feature files under {root}")
     return halves

@@ -21,8 +21,10 @@ from .errors import IdentityError, ParseError, ShapeError
 from .nn import (
     EncoderConfig,
     bce_plus_l2,
+    embed_input,
     encoder_backward,
     encoder_forward_batch,
+    encoder_forward_embedded,
     init_encoder_params,
     sigmoid,
 )
@@ -35,20 +37,6 @@ PRE_REPLAY_WINDOW_S = 120
 POSITIVES_PER_REPLAY = 4
 NEGATIVES_PER_REPLAY = 4
 DEFAULT_FUSION_LABELS = frozenset({"Foul", "Goal", "Shots-off target"})
-
-
-@dataclass(frozen=True)
-class GroundingSample:
-    candidate: np.ndarray  # (chunk_s, D)
-    replay: np.ndarray  # (chunk_s, D)
-    label: int  # 1 if the candidate contains the source event
-    offset_target: float | None  # event position in [0, 1], positives only
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ShapeError(f"label must be 0 or 1, got {self.label}")
-        if (self.offset_target is None) == (self.label == 1):
-            raise ShapeError("offset_target must be present exactly when label = 1")
 
 
 @dataclass(frozen=True)
@@ -90,13 +78,16 @@ def sample_grounding_pairs(
     n_pos: int = POSITIVES_PER_REPLAY,
     n_neg: int = NEGATIVES_PER_REPLAY,
     margin_s: int = 2,
-) -> list[GroundingSample]:
-    """Draw positive/negative candidate chunks from the pre-replay window.
+) -> list[tuple[int, int, float]]:
+    """Draw positive/negative candidate chunks from the pre-replay window,
+    as (start_s, label, offset) pairs.
 
-    Positives contain the source event (placed at a random offset at least
-    margin_s from the chunk edge when possible); negatives keep the event
-    at least margin_s outside the chunk. Replays whose event is not inside
-    the window are skipped with a warning.
+    Positives (label 1) contain the source event, placed at a random
+    offset at least margin_s from the chunk edge when possible; offset is
+    the event's position in the chunk, in [0, 1]. Negatives (label 0,
+    offset 0.0) keep the event at least margin_s outside the chunk.
+    Replays whose event is not inside the window are skipped with a
+    warning.
     """
     if (replay.game_id, replay.half) != (features.game_id, features.half):
         raise IdentityError("replay annotation and features describe different halves")
@@ -123,18 +114,10 @@ def sample_grounding_pairs(
         logger.warning("replay at %d s: no positive chunk placement possible", start)
         return []
 
-    clip = replay_clip(features, start, replay.replay_end_s, chunk_s)
-    samples: list[GroundingSample] = []
+    pairs = []
     for _ in range(n_pos):
         cs = int(rng.integers(pos_lo, pos_hi + 1))
-        samples.append(
-            GroundingSample(
-                extract_window(features.data, cs, chunk_s),
-                clip,
-                1,
-                (event - cs) / chunk_s,
-            )
-        )
+        pairs.append((cs, 1, (event - cs) / chunk_s))
     neg_starts = np.array(
         [
             cs
@@ -145,11 +128,8 @@ def sample_grounding_pairs(
     if neg_starts.size == 0:
         logger.warning("replay at %d s: no negative chunk placement possible", start)
     else:
-        for cs in rng.choice(neg_starts, size=n_neg, replace=True):
-            samples.append(
-                GroundingSample(extract_window(features.data, int(cs), chunk_s), clip, 0, None)
-            )
-    return samples
+        pairs.extend((int(cs), 0, 0.0) for cs in rng.choice(neg_starts, size=n_neg, replace=True))
+    return pairs
 
 
 def _segments(chunk_s: int) -> np.ndarray:
@@ -158,13 +138,20 @@ def _segments(chunk_s: int) -> np.ndarray:
     return seg
 
 
-def _stack_samples(samples: list[GroundingSample]):
-    X = np.stack([np.concatenate([s.candidate, s.replay], axis=0) for s in samples])
-    labels = np.array([s.label for s in samples], dtype=np.float64)
-    offsets = np.array(
-        [s.offset_target if s.offset_target is not None else 0.0 for s in samples]
-    )
-    return X, labels, offsets
+def _pair_sequences(data: np.ndarray, starts, clip: np.ndarray, out=None) -> np.ndarray:
+    """(n, 2 * chunk_s, D) candidate-then-replay sequences: sequence i is
+    rows [starts[i], starts[i] + chunk_s) of data, zero-padded outside the
+    half, followed by the replay clip. Written into out when given."""
+    chunk_s = len(clip)
+    if out is None:
+        out = np.empty((len(starts), 2 * chunk_s, data.shape[1]), dtype=data.dtype)
+    out[:, :chunk_s] = 0.0
+    for row, cs in zip(out, starts):
+        lo, hi = max(cs, 0), min(cs + chunk_s, len(data))
+        if lo < hi:
+            row[lo - cs : hi - cs] = data[lo:hi]
+    out[:, chunk_s:] = clip
+    return out
 
 
 def default_grounding_config(input_dim: int, dropout_p: float = 0.1) -> EncoderConfig:
@@ -208,14 +195,24 @@ def train_grounding(
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
     model = training_model(KIND_GROUNDING, config, [], init_encoder_params(config, rng))
     seg_row = _segments(chunk_s)
+    clips = [replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s, chunk_s)
+             for gh, rp in replays]
+    dtype = np.result_type(*(gh.features.data.dtype for gh, _ in replays))
 
     def epoch_pairs():
-        samples: list[GroundingSample] = []
-        for gh, rp in replays:
-            samples.extend(sample_grounding_pairs(rp, gh.features, rng, chunk_s=chunk_s))
-        if not samples:
+        drawn = [sample_grounding_pairs(rp, gh.features, rng, chunk_s=chunk_s)
+                 for gh, rp in replays]
+        pairs = [p for ps in drawn for p in ps]
+        if not pairs:
             raise ParseError("no usable grounding samples (all replays skipped)")
-        return _stack_samples(samples)
+        X = np.empty((len(pairs), 2 * chunk_s, input_dim), dtype=dtype)
+        lo = 0
+        for (gh, _), clip, ps in zip(replays, clips, drawn):
+            _pair_sequences(gh.features.data, [cs for cs, _, _ in ps], clip,
+                            out=X[lo : lo + len(ps)])
+            lo += len(ps)
+        _, labels, offsets = np.array(pairs, dtype=np.float64).T
+        return X, labels, offsets
 
     def step(xb, labels, offsets):
         seg = np.broadcast_to(seg_row, (len(xb), seg_row.size))
@@ -252,15 +249,11 @@ def infer_grounding(
     starts = list(range(window_lo, last_start + 1, stride_s))
     if not starts:
         return []
-    clip = replay_clip(features, query.start_s, query.end_s, chunk_s)
-    X = np.stack(
-        [
-            np.concatenate([extract_window(features.data, cs, chunk_s), clip], axis=0)
-            for cs in starts
-        ]
-    )
+    X = _pair_sequences(features.data, starts,
+                        replay_clip(features, query.start_s, query.end_s, chunk_s))
     seg = np.broadcast_to(_segments(chunk_s), (len(starts), 2 * chunk_s))
-    out, _ = encoder_forward_batch(model.params, model.config, X, segments=seg)
+    h = embed_input(model.params, model.config, X)
+    out = encoder_forward_embedded(model.params, model.config, h, segments=seg)
     probs = sigmoid(out[:, 0])
     offsets = np.clip(out[:, 1], 0.0, 1.0)
     preds = []

@@ -210,15 +210,16 @@ def encoder_forward_embedded(
     """Inference logits (B, out) from embedded rows (B, T, model_dim).
 
     The rows come from `embed_input`; what follows is the body of
-    `encoder_forward_batch` after its input projection.
+    `encoder_forward_batch` after its input projection. No backward cache
+    is kept, so each layer's activations are freed as the next one runs.
     """
     h = np.asarray(h, dtype=params["in.w"].dtype)
     if h.ndim != 3 or h.shape[2] != config.model_dim:
         raise ShapeError(f"expected (B, T, {config.model_dim}) embedded rows, got {h.shape}")
-    return _encode(params, config, h, segments, False, None)[0]
+    return _encode(params, config, h, segments, False, None, keep_layers=False)[0]
 
 
-def _encode(params, config, h, segments, train_mode, rng):
+def _encode(params, config, h, segments, train_mode, rng, keep_layers=True):
     """Encoder body from the embedded input h (B, T, model_dim) to logits."""
     B, T, _ = h.shape
     if config.num_segments and segments is None:
@@ -282,7 +283,8 @@ def _encode(params, config, h, segments, train_mode, rng):
         h, xhat2, inv2 = _layernorm_forward(h1 + f2, params[pre + "ln2.g"], params[pre + "ln2.b"])
         rec["ln2"] = (xhat2, inv2)
         _check_finite(h, f"encoder layer {i}")
-        layers.append(rec)
+        if keep_layers:
+            layers.append(rec)
     cache["layers"] = layers
 
     pooled = h.mean(axis=1)

@@ -1,4 +1,4 @@
-"""Action spotting: chunk datasets, the two heads, training and inference.
+"""Action spotting: chunk tensors, the two heads, training and inference.
 
 A half is cut into fixed-length chunks; each chunk is classified into one
 of 17 event classes or background. Inference slides a window at 1 s
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import KIND_SPOT_NETVLAD, KIND_SPOT_TRANSFORMER, Model
-from .data import EventAnnotation, FeatureSequence, GameHalf, extract_window
+from .data import EventAnnotation, FeatureSequence, GameHalf
 from .errors import ParseError, ShapeError
 from .nn import (
     AdamState,
@@ -34,15 +34,6 @@ from .nn import (
 from .vocab import BACKGROUND_INDEX, DEFAULT_VOCAB, NUM_OUTPUT_CLASSES, label_index
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A chunk of the feature sequence plus its 18-way target distribution."""
-
-    features: np.ndarray  # (L, D)
-    target: np.ndarray  # (18,), entries >= 0 summing to 1
-    origin: tuple[str, int, int]  # (game_id, half, start_s)
 
 
 @dataclass(frozen=True)
@@ -93,8 +84,9 @@ def fit(model: Model, spec: TrainSpec, rng: np.random.Generator, epoch_data, bat
     them and returns (mean loss, grads). end_epoch(record), if given, may
     add to the epoch's record before it joins model.history. Each epoch
     the rng serves epoch_data first, then the permutation, then each
-    batch step in turn.
+    batch step in turn. The Adam moments live only for this run.
     """
+    opt = AdamState.for_params(model.params)
     for epoch in range(spec.epochs):
         data = epoch_data()
         n = len(data[0])
@@ -103,7 +95,7 @@ def fit(model: Model, spec: TrainSpec, rng: np.random.Generator, epoch_data, bat
         for lo in range(0, n, spec.batch_size):
             idx = perm[lo : lo + spec.batch_size]
             loss, grads = batch_step(*(a[idx] for a in data))
-            adam_step(model.params, grads, model.opt, spec.lr)
+            adam_step(model.params, grads, opt, spec.lr)
             epoch_loss += loss * len(idx)
         record = {"epoch": epoch, "train_loss": epoch_loss / n}
         if end_epoch is not None:
@@ -114,11 +106,9 @@ def fit(model: Model, spec: TrainSpec, rng: np.random.Generator, epoch_data, bat
 
 def training_model(kind: str, config, vocab, params: dict[str, np.ndarray]) -> Model:
     """A model about to be trained: the initialised parameters cast to
-    float32, the dtype every training step then runs in, and zeroed Adam
-    moments of the same dtype."""
+    float32, the dtype every training step then runs in."""
     params = {name: p.astype(np.float32) for name, p in params.items()}
-    return Model(kind=kind, config=config, vocab=list(vocab), params=params,
-                 opt=AdamState.for_params(params))
+    return Model(kind=kind, config=config, vocab=list(vocab), params=params)
 
 
 @dataclass
@@ -135,27 +125,24 @@ def make_chunks(
     features: FeatureSequence,
     events: list[EventAnnotation],
     chunk_size_s: int,
-    stride_s: int,
     vocab=DEFAULT_VOCAB,
-) -> list[Chunk]:
-    """Tile the half into chunks and label each with the event nearest its
-    center (earlier timestamp wins exact ties), or background."""
-    if chunk_size_s < 1 or stride_s < 1:
-        raise ShapeError("chunk size and stride must be >= 1 s")
-    T = features.duration_s
-    chunks = []
-    for start in range(0, T, stride_s):
+) -> np.ndarray:
+    """(n, 18) targets of the half's chunks: the chunk starting at second
+    k * chunk_size_s is labelled with the event nearest its center
+    (earlier timestamp wins exact ties), or background."""
+    if chunk_size_s < 1:
+        raise ShapeError("chunk size must be >= 1 s")
+    starts = range(0, features.duration_s, chunk_size_s)
+    targets = np.zeros((len(starts), NUM_OUTPUT_CLASSES))
+    for i, start in enumerate(starts):
         inside = [ev for ev in events if start <= ev.time_s < start + chunk_size_s]
-        target = np.zeros(NUM_OUTPUT_CLASSES)
         if inside:
             center = start + chunk_size_s / 2.0
             best = min(inside, key=lambda ev: (abs(ev.time_s - center), ev.time_s))
-            target[label_index(vocab, best.label)] = 1.0
+            targets[i, label_index(vocab, best.label)] = 1.0
         else:
-            target[BACKGROUND_INDEX] = 1.0
-        window = extract_window(features.data, start, chunk_size_s)
-        chunks.append(Chunk(window, target, (features.game_id, features.half, start)))
-    return chunks
+            targets[i, BACKGROUND_INDEX] = 1.0
+    return targets
 
 
 def mixup(xb: np.ndarray, yb: np.ndarray, alpha: float, rng: np.random.Generator):
@@ -334,16 +321,20 @@ def default_spot_epochs(head: str) -> int:
 
 
 def _chunk_tensors(halves, spec, vocab):
-    chunks = []
-    for gh in halves:
-        chunks.extend(
-            make_chunks(gh.features, gh.events, spec.chunk_size_s, spec.chunk_size_s, vocab)
-        )
-    if not chunks:
+    """(N, L, D) chunks and (N, 18) targets of the halves, tiled at stride
+    L: the chunks do not overlap, so each row is copied once into a zeroed
+    buffer that pads every half's tail to a whole chunk."""
+    if not halves:
         raise ParseError("empty dataset: no chunks to train on")
-    X = np.stack([c.features for c in chunks])
-    Y = np.stack([c.target for c in chunks])
-    return X, Y
+    L = spec.chunk_size_s
+    Y = [make_chunks(gh.features, gh.events, L, vocab) for gh in halves]
+    X = np.zeros((sum(len(y) for y in Y) * L, halves[0].features.dim),
+                 dtype=np.result_type(*(gh.features.data.dtype for gh in halves)))
+    lo = 0
+    for gh, y in zip(halves, Y):
+        X[lo : lo + gh.features.duration_s] = gh.features.data
+        lo += len(y) * L
+    return X.reshape(-1, L, X.shape[1]), np.concatenate(Y)
 
 
 def _eval_loss(model, X, Y, batch_size):
@@ -413,12 +404,11 @@ def train_spotting(
         def keep_best(record):
             record["valid_loss"] = vloss = _eval_loss(model, *valid, spec.batch_size)
             if not best or vloss < best["loss"]:
-                best.update(loss=vloss, params=copy.deepcopy(model.params),
-                            opt=copy.deepcopy(model.opt))
+                best.update(loss=vloss, params=copy.deepcopy(model.params))
 
     fit(model, spec, rng, lambda: (X, Y), step, keep_best)
     if best:
-        model.params, model.opt = best["params"], best["opt"]
+        model.params = best["params"]
     return model
 
 

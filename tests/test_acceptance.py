@@ -287,7 +287,7 @@ def test_c9_format_round_trips(tmp_path):
     from spotground.checkpoint import load_model, save_model
 
     for i in range(100):
-        model = _random_model(rng, with_opt=bool(rng.integers(0, 2)))
+        model = _random_model(rng)
         path = tmp_path / f"model_{i}.sgckpt"
         save_model(path, model)
         _assert_models_equal(model, load_model(path))

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -14,12 +15,12 @@ from spotground.checkpoint import (
     save_model,
 )
 from spotground.errors import FormatError, SpotGroundError
-from spotground.nn import AdamState, EncoderConfig, encoder_forward_batch, init_encoder_params
+from spotground.nn import EncoderConfig, encoder_forward_batch, init_encoder_params
 from spotground.spotting import NetVLADConfig, init_netvlad_params, netvlad_forward_batch
 from spotground.vocab import DEFAULT_VOCAB
 
 
-def _random_model(rng, with_opt=True):
+def _random_model(rng):
     config = EncoderConfig(
         input_dim=int(rng.integers(2, 12)),
         output_dim=int(rng.integers(2, 20)),
@@ -30,14 +31,7 @@ def _random_model(rng, with_opt=True):
         dropout_p=0.0,
     )
     params = init_encoder_params(config, rng)
-    opt = None
-    if with_opt:
-        opt = AdamState.for_params(params)
-        opt.step = int(rng.integers(0, 100))
-        for key in opt.m:
-            opt.m[key] = rng.normal(size=opt.m[key].shape)
-            opt.v[key] = rng.random(size=opt.v[key].shape)
-    return Model(KIND_SPOT_TRANSFORMER, config, list(DEFAULT_VOCAB), params, opt)
+    return Model(KIND_SPOT_TRANSFORMER, config, list(DEFAULT_VOCAB), params)
 
 
 def _assert_models_equal(a, b):
@@ -47,17 +41,11 @@ def _assert_models_equal(a, b):
     assert sorted(a.params) == sorted(b.params)
     for key in a.params:
         assert a.params[key].tobytes() == b.params[key].tobytes()
-    assert (a.opt is None) == (b.opt is None)
-    if a.opt is not None:
-        assert a.opt.step == b.opt.step
-        for key in a.opt.m:
-            assert a.opt.m[key].tobytes() == b.opt.m[key].tobytes()
-            assert a.opt.v[key].tobytes() == b.opt.v[key].tobytes()
 
 
 def test_round_trip_100_random_models_bit_exact(tmp_path, rng):
     for i in range(100):
-        model = _random_model(rng, with_opt=bool(rng.integers(0, 2)))
+        model = _random_model(rng)
         path = tmp_path / f"m{i}.sgckpt"
         save_model(path, model)
         _assert_models_equal(model, load_model(path))
@@ -107,8 +95,22 @@ def test_float32_tensors_preserved(tmp_path):
     assert back.params["in.w"].tobytes() == params["in.w"].tobytes()
 
 
+def test_version_1_checkpoint_is_one_format_error(tmp_path, rng):
+    """A checkpoint of the format that kept Adam moments and the optimizer step."""
+    path = tmp_path / "v1.sgckpt"
+    save_model(path, _random_model(rng))
+    raw = path.read_bytes()
+    end = 12 + int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:end])
+    header.update(version=1, opt_step=3)
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(head).to_bytes(4, "little") + head + raw[end:])
+    with pytest.raises(FormatError, match="version 1, not 2"):
+        load_model(path)
+
+
 def _valid_checkpoints():
-    """Raw bytes of one checkpoint per head kind, the transformer with Adam moments."""
+    """Raw bytes of one checkpoint per head kind."""
     rng = np.random.default_rng(5)
     enc = EncoderConfig(input_dim=4, output_dim=18, model_dim=8, num_layers=1, num_heads=2,
                         hidden_dim=8)
@@ -117,8 +119,7 @@ def _valid_checkpoints():
     ground = EncoderConfig(input_dim=4, output_dim=2, model_dim=8, num_layers=1, num_heads=2,
                            hidden_dim=8, num_segments=2)
     models = [
-        Model(KIND_SPOT_TRANSFORMER, enc, list(DEFAULT_VOCAB), params,
-              AdamState.for_params(params)),
+        Model(KIND_SPOT_TRANSFORMER, enc, list(DEFAULT_VOCAB), params),
         Model("spot_netvlad", nv, list(DEFAULT_VOCAB), init_netvlad_params(nv, rng)),
         Model(KIND_GROUNDING, ground, [], init_encoder_params(ground, rng)),
     ]

@@ -259,6 +259,28 @@ class TestGroundPipeline:
         assert outs[0] == outs[1]
 
 
+class TestMixedFeatureWidths:
+    @pytest.mark.parametrize("command", ["spot", "ground"])
+    def test_train_exits_one_naming_the_game_and_both_widths(self, command, tmp_path, capsys):
+        import numpy as np
+
+        from spotground.npyio import read_npy_file, write_npy_file
+
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "4",
+                    *GROUND_SYNTH, "--halves", "4"]) == 0
+        for path in (data / "synth_001").glob("*.npy"):  # two columns wider
+            matrix = read_npy_file(path)
+            write_npy_file(path, np.hstack([matrix, np.zeros((len(matrix), 2), np.float32)]))
+        capsys.readouterr()
+        code = run([command, "train", "--data", str(data), "--out", str(tmp_path / "o"),
+                    "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: ShapeError: synth_001 half 1 has 18 feature columns")
+        assert "synth_000 half 1 has 16" in err
+
+
 class TestRejectedBeforeLoading:
     """Invalid flag combinations exit 2 before any data is read or written."""
 

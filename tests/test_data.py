@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_features
+from spotground.npyio import write_npy
 from spotground.data import (
     FeatureSequence,
     combine_features,
     extract_window,
+    load_game,
     load_labels,
     parse_game_time,
     parse_labels,
@@ -211,3 +213,32 @@ class TestExtractWindow:
         tail = extract_window(feats.data, 48, 5)
         np.testing.assert_array_equal(tail[:2], feats.data[48:50])
         assert np.all(tail[2:] == 0.0) and tail.dtype == feats.data.dtype
+
+
+def _game_files():
+    """NPY bytes of a game directory: half 1 from two sources, half 2 from one."""
+    rng = np.random.default_rng(9)
+    shapes = {"1_a.npy": (12, 3), "1_b.npy": (12, 2), "2_a.npy": (11, 4)}
+    return {name: write_npy(rng.normal(size=shape).astype(np.float32))
+            for name, shape in shapes.items()}
+
+
+GAME_FILES = _game_files()
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_npy_bytes_fail_only_with_spotground_errors(tmp_path_factory, data):
+    files = {name: bytearray(raw) for name, raw in GAME_FILES.items()}
+    for _ in range(data.draw(st.integers(1, 3))):
+        raw = files[data.draw(st.sampled_from(sorted(files)))]
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    game_dir = tmp_path_factory.mktemp("game")
+    for name, raw in files.items():
+        (game_dir / name).write_bytes(bytes(raw))
+    try:
+        halves = load_game(game_dir)
+    except SpotGroundError:
+        return
+    assert [gh.features.half for gh in halves] == [1, 2]
+    assert halves[0].features.source_dims == (3, 2)

@@ -3,18 +3,18 @@ import pytest
 
 from conftest import float_arrays, make_features
 from spotground.checkpoint import KIND_GROUNDING, Model
-from spotground.data import GameHalf, ReplayAnnotation
-from spotground.errors import ShapeError
+from spotground.data import GameHalf, ReplayAnnotation, extract_window
 from spotground.grounding import (
     GroundingPrediction,
-    GroundingSample,
     ReplayQuery,
+    _pair_sequences,
     default_grounding_config,
     filter_predictions,
     fuse_with_spotting,
     infer_grounding,
     merge_nms,
     minmax_normalize,
+    replay_clip,
     sample_grounding_pairs,
     train_grounding,
 )
@@ -37,22 +37,24 @@ def _zero_ground_model(input_dim=8):
 class TestSampling:
     def test_positives_contain_event(self, rng):
         feats = make_features(T=400, D=8)
-        samples = sample_grounding_pairs(_replay(), feats, rng)
-        positives = [s for s in samples if s.label == 1]
-        negatives = [s for s in samples if s.label == 0]
-        assert len(positives) == 4 and len(negatives) == 4
-        for s in positives:
-            assert 0.0 <= s.offset_target <= 1.0
-            # the candidate row at the offset is the event row
-            row = int(round(s.offset_target * 30))
-            if row < 30:
-                np.testing.assert_array_equal(s.candidate[row], feats.data[160])
+        pairs = sample_grounding_pairs(_replay(), feats, rng)
+        positives = [(cs, off) for cs, label, off in pairs if label == 1]
+        assert len(positives) == 4 and len(pairs) == 8
+        for cs, off in positives:
+            assert 0.0 <= off <= 1.0 and cs + off * 30 == 160
+        # the candidate row at the offset is the event row
+        X = _pair_sequences(feats.data, [cs for cs, _ in positives], replay_clip(feats, 200, 210))
+        for x, (cs, _) in zip(X, positives):
+            np.testing.assert_array_equal(x[160 - cs], feats.data[160])
 
-    def test_offset_zero_when_chunk_starts_at_event(self):
+    def test_offset_zero_when_chunk_starts_at_event(self, rng):
         feats = make_features(T=400, D=8)
-        sample = GroundingSample(feats.data[160:190], feats.data[200:230], 1,
-                                 (160 - 160) / 30)
-        assert sample.offset_target == 0.0
+        # the window opens at the event, so every positive chunk starts there
+        pairs = sample_grounding_pairs(_replay(start=200, end=210, event=80), feats, rng)
+        positives = [(cs, off) for cs, label, off in pairs if label == 1]
+        assert positives == [(80, 0.0)] * 4
+        X = _pair_sequences(feats.data, [80], replay_clip(feats, 200, 210))
+        np.testing.assert_array_equal(X[0, 0], feats.data[80])
 
     def test_negatives_exclude_event_over_many_replays(self, rng):
         feats = make_features(T=4000, D=8)
@@ -61,13 +63,12 @@ class TestSampling:
             event = int(rng.integers(130, 3800))
             start = event + int(rng.integers(5, 115))
             replay = _replay(start=start, end=start + 10, event=event)
-            for s in sample_grounding_pairs(replay, feats, rng):
-                if s.label == 0:
+            for cs, label, off in sample_grounding_pairs(replay, feats, rng):
+                if label == 0:
                     checked += 1
+                    assert off == 0.0
                     # event row must not be any candidate row
-                    assert not any(
-                        np.array_equal(row, feats.data[event]) for row in s.candidate
-                    )
+                    assert not cs <= event < cs + 30
         assert checked > 1000
 
     def test_event_outside_window_skipped(self, rng, caplog):
@@ -80,22 +81,64 @@ class TestSampling:
     def test_window_clipped_at_zero(self, rng):
         feats = make_features(T=300, D=8)
         replay = _replay(start=40, end=50, event=20)
-        samples = sample_grounding_pairs(replay, feats, rng)
-        positives = [s for s in samples if s.label == 1]
-        assert positives  # window [0, 40] still admits chunks containing t=20
+        pairs = sample_grounding_pairs(replay, feats, rng)
+        assert any(label == 1 for _, label, _ in pairs)  # [0, 40] admits chunks holding t=20
 
-    def test_replay_clip_truncated_to_30s(self, rng):
+    def test_replay_clip_truncated_to_30s(self):
         feats = make_features(T=400, D=8)
-        replay = _replay(start=200, end=280, event=160)
-        samples = sample_grounding_pairs(replay, feats, rng)
-        assert all(s.replay.shape == (30, 8) for s in samples)
-        np.testing.assert_array_equal(samples[0].replay, feats.data[200:230])
+        clip = replay_clip(feats, 200, 280)
+        np.testing.assert_array_equal(clip, feats.data[200:230])
+        X = _pair_sequences(feats.data, [100, 150], clip)
+        assert X.shape == (2, 60, 8)
+        np.testing.assert_array_equal(X[:, 30:], [feats.data[200:230]] * 2)
 
-    def test_sample_invariants(self):
-        with pytest.raises(ShapeError):
-            GroundingSample(np.zeros((30, 4)), np.zeros((30, 4)), 1, None)
-        with pytest.raises(ShapeError):
-            GroundingSample(np.zeros((30, 4)), np.zeros((30, 4)), 0, 0.5)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pair_sequences_match_stacked_windows(self, dtype):
+        data = np.random.default_rng(4).normal(size=(150, 5)).astype(dtype)
+        feats = make_features(data=data)
+        clip = replay_clip(feats, 140, 175)  # runs past the half's end too
+        starts = [0, 7, 120, 131, 149, 150]  # the last four run past row 149
+        X = _pair_sequences(data, starts, clip)
+        want = np.stack([np.concatenate([extract_window(data, cs, 30), clip]) for cs in starts])
+        assert X.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(X, want)
+
+    def test_training_epoch_matches_stacked_windows(self, monkeypatch):
+        """The first epoch's tensors, against the same draws stacked from
+        extract_window; one replay's candidates run past its half's end."""
+        import copy
+
+        import spotground.grounding as grounding
+
+        halves = _grounding_halves(n_halves=2)
+        short = make_features(T=150, D=16, game_id="short", seed=5)
+        halves.append(GameHalf(short, [], [ReplayAnnotation("short", 1, 175, 185, 148, "Goal")]))
+        seen = {}
+
+        def first_epoch(model, spec, rng, epoch_data, step):
+            seen["rng"] = copy.deepcopy(rng)
+            seen["data"] = epoch_data()
+
+        monkeypatch.setattr(grounding, "fit", first_epoch)
+        spec = TrainSpec(mode="ultra", epochs=1, mixup_alpha=0.0, seed=3)
+        train_grounding(halves, spec, config=default_grounding_config(16, dropout_p=0.0))
+        X, labels, offsets = seen["data"]
+        rng = seen["rng"]
+        windows, want_labels, want_offsets, overrun = [], [], [], False
+        for gh in halves:
+            for rp in gh.replays:
+                clip = replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s)
+                for cs, label, off in sample_grounding_pairs(rp, gh.features, rng):
+                    window = extract_window(gh.features.data, cs, 30)
+                    overrun |= cs + 30 > gh.features.duration_s
+                    windows.append(np.concatenate([window, clip]))
+                    want_labels.append(label)
+                    want_offsets.append(off)
+        assert overrun
+        np.testing.assert_array_equal(X, np.stack(windows))
+        np.testing.assert_array_equal(labels, want_labels)
+        np.testing.assert_array_equal(offsets, want_offsets)
+        assert X.dtype == np.float32 and labels.dtype == offsets.dtype == np.float64
 
 
 class TestGroundForward:
@@ -176,18 +219,21 @@ class TestTrainGrounding:
         losses = [h["train_loss"] for h in model.history]
         assert losses[9] < losses[0]
         assert losses[-1] < 0.1
-        assert {a.dtype for a in float_arrays([model.params, model.opt.m, model.opt.v])} == {
-            np.dtype(np.float32)}
+        assert {a.dtype for a in float_arrays(model.params)} == {np.dtype(np.float32)}
 
     def test_trained_probabilities_separate(self, trained_grounding, rng):
         halves, model = trained_grounding
-        samples = [s for gh in halves for rp in gh.replays
-                   for s in sample_grounding_pairs(rp, gh.features, rng)]
-        X = np.stack([np.concatenate([s.candidate, s.replay]) for s in samples])
-        seg = np.repeat([[0] * 30 + [1] * 30], len(samples), axis=0)  # candidate, replay
+        X, labels = [], []
+        for gh in halves:
+            for rp in gh.replays:
+                pairs = sample_grounding_pairs(rp, gh.features, rng)
+                clip = replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s)
+                X.append(_pair_sequences(gh.features.data, [cs for cs, _, _ in pairs], clip))
+                labels.extend(label for _, label, _ in pairs)
+        X, labels = np.concatenate(X), np.array(labels)
+        seg = np.repeat([[0] * 30 + [1] * 30], len(X), axis=0)  # candidate, replay
         out, _ = encoder_forward_batch(model.params, model.config, X, segments=seg)
         probs = sigmoid(out[:, 0])
-        labels = np.array([s.label for s in samples])
         assert probs[labels == 1].mean() > 0.8
         assert probs[labels == 0].mean() < 0.2
 

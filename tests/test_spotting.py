@@ -19,6 +19,7 @@ from spotground.spotting import (
     NetVLADConfig,
     SpotPrediction,
     TrainSpec,
+    _chunk_tensors,
     default_spot_epochs,
     default_spot_lr,
     fit,
@@ -50,36 +51,51 @@ def _zero_transformer_model(input_dim=6):
 class TestMakeChunks:
     def test_tiling_count_and_padding(self):
         feats = make_features(T=100, D=4)
-        chunks = make_chunks(feats, [], 7, 7)
-        assert len(chunks) == 15
-        assert np.all(chunks[-1].features[2:] == 0.0)  # rows 100..104 padded
+        assert make_chunks(feats, [], 7).shape == (15, 18)
+        X, _ = _chunk_tensors([GameHalf(feats)], TrainSpec(chunk_size_s=7), DEFAULT_VOCAB)
+        assert X.shape == (15, 7, 4)
+        assert np.all(X[-1, 2:] == 0.0)  # rows 100..104 padded
 
     def test_event_labels_chunk(self):
         feats = make_features(T=50, D=4)
-        chunks = make_chunks(feats, [make_event(10, "Goal")], 7, 7)
-        target = chunks[1].target  # chunk [7, 14)
-        assert target[DEFAULT_VOCAB.index("Goal")] == 1.0
+        targets = make_chunks(feats, [make_event(10, "Goal")], 7)
+        assert targets[1, DEFAULT_VOCAB.index("Goal")] == 1.0  # chunk [7, 14)
 
     def test_tie_breaks_to_earlier_event(self):
         feats = make_features(T=50, D=4)
         events = [make_event(8, "Foul"), make_event(13, "Goal")]
         for ordering in (events, events[::-1]):
-            chunks = make_chunks(feats, ordering, 7, 7)
-            target = chunks[1].target  # center 10.5, both events 2.5 s away
-            assert target[DEFAULT_VOCAB.index("Foul")] == 1.0
+            targets = make_chunks(feats, ordering, 7)
+            # chunk [7, 14): center 10.5, both events 2.5 s away
+            assert targets[1, DEFAULT_VOCAB.index("Foul")] == 1.0
 
     def test_partition_property(self):
         feats = make_features(T=101, D=3)
-        chunks = make_chunks(feats, [], 7, 7)
-        starts = [c.origin[2] for c in chunks]
-        assert starts == list(range(0, 105, 7))
-        reconstructed = np.concatenate([c.features for c in chunks])[:101]
-        np.testing.assert_array_equal(reconstructed, feats.data)
+        X, Y = _chunk_tensors([GameHalf(feats)], TrainSpec(chunk_size_s=7), DEFAULT_VOCAB)
+        assert len(X) == len(Y) == len(range(0, 105, 7))
+        np.testing.assert_array_equal(X.reshape(-1, 3)[:101], feats.data)
 
     def test_background_default(self):
         feats = make_features(T=20, D=4)
-        chunks = make_chunks(feats, [], 5, 5)
-        assert all(c.target[BACKGROUND_INDEX] == 1.0 for c in chunks)
+        assert np.all(make_chunks(feats, [], 5)[:, BACKGROUND_INDEX] == 1.0)
+
+    @pytest.mark.parametrize("dtypes", [[np.float32] * 4, [np.float64] * 4,
+                                        [np.float32, np.float64, np.float32, np.float32]])
+    def test_chunk_tensors_match_stacked_windows(self, dtypes):
+        lengths, L = (101, 13, 50, 7), 7  # one T below L, one a multiple of it
+        rng = np.random.default_rng(3)
+        halves = [GameHalf(make_features(game_id=f"g{i}",
+                                         data=rng.normal(size=(T, 5)).astype(dtype)),
+                           [make_event(int(T * 0.6), "Goal", game_id=f"g{i}")])
+                  for i, (T, dtype) in enumerate(zip(lengths, dtypes))]
+        X, Y = _chunk_tensors(halves, TrainSpec(chunk_size_s=L), DEFAULT_VOCAB)
+        want_x = np.stack([extract_window(gh.features.data, start, L)
+                           for gh in halves for start in range(0, gh.features.duration_s, L)])
+        want_y = np.concatenate([make_chunks(gh.features, gh.events, L) for gh in halves])
+        assert X.dtype == want_x.dtype == np.result_type(*dtypes)
+        assert X.shape == want_x.shape == (15 + 2 + 8 + 1, L, 5)
+        np.testing.assert_array_equal(X, want_x)
+        np.testing.assert_array_equal(Y, want_y)
 
 
 class _FixedDraws:
@@ -349,24 +365,19 @@ class TestTraining:
 
     def test_event_chunk_argmax_recovers_planted_class(self, trained_two_class):
         halves, spec, model = trained_two_class
-        chunks = [c for gh in halves
-                  for c in make_chunks(gh.features, gh.events, spec.chunk_size_s,
-                                       spec.chunk_size_s)
-                  if c.target[BACKGROUND_INDEX] != 1.0]
-        assert len(chunks) >= 10
-        logits, _ = encoder_forward_batch(model.params, model.config,
-                                          np.stack([c.features for c in chunks]))
-        hits = np.argmax(logits, axis=1) == np.argmax([c.target for c in chunks], axis=1)
+        X, Y = _chunk_tensors(halves, spec, DEFAULT_VOCAB)
+        events = Y[:, BACKGROUND_INDEX] != 1.0
+        assert events.sum() >= 10
+        logits, _ = encoder_forward_batch(model.params, model.config, X[events])
+        hits = np.argmax(logits, axis=1) == np.argmax(Y[events], axis=1)
         assert hits.mean() >= 0.95
 
     def test_training_runs_in_float32_and_saves_f4(self, trained_two_class, tmp_path):
         _, _, model = trained_two_class
-        arrays = float_arrays([model.params, model.opt.m, model.opt.v])
-        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        assert {a.dtype for a in float_arrays(model.params)} == {np.dtype(np.float32)}
         save_model(tmp_path / "m.sgckpt", model)  # as <f4 tensors, read back as float32
         loaded = load_model(tmp_path / "m.sgckpt")
-        assert {a.dtype for a in float_arrays([loaded.params, loaded.opt.m, loaded.opt.v])} == {
-            np.dtype(np.float32)}
+        assert {a.dtype for a in float_arrays(loaded.params)} == {np.dtype(np.float32)}
 
     def test_netvlad_loss_decreases(self):
         halves = _tiny_halves()
@@ -405,7 +416,7 @@ class TestTraining:
         model = train_spotting(splits, spec, config=config)
         assert "valid_loss" in model.history[0]
         # returned parameters are the snapshot with the lowest validation loss
-        from spotground.spotting import _chunk_tensors, _eval_loss
+        from spotground.spotting import _eval_loss
 
         vx, vy = _chunk_tensors(splits.valid, spec, DEFAULT_VOCAB)
         returned_loss = _eval_loss(model, vx, vy, spec.batch_size)
@@ -435,7 +446,7 @@ class TestTraining:
 class TestFit:
     def test_epochs_visit_every_sample_once_and_average_the_loss(self):
         params = {"w": np.zeros(1)}
-        model = Model(KIND_SPOT_TRANSFORMER, None, [], params, AdamState.for_params(params))
+        model = Model(KIND_SPOT_TRANSFORMER, None, [], params)
         x = np.arange(10.0)
         seen = []
 
@@ -447,7 +458,7 @@ class TestFit:
         spec = TrainSpec(lr=0.1, epochs=3, batch_size=4)
         fit(model, spec, np.random.default_rng(0), lambda: (x, 2.0 * x), step,
             lambda record: record.update(extra=len(seen)))
-        assert len(seen) == 9 and model.opt.step == 9  # 3 batches of <= 4, per epoch
+        assert len(seen) == 9  # 3 batches of <= 4, per epoch
         for e in range(3):
             np.testing.assert_array_equal(np.sort(np.concatenate(seen[3 * e : 3 * e + 3])), x)
         assert [h["epoch"] for h in model.history] == [0, 1, 2]
