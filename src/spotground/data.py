@@ -196,7 +196,13 @@ def combine_features(sources: list[FeatureSequence], length_slack_s: int = 2) ->
     blocks = []
     for src in sources:
         block = src.data[:t_min].astype(np.float32, copy=True)
-        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # a value above ~1.8e19 overflows the float32 norm
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+        big = np.isinf(norms[:, 0])
+        if big.any():  # every value is finite, so those frames normalise in float64
+            wide = block[big].astype(np.float64)
+            block[big] = wide / np.linalg.norm(wide, axis=1, keepdims=True)
+            norms[big] = 1.0
         zero = norms[:, 0] == 0.0
         zero_frames += int(zero.sum())
         norms[zero] = 1.0  # leave zero frames untouched

@@ -15,12 +15,19 @@ projection is its own step (`embed_input`), so inference can embed a
 sequence once and run the body on windows of it (`encoder_forward_embedded`).
 The backward pass is exact and is verified against central finite
 differences by grad_check.
+
+Every product of an activation and a weight goes through `_mm`, which runs
+it as one 2-D BLAS product over all rows: numpy's `@` on a 3-D activation
+loops over the batch axis, and is slower still with a transposed weight.
+Last-axis means and sums (layer norm, softmax) and the bias gradients'
+sums over rows are BLAS products with a constant vector, for the same
+reason. Only the per-head attention products stay batched.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,10 +91,33 @@ def positional_encoding(T: int, d: int) -> np.ndarray:
     return pe
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    e /= _row_sum(e)
+    return e
+
+
+def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x (..., k) @ w (k, n) -> (..., n), as one 2-D BLAS product over all rows."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, keeping it, as a BLAS product with ones."""
+    return _mm(x, np.ones((x.shape[-1], 1), dtype=x.dtype))
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, keeping it, as a BLAS product."""
+    d = x.shape[-1]
+    return _mm(x, np.full((d, 1), 1.0 / d, dtype=x.dtype))
+
+
+def _col_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over every leading axis, (..., n) -> (n,), as a BLAS product with ones."""
+    x = x.reshape(-1, x.shape[-1])
+    return np.ones(x.shape[0], dtype=x.dtype) @ x
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -142,19 +172,18 @@ def _dropout_mask(rng, shape, p, dtype):
 
 
 def _layernorm_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv_std
+    xc = x - _row_mean(x)
+    inv_std = 1.0 / np.sqrt(_row_mean(xc * xc) + LN_EPS)
+    xhat = xc * inv_std
     return xhat * g + b, xhat, inv_std
 
 
 def _layernorm_backward(dy, xhat, inv_std, g):
-    dgamma = (dy * xhat).sum(axis=(0, 1))
-    dbeta = dy.sum(axis=(0, 1))
+    dgamma = _col_sum(dy * xhat)
+    dbeta = _col_sum(dy)
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = _row_mean(dxhat)
+    m2 = _row_mean(dxhat * xhat)
     dx = inv_std * (dxhat - m1 - xhat * m2)
     return dx, dgamma, dbeta
 
@@ -180,7 +209,7 @@ def embed_input(params: dict[str, np.ndarray], config: EncoderConfig, x: np.ndar
     x = np.asarray(x, dtype=params["in.w"].dtype)
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"input dim {x.shape[-1]} != configured {config.input_dim}")
-    return (x @ params["in.w"] + params["in.b"]) * math.sqrt(config.model_dim)
+    return (_mm(x, params["in.w"]) + params["in.b"]) * math.sqrt(config.model_dim)
 
 
 def encoder_forward_batch(
@@ -255,17 +284,17 @@ def _encode(params, config, h, segments, train_mode, rng, keep_layers=True):
     for i in range(config.num_layers):
         pre = f"layer{i}."
         rec: dict = {"x": h}
-        q = h @ params[pre + "attn.wq"] + params[pre + "attn.bq"]
-        k = h @ params[pre + "attn.wk"]
-        v = h @ params[pre + "attn.wv"] + params[pre + "attn.bv"]
+        q = _mm(h, params[pre + "attn.wq"]) + params[pre + "attn.bq"]
+        k = _mm(h, params[pre + "attn.wk"])
+        v = _mm(h, params[pre + "attn.wv"]) + params[pre + "attn.bv"]
         rec["q"], rec["k"], rec["v"] = q, k, v
         qh, kh, vh = (_split_heads(t, config.num_heads) for t in (q, k, v))
         scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-        attn = softmax(scores, axis=-1)
+        attn = softmax(scores)
         rec["attn"] = attn
         o = _merge_heads(attn @ vh)
         rec["o"] = o
-        y = o @ params[pre + "attn.wo"] + params[pre + "attn.bo"]
+        y = _mm(o, params[pre + "attn.wo"]) + params[pre + "attn.bo"]
         if dropping:
             rec["attn_drop"] = _dropout_mask(rng, y.shape, config.dropout_p, y.dtype)
             y = y * rec["attn_drop"]
@@ -273,10 +302,10 @@ def _encode(params, config, h, segments, train_mode, rng, keep_layers=True):
         rec["ln1"] = (xhat1, inv1)
         rec["h1"] = h1
 
-        f_pre = h1 @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
+        f_pre = _mm(h1, params[pre + "ffn.w1"]) + params[pre + "ffn.b1"]
         f1 = np.maximum(f_pre, 0.0)
         rec["f_pre"], rec["f1"] = f_pre, f1
-        f2 = f1 @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
+        f2 = _mm(f1, params[pre + "ffn.w2"]) + params[pre + "ffn.b2"]
         if dropping:
             rec["ffn_drop"] = _dropout_mask(rng, f2.shape, config.dropout_p, f2.dtype)
             f2 = f2 * rec["ffn_drop"]
@@ -316,7 +345,7 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
 
     pooled = cache["pooled"]
     grads["out.w"] = pooled.T @ upstream
-    grads["out.b"] = upstream.sum(axis=0)
+    grads["out.b"] = _col_sum(upstream)
     dpooled = upstream @ params["out.w"].T
     dh = np.repeat(dpooled[:, None, :], T, axis=1) / T
 
@@ -329,14 +358,13 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
         grads[pre + "ln2.g"], grads[pre + "ln2.b"] = dg2, db2
 
         df2 = dr2 * rec["ffn_drop"] if "ffn_drop" in rec else dr2
-        dh1 = dr2.copy()
         grads[pre + "ffn.w2"] = _weight_grad(rec["f1"], df2)
-        grads[pre + "ffn.b2"] = df2.sum(axis=(0, 1))
-        df1 = df2 @ params[pre + "ffn.w2"].T
-        dfpre = df1 * (rec["f_pre"] > 0.0)
+        grads[pre + "ffn.b2"] = _col_sum(df2)
+        dfpre = _mm(df2, params[pre + "ffn.w2"].T)
+        dfpre *= rec["f_pre"] > 0.0
         grads[pre + "ffn.w1"] = _weight_grad(rec["h1"], dfpre)
-        grads[pre + "ffn.b1"] = dfpre.sum(axis=(0, 1))
-        dh1 += dfpre @ params[pre + "ffn.w1"].T
+        grads[pre + "ffn.b1"] = _col_sum(dfpre)
+        dh1 = dr2 + _mm(dfpre, params[pre + "ffn.w1"].T)
 
         xhat1, inv1 = rec["ln1"]
         dr1, dg1, db1 = _layernorm_backward(dh1, xhat1, inv1, params[pre + "ln1.g"])
@@ -345,8 +373,8 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
         dy = dr1 * rec["attn_drop"] if "attn_drop" in rec else dr1
         dx = dr1.copy()
         grads[pre + "attn.wo"] = _weight_grad(rec["o"], dy)
-        grads[pre + "attn.bo"] = dy.sum(axis=(0, 1))
-        do = dy @ params[pre + "attn.wo"].T
+        grads[pre + "attn.bo"] = _col_sum(dy)
+        do = _mm(dy, params[pre + "attn.wo"].T)
 
         H = config.num_heads
         doh = _split_heads(do, H)
@@ -354,7 +382,7 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
         attn = rec["attn"]
         dattn = doh @ vh.transpose(0, 1, 3, 2)
         dvh = attn.transpose(0, 1, 3, 2) @ doh
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dscores = attn * (dattn - _row_sum(dattn * attn))
         dqh = (dscores @ kh) * scale
         dkh = (dscores.transpose(0, 1, 3, 2) @ qh) * scale
         dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
@@ -363,12 +391,8 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
         for name, dt in (("q", dq), ("k", dk), ("v", dv)):
             grads[pre + f"attn.w{name}"] = _weight_grad(x_l, dt)
             if name != "k":
-                grads[pre + f"attn.b{name}"] = dt.sum(axis=(0, 1))
-        dx += (
-            dq @ params[pre + "attn.wq"].T
-            + dk @ params[pre + "attn.wk"].T
-            + dv @ params[pre + "attn.wv"].T
-        )
+                grads[pre + f"attn.b{name}"] = _col_sum(dt)
+            dx += _mm(dt, params[pre + f"attn.w{name}"].T)
         dh = dx
 
     if "drop0" in cache:
@@ -381,7 +405,7 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
         grads["seg.emb"] = demb
     dproj = dh * cache["embed_scale"]
     grads["in.w"] = _weight_grad(cache["x"], dproj)
-    grads["in.b"] = dproj.sum(axis=(0, 1))
+    grads["in.b"] = _col_sum(dproj)
     return grads
 
 
@@ -455,19 +479,39 @@ def sigmoid(x):
 
 @dataclass
 class AdamState:
-    """First/second moment buffers plus the step counter."""
+    """Every parameter in one flat buffer, its two moments and the step counter.
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    `for_params` copies the parameters into `flat`, in sorted name order,
+    and rebinds each entry of the caller's dict to a view of it, so the
+    dict keeps its names, shapes and dtype while `adam_step` updates the
+    whole buffer at once. `views` are those entries; `g` and `scratch` are
+    the step's working buffers.
+    """
+
+    names: tuple[str, ...]
+    views: tuple[np.ndarray, ...]
+    flat: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    g: np.ndarray
+    scratch: np.ndarray
     step: int = 0
 
     @staticmethod
     def for_params(params: dict[str, np.ndarray]) -> "AdamState":
-        return AdamState(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            step=0,
-        )
+        names = tuple(sorted(params))
+        dtypes = {params[n].dtype for n in names}
+        if len(dtypes) != 1:
+            raise ConsistencyError(f"parameters must share one dtype, got "
+                                   f"{sorted(map(str, dtypes))}")
+        flat = np.concatenate([params[n].reshape(-1) for n in names])
+        lo = 0
+        for n in names:
+            shape, size = params[n].shape, params[n].size
+            params[n] = flat[lo : lo + size].reshape(shape)
+            lo += size
+        return AdamState(names, tuple(params[n] for n in names), flat, np.zeros_like(flat),
+                         np.zeros_like(flat), np.empty_like(flat), np.empty_like(flat))
 
 
 def adam_step(
@@ -477,23 +521,48 @@ def adam_step(
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
-) -> None:
-    """One bias-corrected adaptive-moment update, in place."""
+) -> float:
+    """One bias-corrected adaptive-moment update of the state's flat buffer,
+    in place. Returns the global L2 norm of the gradient.
+
+    The element-wise arithmetic is the per-tensor update's, in the same
+    order, so the result does not depend on how the parameters are laid
+    out. A non-finite gradient raises before anything is updated.
+    """
+    if len(params) != len(state.views) or any(
+        params.get(n) is not view for n, view in zip(state.names, state.views)
+    ):
+        raise ConsistencyError("parameters no longer view the optimizer's buffer")
+    g, s = state.g, state.scratch
+    np.concatenate([grads[n].reshape(-1) for n in state.names], out=g)
+    if not np.isfinite(g).all():
+        ends = np.cumsum([view.size for view in state.views])
+        first = np.flatnonzero(~np.isfinite(g))[0]
+        bad = state.names[int(np.searchsorted(ends, first, side="right"))]
+        raise NumericError(f"non-finite gradient for {bad}")
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float(g @ g))
+    if math.isinf(norm):  # every element is finite, so only the sum of squares overflowed
+        norm = float(np.linalg.norm(g.astype(np.float64)))
+
     b1, b2 = betas
     state.step += 1
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for name in sorted(params):
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        params[name] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=s)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=s)
+    v += np.multiply(s, g, out=s)
+    np.divide(v, c2, out=s)  # s: the denominator sqrt(v / c2) + eps
+    np.sqrt(s, out=s)
+    s += eps
+    np.divide(m, c1, out=g)  # g: the update lr * (m / c1) / s
+    g *= lr
+    g /= s
+    state.flat -= g
+    return norm
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,9 @@ def fit(model: Model, spec: TrainSpec, rng: np.random.Generator, epoch_data, bat
     them and returns (mean loss, grads). end_epoch(record), if given, may
     add to the epoch's record before it joins model.history. Each epoch
     the rng serves epoch_data first, then the permutation, then each
-    batch step in turn. The Adam moments live only for this run.
+    batch step in turn. The Adam moments live only for this run; the
+    record's grad_norm is the mean over the epoch's steps of the global
+    gradient L2 norm.
     """
     opt = AdamState.for_params(model.params)
     for epoch in range(spec.epochs):
@@ -92,12 +94,14 @@ def fit(model: Model, spec: TrainSpec, rng: np.random.Generator, epoch_data, bat
         n = len(data[0])
         perm = rng.permutation(n)
         epoch_loss = 0.0
+        norms = []
         for lo in range(0, n, spec.batch_size):
             idx = perm[lo : lo + spec.batch_size]
             loss, grads = batch_step(*(a[idx] for a in data))
-            adam_step(model.params, grads, opt, spec.lr)
+            norms.append(adam_step(model.params, grads, opt, spec.lr))
             epoch_loss += loss * len(idx)
-        record = {"epoch": epoch, "train_loss": epoch_loss / n}
+        record = {"epoch": epoch, "train_loss": epoch_loss / n,
+                  "grad_norm": sum(norms) / len(norms)}
         if end_epoch is not None:
             end_epoch(record)
         model.history.append(record)
@@ -218,7 +222,7 @@ def _safe_row_normalize(v: np.ndarray):
 
 def _vlad_half_forward(params, prefix, xh):
     logits = xh @ params[prefix + "assign_w"] + params[prefix + "assign_b"]
-    assign = softmax(logits, axis=-1)  # (B, Th, K)
+    assign = softmax(logits)  # (B, Th, K)
     mass = assign.sum(axis=1)  # (B, K)
     centers = params[prefix + "centers"]
     vlad = assign.transpose(0, 2, 1) @ xh - mass[:, :, None] * centers[None]
@@ -474,7 +478,7 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int,
             logits = encoder_forward_embedded(model.params, model.config, xb)
         else:
             logits, _ = _head_forward(model, xb)
-        probs[lo : lo + logits.shape[0]] = softmax(logits, axis=-1)
+        probs[lo : lo + logits.shape[0]] = softmax(logits)
     return probs
 
 

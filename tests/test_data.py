@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,19 @@ class TestCombineFeatures:
             norms = np.linalg.norm(out.data[:, offset : offset + d], axis=1)
             assert np.all((np.abs(norms - 1.0) < 1e-5) | (norms == 0.0))
             offset += d
+
+    def test_frame_that_overflows_the_float32_norm_becomes_a_unit_vector(self):
+        data = np.array([[1e20, 0.0, 0.0, 0.0], [3e19, -4e19, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0]],
+                        dtype=np.float32)
+        other = np.array([[0.0, 1.0]] * 3, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = combine_features([make_features(data=data), make_features(data=other)])
+        np.testing.assert_allclose(out.data[:, :4], [[1, 0, 0, 0], [0.6, -0.8, 0, 0],
+                                                     [0.6, 0.8, 0, 0]], rtol=1e-6)
+        np.testing.assert_array_equal(out.data[:, 4:], other)
+        # frames whose float32 norm is finite take the float32 path, bit for bit
+        assert out.data[2, :4].tobytes() == (data[2] / np.linalg.norm(data[2])).tobytes()
 
     def test_permutation_covariant(self):
         dims = [4, 7, 3]

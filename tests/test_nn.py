@@ -359,6 +359,120 @@ class TestAdam:
         with pytest.raises(NumericError):
             adam_step(params, {"w": np.array([np.inf])}, state, lr=0.1)
 
+    def test_nonfinite_gradient_updates_nothing_and_names_the_first_tensor(self):
+        params = {"c": np.array([1.0, 2.0]), "a": np.array([1.0]), "b": np.array([1.0])}
+        state = AdamState.for_params(params)
+        grads = {"a": np.array([1.0]), "b": np.array([np.nan]), "c": np.array([np.inf, 1.0])}
+        with pytest.raises(NumericError, match="for b$"):
+            adam_step(params, grads, state, lr=0.1)
+        assert {k: v.tolist() for k, v in params.items()} == {
+            "a": [1.0], "b": [1.0], "c": [1.0, 2.0]}
+        assert state.step == 0
+        assert not state.m.any() and not state.v.any()
+
+    def test_returns_the_global_gradient_norm(self):
+        params = {"a": np.zeros(2, np.float32), "b": np.zeros((1, 1), np.float32)}
+        state = AdamState.for_params(params)
+        assert adam_step(params, {"a": np.array([3.0, 0.0], np.float32),
+                                  "b": np.array([[4.0]], np.float32)}, state, lr=0.1) == 5.0
+
+    def test_gradient_norm_whose_float32_square_sum_overflows(self):
+        # each square (1e36) fits float32, their sum (1e39) does not
+        params = {"a": np.zeros(1000, np.float32)}
+        state = AdamState.for_params(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = adam_step(params, {"a": np.full(1000, 1e18, np.float32)}, state, lr=0.1)
+        assert norm == pytest.approx(np.sqrt(1000) * 1e18, rel=1e-6)
+
+    def test_entries_become_views_of_one_buffer(self):
+        params = {k: v.astype(np.float32)
+                  for k, v in init_encoder_params(SMALL, np.random.default_rng(0)).items()}
+        before = {k: v.copy() for k, v in params.items()}
+        state = AdamState.for_params(params)
+        assert list(params) == list(before)  # the dict keeps its order
+        assert state.flat.size == sum(v.size for v in before.values())
+        for name, arr in params.items():
+            assert arr.base is state.flat and arr.flags.c_contiguous
+            assert arr.dtype == np.float32 and arr.shape == before[name].shape
+            np.testing.assert_array_equal(arr, before[name])
+        # in sorted name order, each view follows the previous one
+        offsets = [params[n].ctypes.data - state.flat.ctypes.data for n in sorted(params)]
+        assert offsets == [4 * o for o in np.cumsum([0] + [params[n].size
+                                                           for n in sorted(params)][:-1])]
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ConsistencyError):
+            AdamState.for_params({"a": np.zeros(2), "b": np.zeros(2, np.float32)})
+
+    def test_rebound_parameters_are_a_consistency_error(self):
+        params = {"a": np.zeros(2), "b": np.zeros(3)}
+        state = AdamState.for_params(params)
+        grads = {"a": np.ones(2), "b": np.ones(3)}
+        copied = {k: v.copy() for k, v in params.items()}
+        with pytest.raises(ConsistencyError):
+            adam_step(copied, grads, state, lr=0.1)
+        params["b"] = params["b"].copy()
+        with pytest.raises(ConsistencyError):
+            adam_step(params, grads, state, lr=0.1)
+        with pytest.raises(ConsistencyError):
+            adam_step({**copied, "c": np.zeros(1)}, grads, state, lr=0.1)
+        assert state.step == 0 and not state.flat.any()
+
+    def test_flat_update_is_bit_equal_to_the_per_tensor_loop(self):
+        """50 float32 steps on the spotting encoder's parameters."""
+        config = EncoderConfig(input_dim=32, output_dim=18)
+        rng = np.random.default_rng(0)
+        params = {k: v.astype(np.float32) for k, v in init_encoder_params(config, rng).items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
+        state = AdamState.for_params(params)
+        for step in range(1, 51):
+            scale = 10.0 ** rng.integers(-6, 3)
+            grads = {k: (scale * rng.normal(size=v.shape)).astype(np.float32)
+                     for k, v in ref.items()}
+            adam_step(params, grads, state, lr=5e-4)
+            _per_tensor_adam_step(ref, grads, ref_m, ref_v, step, lr=5e-4)
+        names = sorted(ref)
+        assert state.step == 50
+        for name in names:
+            assert params[name].tobytes() == ref[name].tobytes(), name
+        assert state.m.tobytes() == np.concatenate([ref_m[n].ravel() for n in names]).tobytes()
+        assert state.v.tobytes() == np.concatenate([ref_v[n].ravel() for n in names]).tobytes()
+
+    def test_checkpoint_of_viewed_parameters_round_trips_byte_identical(self, tmp_path):
+        from spotground.checkpoint import KIND_SPOT_TRANSFORMER, Model, load_model, save_model
+
+        config = EncoderConfig(input_dim=8, output_dim=18, model_dim=16, num_layers=2,
+                               num_heads=2, hidden_dim=24)
+        params = {k: v.astype(np.float32)
+                  for k, v in init_encoder_params(config, np.random.default_rng(1)).items()}
+        plain = Model(KIND_SPOT_TRANSFORMER, config, ["Goal"], {k: v.copy()
+                                                                 for k, v in params.items()})
+        AdamState.for_params(params)
+        viewed = Model(KIND_SPOT_TRANSFORMER, config, ["Goal"], params)
+        save_model(tmp_path / "plain.sgckpt", plain)
+        save_model(tmp_path / "viewed.sgckpt", viewed)
+        save_model(tmp_path / "again.sgckpt", load_model(tmp_path / "viewed.sgckpt"))
+        data = (tmp_path / "viewed.sgckpt").read_bytes()
+        assert data == (tmp_path / "plain.sgckpt").read_bytes()
+        assert data == (tmp_path / "again.sgckpt").read_bytes()
+
+
+def _per_tensor_adam_step(params, grads, m, v, step, lr, betas=(0.9, 0.999), eps=1e-8):
+    """The reference update: one tensor at a time, in sorted name order."""
+    b1, b2 = betas
+    c1 = 1.0 - b1**step
+    c2 = 1.0 - b2**step
+    for name in sorted(params):
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        params[name] -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
 
 class TestDtype:
     """The kernel runs in the parameters' dtype: a numpy float64 scalar or a

@@ -465,6 +465,7 @@ class TestFit:
         for h in model.history:
             assert h["train_loss"] == pytest.approx(x.mean())
         assert [h["extra"] for h in model.history] == [3, 6, 9]
+        assert [h["grad_norm"] for h in model.history] == [1.0, 1.0, 1.0]
         assert params["w"][0] < 0.0  # Adam stepped against the constant gradient
 
 
@@ -515,7 +516,7 @@ def _window_reference(model, data, chunk):
         logits, _ = encoder_forward_batch(model.params, model.config, windows)
     else:
         logits, _ = netvlad_forward_batch(model.params, model.config, windows)
-    return softmax(logits, axis=-1)
+    return softmax(logits)
 
 
 class TestScoreSeries:
