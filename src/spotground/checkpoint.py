@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ class Model:
 
 
 def _config_to_dict(config) -> dict:
-    d = config.to_dict()
+    d = asdict(config)
     d["kind"] = type(config).__name__
     return d
 

@@ -17,18 +17,17 @@ import json
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from concurrent import futures
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from . import __version__
 from .checkpoint import load_model, save_model
 from .data import (
     GameHalf,
     format_game_time,
+    game_dirs,
     load_dataset,
     load_game,
     load_labels,
@@ -36,7 +35,6 @@ from .data import (
 )
 from .errors import ParseError, ShapeError, SpotGroundError
 from .evaluation import (
-    EvalReport,
     average_map,
     interval_histogram_svg,
     replay_ap_report,
@@ -100,14 +98,6 @@ def _write_json(path: Path, doc, sort_keys: bool = True) -> Path:
 
 def _load_vocab_arg(path: str | None) -> list[str]:
     return load_vocab(path) if path else list(DEFAULT_VOCAB)
-
-
-def _game_dirs(root: Path) -> list[Path]:
-    """The game directories under root, those holding feature files, in name order."""
-    game_dirs = sorted(p for p in root.iterdir() if p.is_dir() and any(p.glob("*_*.npy")))
-    if not game_dirs:
-        raise ParseError(f"no game directories under {root}")
-    return game_dirs
 
 
 def _game_labels(root: Path, vocab=None) -> dict:
@@ -323,7 +313,7 @@ def _read_splits(data: Path, path: str | None) -> dict[str, list[str]] | None:
     unknown = set(doc) - {"train", "valid", "test"}
     if unknown:
         raise UsageError(f"unknown split keys: {sorted(unknown)}")
-    games = {g.name for g in _game_dirs(data)}
+    games = {g.name for g in game_dirs(data)}
     for split, names in doc.items():
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise UsageError(f"split {split!r} must be a list of game directory names")
@@ -399,9 +389,9 @@ SPOT_INFER_DEFAULTS = {
 def _map_games(fn, data: Path, jobs: int, *args) -> list:
     """fn((game_dir, *args)) for every game directory under data, in game
     order; across a pool of `jobs` processes when jobs > 1."""
-    tasks = [(str(g), *args) for g in _game_dirs(data)]
+    tasks = [(str(g), *args) for g in game_dirs(data)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
@@ -536,7 +526,8 @@ def cmd_ground_merge(args, cfg) -> list[Path]:
                 p.parent.name: read_ground_predictions(p)
                 for p in sorted(path.glob("*/grounding.json"))
             }
-        return {path.stem: read_ground_predictions(path)}
+        game_id, _ = _read_prediction_doc(path, "queries")
+        return {game_id: read_ground_predictions(path)}
 
     side_a, side_b = read_side(Path(args.a)), read_side(Path(args.b))
     written = []
@@ -577,32 +568,9 @@ def _parse_tolerances(text: str) -> tuple[int, ...]:
     return tols
 
 
-def _eval_one_tolerance(task):
-    preds, gts, tol, vocab = task
-    return average_map(preds, gts, [tol], vocab=vocab)
-
-
-def _average_map_jobs(preds, gts, tolerances, vocab, jobs) -> EvalReport:
-    """average_map, optionally parallel over tolerances. Same result either way."""
-    if jobs <= 1 or len(tolerances) == 1:
-        return average_map(preds, gts, tolerances, vocab=vocab)
-    tasks = [(preds, gts, tol, vocab) for tol in tolerances]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_eval_one_tolerance, tasks))
-    per_class: dict = {}
-    map_per_tol: dict = {}
-    counts: dict = {}
-    for part in parts:
-        (tol,) = part.tolerances
-        map_per_tol[tol] = part.map_per_tolerance[tol]
-        counts[tol] = part.counts[tol]
-        for label, rows in part.per_class_ap.items():
-            per_class.setdefault(label, []).extend(rows)
-    avg = float(np.mean([map_per_tol[t] for t in tolerances]))
-    return EvalReport(per_class, map_per_tol, avg, counts, tuple(tolerances))
-
-
 def cmd_eval_spot(args, cfg) -> list[Path]:
+    if cfg["jobs"] != 1:  # evaluation runs in one process; no other value has an effect
+        raise UsageError(f"--jobs must be 1, got {cfg['jobs']}")
     tolerances = _parse_tolerances(cfg["tolerances"])
     vocab = _load_vocab_arg(args.vocab)
     preds_dir = Path(args.preds)
@@ -612,7 +580,7 @@ def cmd_eval_spot(args, cfg) -> list[Path]:
         spot_path = preds_dir / game_id / "spotting.json"
         if spot_path.exists():
             all_preds.extend(read_spot_predictions(spot_path, vocab))
-    report = _average_map_jobs(all_preds, all_gts, tolerances, vocab, cfg["jobs"])
+    report = average_map(all_preds, all_gts, tolerances, vocab=vocab)
     out = Path(args.out)
     report_path = _write_json(out / "spot_eval.json", report.to_dict())
     csv_path = out / "spot_eval.csv"
@@ -655,10 +623,12 @@ ANALYZE_DEFAULTS = {"buckets": 10}
 
 
 def cmd_analyze_replays(args, cfg) -> list[Path]:
+    if args.svg is not None and (args.svg in ("", "..") or Path(args.svg).name != args.svg):
+        raise UsageError(f"--svg must be a bare file name, written under --out, got {args.svg!r}")
     replays = [rp for _, rps in _game_labels(Path(args.labels)).values() for rp in rps]
     stats = replay_stats(replays, bucket_s=cfg["buckets"])
     out = Path(args.out)
-    written = [_write_json(out / "replay_stats.json", stats.to_dict())]
+    written = [_write_json(out / "replay_stats.json", asdict(stats))]
     if args.svg:
         svg_path = out / args.svg
         svg_path.write_text(interval_histogram_svg(stats), encoding="utf-8")
@@ -721,7 +691,7 @@ PATHS = {
     "out": "output directory",
     "vocab": "class vocabulary JSON (default: built-in 17 classes)",
     "splits": "JSON with train/valid/test game id lists",
-    "svg": "also write an SVG histogram with this filename",
+    "svg": "also write an SVG histogram under --out with this bare file name",
 }
 OPTIONAL_PATHS = {"vocab", "splits", "svg"}
 POSITIONAL_PATHS = {"a", "b"}
@@ -811,7 +781,7 @@ COMMANDS = (
     Command(("eval", "spot"), "Average-mAP for spotting predictions", cmd_eval_spot,
             EVAL_SPOT_DEFAULTS, ("preds", "labels", "out", "vocab"), {
                 "tolerances": "start:stop:step or comma list",
-                "jobs": "parallel processes over tolerances",
+                "jobs": "only 1: evaluation runs in one process",
             }),
     Command(("eval", "ground"), "average-AP for replay grounding predictions",
             cmd_eval_ground, EVAL_GROUND_DEFAULTS, ("preds", "labels", "out"),

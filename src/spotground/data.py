@@ -21,7 +21,6 @@ from .errors import (
     IdentityError,
     ParseError,
     ShapeError,
-    VocabularyError,
 )
 from .npyio import read_npy_file
 from .vocab import DEFAULT_VOCAB
@@ -29,17 +28,19 @@ from .vocab import DEFAULT_VOCAB
 logger = logging.getLogger(__name__)
 
 GAME_TIME_RE = re.compile(r"^\s*(\d+)\s*-\s*(\d{1,3}):([0-5]\d)\s*$")
+# the most that the sources of one half may differ in length, in seconds (rows)
+LENGTH_SLACK_S = 2
 
 
 @dataclass(frozen=True)
 class FeatureSequence:
-    """Per-second embeddings for one half of one game (T rows, D columns)."""
+    """Per-second embeddings for one half of one game (T rows, D columns):
+    row t holds second t, the 1 fps rate of SoccerNet-v2's features."""
 
     game_id: str
     half: int
     data: np.ndarray
     source_dims: tuple[int, ...]
-    fps: int = 1
 
     def __post_init__(self):
         if self.half not in (1, 2):
@@ -117,13 +118,12 @@ def parse_labels(
     stream: bytes | str,
     game_id: str = "",
     vocab: list[str] | tuple[str, ...] | None = None,
-    strict: bool = False,
 ) -> tuple[list[EventAnnotation], list[ReplayAnnotation]]:
     """Parse a label JSON document into event and replay annotations.
 
     The document may carry an "annotations" array, a "replays" array, or
-    both. Unknown labels are logged (strict=False) or raised (strict=True)
-    against the given vocabulary; entries are never silently dropped.
+    both. Labels outside the given vocabulary are kept and logged as a
+    warning; entries are never silently dropped.
     """
     try:
         doc = json.loads(stream)
@@ -143,8 +143,6 @@ def parse_labels(
         if not isinstance(label, str) or not label:
             raise ParseError(f"bad label {label!r}")
         if label not in known:
-            if strict:
-                raise VocabularyError(f"label {label!r} is not in the configured vocabulary")
             logger.warning("unknown label %r in %s", label, game_id or "<stream>")
 
     events: list[EventAnnotation] = []
@@ -171,26 +169,26 @@ def parse_labels(
     return events, replays
 
 
-def combine_features(sources: list[FeatureSequence], length_slack_s: int = 2) -> FeatureSequence:
+def combine_features(sources: list[FeatureSequence]) -> FeatureSequence:
     """L2-normalize each source per frame, then concatenate along features.
 
     All sources must describe the same game half; lengths may differ by at
-    most length_slack_s seconds and are truncated to the shortest. Frames
+    most LENGTH_SLACK_S seconds and are truncated to the shortest. Frames
     with zero norm are kept as zero vectors and counted in a warning.
     """
     if not sources:
         raise ShapeError("combine_features needs at least one source")
     first = sources[0]
     for src in sources[1:]:
-        if (src.game_id, src.half, src.fps) != (first.game_id, first.half, first.fps):
+        if (src.game_id, src.half) != (first.game_id, first.half):
             raise IdentityError(
                 f"sources disagree on identity: {(src.game_id, src.half)} vs "
                 f"{(first.game_id, first.half)}"
             )
     lengths = [src.duration_s for src in sources]
     t_min, t_max = min(lengths), max(lengths)
-    if t_max - t_min > length_slack_s:
-        raise AlignmentError(f"source lengths {lengths} differ by more than {length_slack_s} s")
+    if t_max - t_min > LENGTH_SLACK_S:
+        raise AlignmentError(f"source lengths {lengths} differ by more than {LENGTH_SLACK_S} s")
 
     zero_frames = 0
     blocks = []
@@ -214,7 +212,7 @@ def combine_features(sources: list[FeatureSequence], length_slack_s: int = 2) ->
         )
     combined = np.concatenate(blocks, axis=1)
     dims = tuple(d for src in sources for d in src.source_dims)
-    return FeatureSequence(first.game_id, first.half, combined, dims, first.fps)
+    return FeatureSequence(first.game_id, first.half, combined, dims)
 
 
 def extract_window(data: np.ndarray, start_s: int, length_s: int) -> np.ndarray:
@@ -253,7 +251,7 @@ def load_game_half(game_dir: str | Path, game_id: str, half: int) -> FeatureSequ
 
 
 def load_labels(
-    game_dir: str | Path, vocab=None, strict: bool = False
+    game_dir: str | Path, vocab=None
 ) -> tuple[list[EventAnnotation], list[ReplayAnnotation]] | None:
     """Events and replays of one game directory, or None if it holds no labels.
 
@@ -267,18 +265,17 @@ def load_labels(
     events: list[EventAnnotation] = []
     replays: list[ReplayAnnotation] = []
     for path in paths:
-        evs, rps = parse_labels(path.read_bytes(), game_id=game_dir.name, vocab=vocab,
-                                strict=strict)
+        evs, rps = parse_labels(path.read_bytes(), game_id=game_dir.name, vocab=vocab)
         events.extend(evs)
         replays.extend(rps)
     return events, replays
 
 
-def load_game(game_dir: str | Path, vocab=None, strict: bool = False) -> list[GameHalf]:
+def load_game(game_dir: str | Path, vocab=None) -> list[GameHalf]:
     """Load both halves of a game directory together with its labels."""
     game_dir = Path(game_dir)
     game_id = game_dir.name
-    events, replays = load_labels(game_dir, vocab, strict) or ([], [])
+    events, replays = load_labels(game_dir, vocab) or ([], [])
     halves = []
     for half in (1, 2):
         if not list(game_dir.glob(f"{half}_*.npy")):
@@ -296,17 +293,24 @@ def load_game(game_dir: str | Path, vocab=None, strict: bool = False) -> list[Ga
     return halves
 
 
-def load_dataset(root: str | Path, vocab=None, strict: bool = False) -> list[GameHalf]:
-    """Load every game directory under root (any directory with NPY files).
+def game_dirs(root: str | Path) -> list[Path]:
+    """The game directories under root, those holding "*_*.npy" feature
+    files, in name order."""
+    root = Path(root)
+    dirs = sorted(p for p in root.iterdir() if p.is_dir() and any(p.glob("*_*.npy")))
+    if not dirs:
+        raise ParseError(f"no game directories with feature files under {root}")
+    return dirs
+
+
+def load_dataset(root: str | Path, vocab=None) -> list[GameHalf]:
+    """Load every game directory under root (see game_dirs).
 
     Every half must have the same feature width: one model reads them all.
     """
-    root = Path(root)
     halves: list[GameHalf] = []
-    for game_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        if not any(game_dir.glob("*_*.npy")):
-            continue
-        for gh in load_game(game_dir, vocab=vocab, strict=strict):
+    for game_dir in game_dirs(root):
+        for gh in load_game(game_dir, vocab=vocab):
             if halves and gh.features.dim != halves[0].features.dim:
                 first = halves[0].features
                 raise ShapeError(
@@ -314,6 +318,4 @@ def load_dataset(root: str | Path, vocab=None, strict: bool = False) -> list[Gam
                     f"feature columns, but {first.game_id} half {first.half} has {first.dim}"
                 )
             halves.append(gh)
-    if not halves:
-        raise ParseError(f"no game directories with feature files under {root}")
     return halves

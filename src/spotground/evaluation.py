@@ -19,6 +19,7 @@ from .grounding import GroundingPrediction
 from .spotting import SpotPrediction
 
 DEFAULT_TOLERANCES: tuple[int, ...] = tuple(range(5, 61, 5))
+SVG_WIDTH, SVG_HEIGHT = 640, 360
 
 
 def _match_flags(entries, gts_by_group, tolerance_s):
@@ -220,27 +221,13 @@ class ReplayStats:
     bucket_s: int
     top_labels: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "bucket_s": self.bucket_s,
-            "interval_histogram": dict(self.interval_histogram),
-            "fraction_in_0_120": self.fraction_in_0_120,
-            "class_counts": dict(self.class_counts),
-            "top_labels": list(self.top_labels),
-        }
 
-
-def replay_stats(
-    replays: list[ReplayAnnotation],
-    bucket_s: int = 10,
-    include_anomalous_in_fraction: bool = True,
-) -> ReplayStats:
+def replay_stats(replays: list[ReplayAnnotation], bucket_s: int = 10) -> ReplayStats:
     """Histogram of replay_end - event_time intervals plus label counts.
 
     Negative intervals (impossible through the parsing path, possible for
     hand-built records) land in an "anomalous" bucket and stay in the
-    fraction denominator unless configured otherwise.
+    fraction denominator.
     """
     if bucket_s < 1:
         raise ShapeError("bucket size must be >= 1 s")
@@ -258,8 +245,7 @@ def replay_stats(
         hist["anomalous"] = anomalous
 
     in_range = sum(1 for iv in intervals if 0 <= iv <= 120)
-    denom = len(intervals) if include_anomalous_in_fraction else len(intervals) - anomalous
-    fraction = in_range / denom if denom else 0.0
+    fraction = in_range / len(intervals) if intervals else 0.0
 
     class_counts: dict[str, int] = {}
     for r in replays:
@@ -275,8 +261,9 @@ def replay_stats(
     )
 
 
-def interval_histogram_svg(stats: ReplayStats, width: int = 640, height: int = 360) -> str:
+def interval_histogram_svg(stats: ReplayStats) -> str:
     """Deterministic standalone SVG bar chart of the interval histogram."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     buckets = [
         (int(k.split("-")[0]), v) for k, v in stats.interval_histogram.items() if k != "anomalous"
     ]

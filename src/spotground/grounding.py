@@ -28,7 +28,7 @@ from .nn import (
     init_encoder_params,
     sigmoid,
 )
-from .spotting import SpotPrediction, TrainSpec, fit, training_model
+from .spotting import SpotPrediction, TrainSpec, _greedy_nms, fit, training_model
 
 logger = logging.getLogger(__name__)
 
@@ -36,6 +36,10 @@ CANDIDATE_CHUNK_S = 30
 PRE_REPLAY_WINDOW_S = 120
 POSITIVES_PER_REPLAY = 4
 NEGATIVES_PER_REPLAY = 4
+# how far a sampled chunk keeps the event inside (positive) or outside (negative) its edges
+SAMPLING_MARGIN_S = 2
+# segment id of each row of a pair sequence: 0 for the candidate chunk, 1 for the replay clip
+_SEGMENTS = np.repeat(np.arange(2, dtype=np.int64), CANDIDATE_CHUNK_S)
 DEFAULT_FUSION_LABELS = frozenset({"Foul", "Goal", "Shots-off target"})
 
 
@@ -59,11 +63,10 @@ class ReplayQuery:
     end_s: int
 
 
-def replay_clip(features: FeatureSequence, start_s: int, end_s: int,
-                chunk_s: int = CANDIDATE_CHUNK_S) -> np.ndarray:
-    """The replay interval's rows, truncated or zero-padded to chunk_s."""
-    clip = np.zeros((chunk_s, features.dim), dtype=features.data.dtype)
-    n = min(chunk_s, end_s - start_s)
+def replay_clip(features: FeatureSequence, start_s: int, end_s: int) -> np.ndarray:
+    """The replay interval's rows, truncated or zero-padded to CANDIDATE_CHUNK_S."""
+    clip = np.zeros((CANDIDATE_CHUNK_S, features.dim), dtype=features.data.dtype)
+    n = min(CANDIDATE_CHUNK_S, end_s - start_s)
     if n > 0:
         clip[:n] = extract_window(features.data, start_s, n)
     return clip
@@ -73,26 +76,24 @@ def sample_grounding_pairs(
     replay: ReplayAnnotation,
     features: FeatureSequence,
     rng: np.random.Generator,
-    chunk_s: int = CANDIDATE_CHUNK_S,
-    window_s: int = PRE_REPLAY_WINDOW_S,
-    n_pos: int = POSITIVES_PER_REPLAY,
-    n_neg: int = NEGATIVES_PER_REPLAY,
-    margin_s: int = 2,
 ) -> list[tuple[int, int, float]]:
     """Draw positive/negative candidate chunks from the pre-replay window,
     as (start_s, label, offset) pairs.
 
-    Positives (label 1) contain the source event, placed at a random
-    offset at least margin_s from the chunk edge when possible; offset is
-    the event's position in the chunk, in [0, 1]. Negatives (label 0,
-    offset 0.0) keep the event at least margin_s outside the chunk.
-    Replays whose event is not inside the window are skipped with a
-    warning.
+    The window is the PRE_REPLAY_WINDOW_S seconds before the replay starts,
+    and a chunk is CANDIDATE_CHUNK_S long. POSITIVES_PER_REPLAY positives
+    (label 1) contain the source event, placed at a random offset at least
+    SAMPLING_MARGIN_S from the chunk edge when possible; offset is the
+    event's position in the chunk, in [0, 1]. NEGATIVES_PER_REPLAY
+    negatives (label 0, offset 0.0) keep the event at least
+    SAMPLING_MARGIN_S outside the chunk. Replays whose event is not inside
+    the window are skipped with a warning.
     """
     if (replay.game_id, replay.half) != (features.game_id, features.half):
         raise IdentityError("replay annotation and features describe different halves")
+    chunk_s, margin_s = CANDIDATE_CHUNK_S, SAMPLING_MARGIN_S
     start = replay.replay_start_s
-    window_lo = max(0, start - window_s)
+    window_lo = max(0, start - PRE_REPLAY_WINDOW_S)
     last_start = start - chunk_s
     event = replay.event_time_s
     if not (window_lo <= event <= start):
@@ -115,7 +116,7 @@ def sample_grounding_pairs(
         return []
 
     pairs = []
-    for _ in range(n_pos):
+    for _ in range(POSITIVES_PER_REPLAY):
         cs = int(rng.integers(pos_lo, pos_hi + 1))
         pairs.append((cs, 1, (event - cs) / chunk_s))
     neg_starts = np.array(
@@ -128,14 +129,9 @@ def sample_grounding_pairs(
     if neg_starts.size == 0:
         logger.warning("replay at %d s: no negative chunk placement possible", start)
     else:
-        pairs.extend((int(cs), 0, 0.0) for cs in rng.choice(neg_starts, size=n_neg, replace=True))
+        draws = rng.choice(neg_starts, size=NEGATIVES_PER_REPLAY, replace=True)
+        pairs.extend((int(cs), 0, 0.0) for cs in draws)
     return pairs
-
-
-def _segments(chunk_s: int) -> np.ndarray:
-    seg = np.zeros(2 * chunk_s, dtype=np.int64)
-    seg[chunk_s:] = 1
-    return seg
 
 
 def _pair_sequences(data: np.ndarray, starts, clip: np.ndarray, out=None) -> np.ndarray:
@@ -171,7 +167,6 @@ def train_grounding(
     halves: list[GameHalf],
     spec: TrainSpec,
     config: EncoderConfig | None = None,
-    chunk_s: int = CANDIDATE_CHUNK_S,
     offset_weight: float = 1.0,
 ) -> Model:
     """Train the grounding head; pairs are re-sampled every epoch.
@@ -194,18 +189,16 @@ def train_grounding(
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
     model = training_model(KIND_GROUNDING, config, [], init_encoder_params(config, rng))
-    seg_row = _segments(chunk_s)
-    clips = [replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s, chunk_s)
+    clips = [replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s)
              for gh, rp in replays]
     dtype = np.result_type(*(gh.features.data.dtype for gh, _ in replays))
 
     def epoch_pairs():
-        drawn = [sample_grounding_pairs(rp, gh.features, rng, chunk_s=chunk_s)
-                 for gh, rp in replays]
+        drawn = [sample_grounding_pairs(rp, gh.features, rng) for gh, rp in replays]
         pairs = [p for ps in drawn for p in ps]
         if not pairs:
             raise ParseError("no usable grounding samples (all replays skipped)")
-        X = np.empty((len(pairs), 2 * chunk_s, input_dim), dtype=dtype)
+        X = np.empty((len(pairs), 2 * CANDIDATE_CHUNK_S, input_dim), dtype=dtype)
         lo = 0
         for (gh, _), clip, ps in zip(replays, clips, drawn):
             _pair_sequences(gh.features.data, [cs for cs, _, _ in ps], clip,
@@ -215,9 +208,8 @@ def train_grounding(
         return X, labels, offsets
 
     def step(xb, labels, offsets):
-        seg = np.broadcast_to(seg_row, (len(xb), seg_row.size))
         out, cache = encoder_forward_batch(
-            model.params, config, xb, segments=seg, train_mode=True, rng=rng
+            model.params, config, xb, segments=_SEGMENTS, train_mode=True, rng=rng
         )
         loss, dout = bce_plus_l2(out, labels, offsets, offset_weight)
         return loss, encoder_backward(cache, dout)
@@ -231,34 +223,31 @@ def infer_grounding(
     query: ReplayQuery,
     features: FeatureSequence,
     stride_s: int = 5,
-    chunk_s: int = CANDIDATE_CHUNK_S,
-    window_s: int = PRE_REPLAY_WINDOW_S,
 ) -> list[GroundingPrediction]:
     """Slide candidate chunks over the pre-replay window.
 
-    Every candidate yields one prediction: time = chunk start + chunk_s *
-    clamp(offset, 0, 1), confidence = replay probability. Post-processing
-    (filtering, fusion, merging) is separate.
+    Every candidate yields one prediction: time = chunk start +
+    CANDIDATE_CHUNK_S * clamp(offset, 0, 1), confidence = replay
+    probability. Post-processing (filtering, fusion, merging) is separate.
     """
     if (query.game_id, query.half) != (features.game_id, features.half):
         raise IdentityError("query and features describe different halves")
     if stride_s < 1:
         raise ShapeError("stride must be >= 1 s")
-    window_lo = max(0, query.start_s - window_s)
-    last_start = query.start_s - chunk_s
+    window_lo = max(0, query.start_s - PRE_REPLAY_WINDOW_S)
+    last_start = query.start_s - CANDIDATE_CHUNK_S
     starts = list(range(window_lo, last_start + 1, stride_s))
     if not starts:
         return []
     X = _pair_sequences(features.data, starts,
-                        replay_clip(features, query.start_s, query.end_s, chunk_s))
-    seg = np.broadcast_to(_segments(chunk_s), (len(starts), 2 * chunk_s))
+                        replay_clip(features, query.start_s, query.end_s))
     h = embed_input(model.params, model.config, X)
-    out = encoder_forward_embedded(model.params, model.config, h, segments=seg)
+    out = encoder_forward_embedded(model.params, model.config, h, segments=_SEGMENTS)
     probs = sigmoid(out[:, 0])
     offsets = np.clip(out[:, 1], 0.0, 1.0)
     preds = []
     for cs, prob, off in zip(starts, probs, offsets):
-        t = int(round(cs + chunk_s * float(off)))
+        t = int(round(cs + CANDIDATE_CHUNK_S * float(off)))
         preds.append(GroundingPrediction(query.game_id, query.half, t, float(prob)))
     return preds
 
@@ -326,9 +315,4 @@ def merge_nms(
     for preds in (preds_a, preds_b):
         for p, conf in zip(preds, minmax_normalize([p.confidence for p in preds])):
             pool.append(GroundingPrediction(p.game_id, p.half, p.time_s, conf))
-    pool.sort(key=lambda p: (-p.confidence, p.time_s))
-    kept: list[GroundingPrediction] = []
-    for p in pool:
-        if all(abs(p.time_s - q.time_s) > window_s for q in kept):
-            kept.append(p)
-    return sorted(kept, key=lambda p: p.time_s)
+    return sorted(_greedy_nms(pool, window_s), key=lambda p: p.time_s)

@@ -63,18 +63,6 @@ class EncoderConfig:
         if self.num_segments < 0:
             raise ShapeError(f"num_segments must be >= 0, got {self.num_segments}")
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "model_dim": self.model_dim,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "hidden_dim": self.hidden_dim,
-            "dropout_p": self.dropout_p,
-            "num_segments": self.num_segments,
-        }
-
 
 def positional_encoding(T: int, d: int) -> np.ndarray:
     """Sinusoidal table: PE[t, 2i] = sin(t / 10000^(2i/d)), PE[t, 2i+1] = cos(...)."""
@@ -476,6 +464,9 @@ def sigmoid(x):
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -519,8 +510,6 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
 ) -> float:
     """One bias-corrected adaptive-moment update of the state's flat buffer,
     in place. Returns the global L2 norm of the gradient.
@@ -545,7 +534,7 @@ def adam_step(
     if math.isinf(norm):  # every element is finite, so only the sum of squares overflowed
         norm = float(np.linalg.norm(g.astype(np.float64)))
 
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
@@ -557,7 +546,7 @@ def adam_step(
     v += np.multiply(s, g, out=s)
     np.divide(v, c2, out=s)  # s: the denominator sqrt(v / c2) + eps
     np.sqrt(s, out=s)
-    s += eps
+    s += ADAM_EPS
     np.divide(m, c1, out=g)  # g: the update lr * (m / c1) / s
     g *= lr
     g /= s
@@ -621,6 +610,34 @@ GROUND_GRADCHECK_CONFIG = EncoderConfig(
     input_dim=16, output_dim=2, model_dim=64, num_layers=4, num_heads=4,
     hidden_dim=256, dropout_p=0.0, num_segments=2,
 )
+GRADCHECK_BATCH = 2
+SPOT_GRADCHECK_T = 7  # a spotting chunk
+GROUND_GRADCHECK_T = 16  # two segments of 8 rows
+
+
+def _head_grad_check(config, trials, h, seed, T, segments, draw_loss) -> float:
+    """Finite-difference check of one encoder head on a random batch.
+
+    The rng draws the parameters, then the (GRADCHECK_BATCH, T) input,
+    then, through draw_loss(rng, config), the head's targets; draw_loss
+    returns the loss, a function of the outputs giving (loss, d loss / d
+    outputs). The config runs without dropout.
+    """
+    if config.dropout_p:
+        config = replace(config, dropout_p=0.0)
+    rng = np.random.default_rng(seed)
+    params = init_encoder_params(config, rng)
+    x = rng.normal(size=(GRADCHECK_BATCH, T, config.input_dim))
+    loss = draw_loss(rng, config)
+
+    def loss_fn(p, want_grads):
+        outputs, cache = encoder_forward_batch(p, config, x, segments=segments)
+        value, dout = loss(outputs)
+        if not want_grads:
+            return value, None
+        return value, encoder_backward(cache, dout)
+
+    return grad_check(params, loss_fn, trials=trials, h=h, rng=rng)
 
 
 def spotting_grad_check(
@@ -628,27 +645,17 @@ def spotting_grad_check(
     trials: int = 100,
     h: float = 1e-5,
     seed: int = 0,
-    batch: int = 2,
-    T: int = 7,
 ) -> float:
     """Finite-difference check of the spotting head under cross-entropy."""
-    config = config or SPOT_GRADCHECK_CONFIG
-    if config.dropout_p:
-        config = replace(config, dropout_p=0.0)
-    rng = np.random.default_rng(seed)
-    params = init_encoder_params(config, rng)
-    x = rng.normal(size=(batch, T, config.input_dim))
-    targets = np.zeros((batch, config.output_dim))
-    targets[np.arange(batch), rng.integers(0, config.output_dim, batch)] = 1.0
 
-    def loss_fn(p, want_grads):
-        logits, cache = encoder_forward_batch(p, config, x)
-        loss, dlogits = cross_entropy_soft(logits, targets)
-        if not want_grads:
-            return loss, None
-        return loss, encoder_backward(cache, dlogits)
+    def draw_loss(rng, config):
+        targets = np.zeros((GRADCHECK_BATCH, config.output_dim))
+        classes = rng.integers(0, config.output_dim, GRADCHECK_BATCH)
+        targets[np.arange(GRADCHECK_BATCH), classes] = 1.0
+        return lambda logits: cross_entropy_soft(logits, targets)
 
-    return grad_check(params, loss_fn, trials=trials, h=h, rng=rng)
+    return _head_grad_check(config or SPOT_GRADCHECK_CONFIG, trials, h, seed,
+                            SPOT_GRADCHECK_T, None, draw_loss)
 
 
 def grounding_grad_check(
@@ -656,26 +663,15 @@ def grounding_grad_check(
     trials: int = 100,
     h: float = 1e-5,
     seed: int = 0,
-    batch: int = 2,
-    T: int = 16,
 ) -> float:
     """Finite-difference check of the grounding head under BCE + L2."""
-    config = config or GROUND_GRADCHECK_CONFIG
-    if config.dropout_p:
-        config = replace(config, dropout_p=0.0)
-    rng = np.random.default_rng(seed)
-    params = init_encoder_params(config, rng)
-    x = rng.normal(size=(batch, T, config.input_dim))
-    segments = np.zeros((batch, T), dtype=np.int64)
-    segments[:, T // 2 :] = 1
-    labels = rng.integers(0, 2, batch).astype(np.float64)
-    offsets = rng.random(batch)
+    segments = np.zeros((GRADCHECK_BATCH, GROUND_GRADCHECK_T), dtype=np.int64)
+    segments[:, GROUND_GRADCHECK_T // 2 :] = 1
 
-    def loss_fn(p, want_grads):
-        outputs, cache = encoder_forward_batch(p, config, x, segments=segments)
-        loss, dout = bce_plus_l2(outputs, labels, offsets)
-        if not want_grads:
-            return loss, None
-        return loss, encoder_backward(cache, dout)
+    def draw_loss(rng, config):
+        labels = rng.integers(0, 2, GRADCHECK_BATCH).astype(np.float64)
+        offsets = rng.random(GRADCHECK_BATCH)
+        return lambda outputs: bce_plus_l2(outputs, labels, offsets)
 
-    return grad_check(params, loss_fn, trials=trials, h=h, rng=rng)
+    return _head_grad_check(config or GROUND_GRADCHECK_CONFIG, trials, h, seed,
+                            GROUND_GRADCHECK_T, segments, draw_loss)

@@ -180,13 +180,6 @@ class NetVLADConfig:
         if min(self.input_dim, self.output_dim) < 1:
             raise ShapeError("all dimensions must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "clusters": self.clusters,
-        }
-
 
 def netvlad_param_shapes(config: NetVLADConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every NetVLAD head parameter, in initialisation order."""
@@ -420,6 +413,25 @@ def train_spotting(
 # inference
 
 
+def _greedy_nms(preds: list, window_s: int) -> list:
+    """Greedy temporal NMS of predictions with time_s and confidence.
+
+    In (-confidence, time_s) order, accept each prediction that lies more
+    than window_s from every one accepted before it. Returns the accepted
+    ones in that order.
+    """
+    kept = []
+    taken: list[int] = []  # accepted times, sorted
+    for p in sorted(preds, key=lambda p: (-p.confidence, p.time_s)):
+        # only the nearest accepted time on each side can be within the window
+        i = bisect.bisect_left(taken, p.time_s)
+        if ((i == 0 or p.time_s - taken[i - 1] > window_s)
+                and (i == len(taken) or taken[i] - p.time_s > window_s)):
+            kept.append(p)
+            taken.insert(i, p.time_s)
+    return kept
+
+
 def nms_1d(preds: list[SpotPrediction], window_s: int) -> list[SpotPrediction]:
     """Greedy per-class, per-half temporal NMS.
 
@@ -430,17 +442,7 @@ def nms_1d(preds: list[SpotPrediction], window_s: int) -> list[SpotPrediction]:
     groups: dict[tuple, list[SpotPrediction]] = {}
     for p in preds:
         groups.setdefault((p.game_id, p.half, p.class_index), []).append(p)
-    kept: list[SpotPrediction] = []
-    for group in groups.values():
-        group = sorted(group, key=lambda p: (-p.confidence, p.time_s))
-        taken: list[int] = []  # accepted times, sorted
-        for p in group:
-            # only the nearest accepted time on each side can be within the window
-            i = bisect.bisect_left(taken, p.time_s)
-            if ((i == 0 or p.time_s - taken[i - 1] > window_s)
-                    and (i == len(taken) or taken[i] - p.time_s > window_s)):
-                kept.append(p)
-                taken.insert(i, p.time_s)
+    kept = [p for group in groups.values() for p in _greedy_nms(group, window_s)]
     return sorted(kept, key=lambda p: (p.game_id, p.half, p.time_s, p.class_index))
 
 
@@ -512,10 +514,9 @@ def spot_game(
     chunk_size_s: int = 7,
     nms_window_s: int = 20,
     threshold: float = 0.05,
-    batch_size: int = 64,
 ) -> list[SpotPrediction]:
     """Slide at 1 s stride, threshold the per-class score series, NMS."""
-    probs = score_series(model, features, chunk_size_s, batch_size)
+    probs = score_series(model, features, chunk_size_s)
     return select_predictions(
         probs, features.game_id, features.half, model.vocab, threshold, nms_window_s
     )

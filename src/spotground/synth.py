@@ -60,9 +60,6 @@ class SynthConfig:
         if self.with_replays and self.replay_delay_min_s < 1:
             raise ShapeError("replay delays must be positive")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def class_directions(config: SynthConfig, seed: int) -> np.ndarray:
     """Orthonormal unit directions shared by every half.
@@ -161,9 +158,7 @@ def synth_generate(
                 ReplayAnnotation(game_id, half, start, end, int(t), labels[int(c)])
             )
 
-    features = FeatureSequence(
-        game_id, half, data.astype(np.float32), (D,), fps=1
-    )
+    features = FeatureSequence(game_id, half, data.astype(np.float32), (D,))
     return features, events, replays
 
 

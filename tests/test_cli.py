@@ -97,6 +97,16 @@ TRAIN_FAST = [
     "--layers", "1", "--heads", "2", "--model-dim", "16", "--hidden", "32",
     "--dropout", "0.0", "--seed", "1",
 ]
+GROUND_TRAIN_FAST = [
+    "--epochs", "1", "--batch", "16", "--layers", "1", "--heads", "2",
+    "--model-dim", "16", "--hidden", "32", "--seed", "2",
+]
+GROUND_SYNTH = [
+    "--halves", "2", "--duration", "1100", "--dim", "16", "--classes", "2",
+    "--events-per-class", "3", "--sigma", "0.05", "--min-gap", "130",
+    "--margin", "120", "--replays", "--delay-min", "10", "--delay-max", "110",
+    "--replay-dur", "8",
+]
 
 
 class TestSpotPipeline:
@@ -134,18 +144,20 @@ class TestSpotPipeline:
         assert ckpts[0] == ckpts[1]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        data = _synth(tmp_path / "data")
-        train_out = tmp_path / "train"
-        assert run(["spot", "train", "--data", str(data), "--out", str(train_out),
-                    *TRAIN_FAST]) == 0
-        ckpt = train_out / "model.sgckpt"
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        assert run(["spot", "infer", "--model", str(ckpt), "--data", str(data),
-                    "--out", str(serial)]) == 0
-        assert run(["spot", "infer", "--model", str(ckpt), "--data", str(data),
-                    "--out", str(parallel), "--jobs", "2"]) == 0
-        assert _tree_bytes(serial) == _tree_bytes(parallel)
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "4", *GROUND_SYNTH,
+                    "--halves", "4"]) == 0  # two games
+        for command, train_flags in (("spot", TRAIN_FAST), ("ground", GROUND_TRAIN_FAST)):
+            train_out = tmp_path / command / "train"
+            assert run([command, "train", "--data", str(data), "--out", str(train_out),
+                        *train_flags]) == 0
+            trees = []
+            for jobs in ("1", "2"):
+                out = tmp_path / command / f"jobs{jobs}"
+                assert run([command, "infer", "--model", str(train_out / "model.sgckpt"),
+                            "--data", str(data), "--out", str(out), "--jobs", jobs]) == 0
+                trees.append(_tree_bytes(out))
+            assert trees[0] == trees[1], command
 
     def test_netvlad_head_via_cli(self, tmp_path, capsys):
         data = _synth(tmp_path / "data")
@@ -165,31 +177,6 @@ class TestSpotPipeline:
         assert code == 1
         assert "even" in capsys.readouterr().err
 
-    def test_parallel_eval_matches_serial(self, tmp_path):
-        data = _synth(tmp_path / "data")
-        train_out = tmp_path / "train"
-        assert run(["spot", "train", "--data", str(data), "--out", str(train_out),
-                    *TRAIN_FAST]) == 0
-        preds = tmp_path / "preds"
-        assert run(["spot", "infer", "--model", str(train_out / "model.sgckpt"),
-                    "--data", str(data), "--out", str(preds)]) == 0
-        serial = tmp_path / "es"
-        parallel = tmp_path / "ep"
-        assert run(["eval", "spot", "--preds", str(preds), "--labels", str(data),
-                    "--out", str(serial)]) == 0
-        assert run(["eval", "spot", "--preds", str(preds), "--labels", str(data),
-                    "--out", str(parallel), "--jobs", "3"]) == 0
-        a = json.loads((serial / "spot_eval.json").read_text())
-        b = json.loads((parallel / "spot_eval.json").read_text())
-        assert a == b
-
-
-GROUND_SYNTH = [
-    "--halves", "2", "--duration", "1100", "--dim", "16", "--classes", "2",
-    "--events-per-class", "3", "--sigma", "0.05", "--min-gap", "130",
-    "--margin", "120", "--replays", "--delay-min", "10", "--delay-max", "110",
-    "--replay-dur", "8",
-]
 
 
 class TestGroundPipeline:
@@ -248,8 +235,7 @@ class TestGroundPipeline:
         assert run(["synth", "--out", str(data), "--seed", "4", *GROUND_SYNTH]) == 0
         train_out = tmp_path / "gtrain"
         assert run(["ground", "train", "--data", str(data), "--out", str(train_out),
-                    "--epochs", "1", "--batch", "16", "--layers", "1", "--heads", "2",
-                    "--model-dim", "16", "--hidden", "32", "--seed", "2"]) == 0
+                    *GROUND_TRAIN_FAST]) == 0
         outs = []
         for name in ("i1", "i2"):
             out = tmp_path / name
@@ -421,6 +407,11 @@ class TestRejectedBeforeLoading:
         (["synth", "--sigma", "-1"], "sigma"),
         (["gradcheck", "--h", "0"], "step h"),
         (["gradcheck", "--trials", "0"], "trials"),
+        # --svg is a file name under --out, never a path
+        (["analyze", "replays", "--labels", "{tmp}", "--svg", "{tmp}"], "--svg"),
+        (["analyze", "replays", "--labels", "{tmp}", "--svg", "../h.svg"], "--svg"),
+        (["analyze", "replays", "--labels", "{tmp}", "--svg", ".."], "--svg"),
+        (["analyze", "replays", "--labels", "{tmp}", "--svg", ""], "--svg"),
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, needle, tmp_path, capsys,
                                                   monkeypatch):
@@ -464,7 +455,7 @@ class TestRejectedBeforeLoading:
         self._usage_errors(
             tmp_path, capsys,
             ["eval", "spot", "--preds", str(tmp_path), "--labels", str(tmp_path)],
-            [("--jobs", ["--jobs", "0"])],
+            [("--jobs", ["--jobs", "0"]), ("--jobs", ["--jobs", "2"])],
         )
 
 
@@ -546,6 +537,31 @@ PREDICTION_DOCS = st.recursive(
         st.sampled_from(["game_id", "predictions", "queries", "query", "half", "position_s",
                          "label", "confidence", "start", "end"]), inner, max_size=5),
     max_leaves=25)
+
+
+class TestGroundMerge:
+    @staticmethod
+    def _write(root, game_id, preds):
+        path = root / game_id / "grounding.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({"game_id": game_id, "queries": [
+            {"query": GROUND_QUERY, "predictions": [
+                {"position_s": t, "confidence": c} for t, c in preds]}]}))
+        return path
+
+    def test_single_file_is_keyed_by_its_game_id(self, tmp_path):
+        side_a = tmp_path / "a"
+        file_a = self._write(side_a, "g1", [(100, 0.9), (60, 0.1)])
+        self._write(side_a, "g2", [(100, 0.9)])
+        file_b = self._write(tmp_path / "b", "g1", [(10, 0.5), (105, 0.2)])
+        for a, games in ((file_a, ["g1"]), (side_a, ["g1", "g2"])):
+            out = tmp_path / f"merged_{a.name}"
+            assert run(["ground", "merge", str(a), str(file_b), "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.iterdir() if p.is_dir()) == games
+            doc = json.loads((out / "g1" / "grounding.json").read_text())
+            assert doc["game_id"] == "g1"
+            # both sides merged: b's 10 s and a's 100 s lead, 105 s falls to NMS
+            assert [p["position_s"] for p in doc["queries"][0]["predictions"]] == [10, 60, 100]
 
 
 class TestPredictionReaders:

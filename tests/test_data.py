@@ -23,7 +23,6 @@ from spotground.errors import (
     IdentityError,
     ParseError,
     SpotGroundError,
-    VocabularyError,
 )
 
 
@@ -96,11 +95,6 @@ class TestParseLabels:
             parse_labels(stream)
         except SpotGroundError:
             pass
-
-    def test_unknown_label_strict(self):
-        doc = b'{"annotations":[{"gameTime":"1 - 00:01","label":"Dance"}]}'
-        with pytest.raises(VocabularyError):
-            parse_labels(doc, strict=True)
 
     def test_unknown_label_kept_and_reported(self, caplog):
         doc = b'{"annotations":[{"gameTime":"1 - 00:01","label":"Dance"}]}'
