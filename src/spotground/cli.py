@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import time
@@ -625,6 +626,8 @@ ANALYZE_DEFAULTS = {"buckets": 10}
 def cmd_analyze_replays(args, cfg) -> list[Path]:
     if args.svg is not None and (args.svg in ("", "..") or Path(args.svg).name != args.svg):
         raise UsageError(f"--svg must be a bare file name, written under --out, got {args.svg!r}")
+    if args.svg in ("replay_stats.json", "manifest.json"):
+        raise UsageError(f"--svg {args.svg!r} would overwrite the command's own output")
     replays = [rp for _, rps in _game_labels(Path(args.labels)).values() for rp in rps]
     stats = replay_stats(replays, bucket_s=cfg["buckets"])
     out = Path(args.out)
@@ -862,7 +865,11 @@ def _config_value(key: str, value, expected: type):
     """A config-file value checked against the type its key takes: bool is
     not an int, an int is accepted (as a float) where a float is expected."""
     if expected is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise UsageError(f"config key {key!r} must be finite, got an int too large "
+                             "for a float") from exc
     if isinstance(value, expected) and (expected is bool or not isinstance(value, bool)):
         return value
     raise UsageError(
@@ -896,10 +903,13 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _check_ranges(cfg: dict) -> None:
-    """Reject, as a usage error, a value outside its key's choices or bounds."""
+    """Reject, as a usage error, a value outside its key's choices or
+    bounds, and a float that is NaN or infinite."""
     for key, value in cfg.items():
         if key in CHOICES and value not in CHOICES[key]:
             raise UsageError(f"{_flag(key)} must be one of {CHOICES[key]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{_flag(key)} must be finite, got {value}")
         if key in BOUNDS:
             lo, hi = BOUNDS[key]
             if not (lo <= value and (hi is None or value <= hi)):  # NaN fails too

@@ -217,12 +217,19 @@ def combine_features(sources: list[FeatureSequence]) -> FeatureSequence:
 
 def extract_window(data: np.ndarray, start_s: int, length_s: int) -> np.ndarray:
     """Rows [start_s, start_s + length_s) of data, zero-padded outside [0, T)."""
-    T, D = data.shape
-    out = np.zeros((length_s, D), dtype=data.dtype)
-    lo = max(start_s, 0)
-    hi = min(start_s + length_s, T)
-    if lo < hi:
-        out[lo - start_s : hi - start_s] = data[lo:hi]
+    return gather_windows([data], [0], [start_s], length_s, data.dtype)[0]
+
+
+def gather_windows(datas: list[np.ndarray], which, starts, length_s: int, dtype) -> np.ndarray:
+    """(n, length_s, D) windows in dtype: window i is rows [starts[i],
+    starts[i] + length_s) of datas[which[i]], zero-padded outside its
+    [0, T). Only the windows' own rows are copied."""
+    out = np.zeros((len(starts), length_s, datas[0].shape[1]), dtype=dtype)
+    for row, i, start in zip(out, which, starts):
+        data = datas[i]
+        lo, hi = max(start, 0), min(start + length_s, len(data))
+        if lo < hi:
+            row[lo - start : hi - start] = data[lo:hi]
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import KIND_GROUNDING, Model
-from .data import FeatureSequence, GameHalf, ReplayAnnotation, extract_window
+from .data import FeatureSequence, GameHalf, ReplayAnnotation, extract_window, gather_windows
 from .errors import IdentityError, ParseError, ShapeError
 from .nn import (
     EncoderConfig,
@@ -134,20 +134,13 @@ def sample_grounding_pairs(
     return pairs
 
 
-def _pair_sequences(data: np.ndarray, starts, clip: np.ndarray, out=None) -> np.ndarray:
+def _pair_sequences(datas, which, starts, clips: np.ndarray) -> np.ndarray:
     """(n, 2 * chunk_s, D) candidate-then-replay sequences: sequence i is
-    rows [starts[i], starts[i] + chunk_s) of data, zero-padded outside the
-    half, followed by the replay clip. Written into out when given."""
-    chunk_s = len(clip)
-    if out is None:
-        out = np.empty((len(starts), 2 * chunk_s, data.shape[1]), dtype=data.dtype)
-    out[:, :chunk_s] = 0.0
-    for row, cs in zip(out, starts):
-        lo, hi = max(cs, 0), min(cs + chunk_s, len(data))
-        if lo < hi:
-            row[lo - cs : hi - cs] = data[lo:hi]
-    out[:, chunk_s:] = clip
-    return out
+    rows [starts[i], starts[i] + chunk_s) of datas[which[i]], zero-padded
+    outside the half, followed by the replay clip clips[which[i]]."""
+    chunk_s = clips.shape[1]
+    candidates = gather_windows(datas, which, starts, chunk_s, clips.dtype)
+    return np.concatenate([candidates, clips[which]], axis=1)
 
 
 def default_grounding_config(input_dim: int, dropout_p: float = 0.1) -> EncoderConfig:
@@ -189,25 +182,22 @@ def train_grounding(
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
     model = training_model(KIND_GROUNDING, config, [], init_encoder_params(config, rng))
-    clips = [replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s)
-             for gh, rp in replays]
-    dtype = np.result_type(*(gh.features.data.dtype for gh, _ in replays))
+    datas = [gh.features.data for gh, _ in replays]
+    clips = np.stack([replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s)
+                      for gh, rp in replays])
 
     def epoch_pairs():
         drawn = [sample_grounding_pairs(rp, gh.features, rng) for gh, rp in replays]
         pairs = [p for ps in drawn for p in ps]
         if not pairs:
             raise ParseError("no usable grounding samples (all replays skipped)")
-        X = np.empty((len(pairs), 2 * CANDIDATE_CHUNK_S, input_dim), dtype=dtype)
-        lo = 0
-        for (gh, _), clip, ps in zip(replays, clips, drawn):
-            _pair_sequences(gh.features.data, [cs for cs, _, _ in ps], clip,
-                            out=X[lo : lo + len(ps)])
-            lo += len(ps)
+        which = np.repeat(np.arange(len(replays)), [len(ps) for ps in drawn])
+        starts = np.array([cs for cs, _, _ in pairs], dtype=np.int64)
         _, labels, offsets = np.array(pairs, dtype=np.float64).T
-        return X, labels, offsets
+        return which, starts, labels, offsets
 
-    def step(xb, labels, offsets):
+    def step(which, starts, labels, offsets):
+        xb = _pair_sequences(datas, which, starts, clips)
         out, cache = encoder_forward_batch(
             model.params, config, xb, segments=_SEGMENTS, train_mode=True, rng=rng
         )
@@ -239,8 +229,8 @@ def infer_grounding(
     starts = list(range(window_lo, last_start + 1, stride_s))
     if not starts:
         return []
-    X = _pair_sequences(features.data, starts,
-                        replay_clip(features, query.start_s, query.end_s))
+    clip = replay_clip(features, query.start_s, query.end_s)
+    X = _pair_sequences([features.data], [0] * len(starts), starts, clip[None])
     h = embed_input(model.params, model.config, X)
     out = encoder_forward_embedded(model.params, model.config, h, segments=_SEGMENTS)
     probs = sigmoid(out[:, 0])

@@ -1,4 +1,4 @@
-"""Action spotting: chunk tensors, the two heads, training and inference.
+"""Action spotting: chunk sampling, the two heads, training and inference.
 
 A half is cut into fixed-length chunks; each chunk is classified into one
 of 17 event classes or background. Inference slides a window at 1 s
@@ -12,11 +12,12 @@ import bisect
 import copy
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .checkpoint import KIND_SPOT_NETVLAD, KIND_SPOT_TRANSFORMER, Model
-from .data import EventAnnotation, FeatureSequence, GameHalf
+from .data import EventAnnotation, FeatureSequence, GameHalf, gather_windows
 from .errors import ParseError, ShapeError
 from .nn import (
     AdamState,
@@ -34,6 +35,10 @@ from .nn import (
 from .vocab import BACKGROUND_INDEX, DEFAULT_VOCAB, NUM_OUTPUT_CLASSES, label_index
 
 logger = logging.getLogger(__name__)
+
+# windows per forward pass in score_series: 64 was the fastest of 16, 64,
+# 256 and 1024 at SoccerNet-split scale
+SCORE_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -317,31 +322,31 @@ def default_spot_epochs(head: str) -> int:
     return 50 if head == "transformer" else 40
 
 
-def _chunk_tensors(halves, spec, vocab):
-    """(N, L, D) chunks and (N, 18) targets of the halves, tiled at stride
-    L: the chunks do not overlap, so each row is copied once into a zeroed
-    buffer that pads every half's tail to a whole chunk."""
+def _chunk_samples(halves, spec, vocab):
+    """(which, starts, Y, windows) of the halves' chunks, tiled at stride L:
+    chunk i is the L rows of halves[which[i]] from second starts[i], with
+    target Y[i]. windows(which, starts) gathers a batch of chunks in the
+    dtype of all the halves, not of the batch's own."""
     if not halves:
         raise ParseError("empty dataset: no chunks to train on")
     L = spec.chunk_size_s
-    Y = [make_chunks(gh.features, gh.events, L, vocab) for gh in halves]
-    X = np.zeros((sum(len(y) for y in Y) * L, halves[0].features.dim),
-                 dtype=np.result_type(*(gh.features.data.dtype for gh in halves)))
-    lo = 0
-    for gh, y in zip(halves, Y):
-        X[lo : lo + gh.features.duration_s] = gh.features.data
-        lo += len(y) * L
-    return X.reshape(-1, L, X.shape[1]), np.concatenate(Y)
+    Y = np.concatenate([make_chunks(gh.features, gh.events, L, vocab) for gh in halves])
+    starts = [np.arange(0, gh.features.duration_s, L) for gh in halves]
+    which = np.repeat(np.arange(len(halves)), [len(s) for s in starts])
+    datas = [gh.features.data for gh in halves]
+    dtype = np.result_type(*(data.dtype for data in datas))
+    windows = partial(gather_windows, datas, length_s=L, dtype=dtype)
+    return which, np.concatenate(starts), Y, windows
 
 
-def _eval_loss(model, X, Y, batch_size):
+def _eval_loss(model, which, starts, Y, windows, batch_size):
     total = 0.0
-    for lo in range(0, len(X), batch_size):
-        xb, yb = X[lo : lo + batch_size], Y[lo : lo + batch_size]
+    for lo in range(0, len(Y), batch_size):
+        xb = windows(which[lo : lo + batch_size], starts[lo : lo + batch_size])
         logits, _ = _head_forward(model, xb)
-        loss, _ = cross_entropy_soft(logits, yb)
+        loss, _ = cross_entropy_soft(logits, Y[lo : lo + batch_size])
         total += loss * len(xb)
-    return total / len(X)
+    return total / len(Y)
 
 
 def train_spotting(
@@ -365,8 +370,8 @@ def train_spotting(
     if spec.mode == "regular" and not splits.valid:
         raise ParseError("regular mode needs a validation split")
 
-    X, Y = _chunk_tensors(halves, spec, vocab)
-    input_dim = X.shape[2]
+    which, starts, Y, windows = _chunk_samples(halves, spec, vocab)
+    input_dim = halves[0].features.dim
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
     if head == "transformer":
         if config is None:
@@ -386,7 +391,8 @@ def train_spotting(
 
     model = training_model(kind, config, vocab, params)
 
-    def step(xb, yb):
+    def step(which, starts, yb):
+        xb = windows(which, starts)
         if spec.mixup_alpha > 0.0:
             xb, yb = mixup(xb, yb, spec.mixup_alpha, rng)
         logits, cache = _head_forward(model, xb, train_mode=True, rng=rng)
@@ -396,14 +402,14 @@ def train_spotting(
     best: dict = {}
     keep_best = None
     if spec.mode == "regular":
-        valid = _chunk_tensors(splits.valid, spec, vocab)
+        valid = _chunk_samples(splits.valid, spec, vocab)
 
         def keep_best(record):
             record["valid_loss"] = vloss = _eval_loss(model, *valid, spec.batch_size)
             if not best or vloss < best["loss"]:
                 best.update(loss=vloss, params=copy.deepcopy(model.params))
 
-    fit(model, spec, rng, lambda: (X, Y), step, keep_best)
+    fit(model, spec, rng, lambda: (which, starts, Y), step, keep_best)
     if best:
         model.params = best["params"]
     return model
@@ -446,8 +452,7 @@ def nms_1d(preds: list[SpotPrediction], window_s: int) -> list[SpotPrediction]:
     return sorted(kept, key=lambda p: (p.game_id, p.half, p.time_s, p.class_index))
 
 
-def score_series(model: Model, features: FeatureSequence, chunk_size_s: int,
-                 batch_size: int = 64) -> np.ndarray:
+def score_series(model: Model, features: FeatureSequence, chunk_size_s: int) -> np.ndarray:
     """(T, 18) class probabilities, one row per second (window centers).
 
     The window centred on second t starts at second t - chunk // 2 and has
@@ -455,8 +460,8 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int,
     each row alone, so its windows slide over the half's rows embedded
     once; a zero pad row embeds to in.b * sqrt(model_dim).
     """
-    if chunk_size_s < 1 or batch_size < 1:
-        raise ShapeError("chunk size and batch size must be >= 1")
+    if chunk_size_s < 1:
+        raise ShapeError("chunk size must be >= 1")
     data = features.data
     T, D = data.shape
     left = chunk_size_s // 2
@@ -465,8 +470,8 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int,
         padded = np.empty((T + chunk_size_s - 1, model.config.model_dim),
                           dtype=model.params["in.w"].dtype)
         padded[:] = embed_input(model.params, model.config, np.zeros(D))
-        for lo in range(0, T, batch_size):
-            hi = min(lo + batch_size, T)
+        for lo in range(0, T, SCORE_BATCH):
+            hi = min(lo + SCORE_BATCH, T)
             padded[left + lo : left + hi] = embed_input(model.params, model.config, data[lo:hi])
     else:
         padded = np.zeros((T + chunk_size_s - 1, D), dtype=data.dtype)
@@ -474,8 +479,8 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int,
     windows = np.lib.stride_tricks.sliding_window_view(padded, chunk_size_s, axis=0)
     windows = windows.transpose(0, 2, 1)  # (T, chunk, width)
     probs = np.empty((T, NUM_OUTPUT_CLASSES))
-    for lo in range(0, T, batch_size):
-        xb = np.ascontiguousarray(windows[lo : lo + batch_size])
+    for lo in range(0, T, SCORE_BATCH):
+        xb = np.ascontiguousarray(windows[lo : lo + SCORE_BATCH])
         if embedded:
             logits = encoder_forward_embedded(model.params, model.config, xb)
         else:

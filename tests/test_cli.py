@@ -412,6 +412,23 @@ class TestRejectedBeforeLoading:
         (["analyze", "replays", "--labels", "{tmp}", "--svg", "../h.svg"], "--svg"),
         (["analyze", "replays", "--labels", "{tmp}", "--svg", ".."], "--svg"),
         (["analyze", "replays", "--labels", "{tmp}", "--svg", ""], "--svg"),
+        # nor one of the command's own outputs
+        (["analyze", "replays", "--labels", "{tmp}", "--svg", "replay_stats.json"], "--svg"),
+        (["analyze", "replays", "--labels", "{tmp}", "--svg", "manifest.json"], "--svg"),
+        # every float key is finite
+        (["ground", "fuse", "--spot-preds", "{tmp}", "--labels", "{tmp}", "--b1", "inf"],
+         "--b1"),
+        (["ground", "fuse", "--spot-preds", "{tmp}", "--labels", "{tmp}", "--b2", "inf"],
+         "--b2"),
+        (["synth", "--sigma", "inf"], "--sigma"),
+        (["gradcheck", "--h", "inf"], "--h"),
+        (["ground", "train", "--data", "{tmp}", "--offset-weight", "inf"], "--offset-weight"),
+        (["ground", "train", "--data", "{tmp}", "--lr", "inf"], "--lr"),
+        (["spot", "train", "--data", "{tmp}", "--lr", "inf"], "--lr"),
+        (["spot", "train", "--data", "{tmp}", "--lr=-inf"], "--lr"),
+        (["spot", "train", "--data", "{tmp}", "--mixup", "inf"], "--mixup"),
+        (["spot", "train", "--data", "{tmp}", "--mixup", "nan"], "--mixup"),
+        (["spot", "train", "--data", "{tmp}", "--dropout", "nan"], "--dropout"),
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, needle, tmp_path, capsys,
                                                   monkeypatch):
@@ -421,6 +438,25 @@ class TestRejectedBeforeLoading:
         if argv[0] != "gradcheck":
             argv += ["--out", str(out)]
         assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and needle in err, err
+        assert len(err.splitlines()) == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, needle", [
+        ('{"lr": Infinity}', "--lr"),
+        ('{"lr": -Infinity}', "--lr"),
+        ('{"mixup": NaN}', "--mixup"),
+        ('{"lr": 1%s}' % ("0" * 400), "'lr'"),  # an int no float can hold
+    ], ids=["inf", "-inf", "nan", "huge-int"])
+    def test_non_finite_config_values_are_usage_errors(self, doc, needle, tmp_path, capsys,
+                                                       monkeypatch):
+        self._forbid_loading(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        out = tmp_path / "out"
+        assert run(["spot", "train", "--data", str(tmp_path), "--out", str(out),
+                    "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and needle in err, err
         assert not out.exists()

@@ -221,6 +221,11 @@ class TestExtractWindow:
         tail = extract_window(feats.data, 48, 5)
         np.testing.assert_array_equal(tail[:2], feats.data[48:50])
         assert np.all(tail[2:] == 0.0) and tail.dtype == feats.data.dtype
+        both = extract_window(feats.data[:3], -2, 7)  # padded on both sides
+        np.testing.assert_array_equal(both[2:5], feats.data[:3])
+        assert np.all(both[:2] == 0.0) and np.all(both[5:] == 0.0)
+        for start in (-5, 50, 60):  # no row of the half inside the window
+            assert np.all(extract_window(feats.data, start, 5) == 0.0)
 
 
 def _game_files():

@@ -43,7 +43,8 @@ class TestSampling:
         for cs, off in positives:
             assert 0.0 <= off <= 1.0 and cs + off * 30 == 160
         # the candidate row at the offset is the event row
-        X = _pair_sequences(feats.data, [cs for cs, _ in positives], replay_clip(feats, 200, 210))
+        X = _pair_sequences([feats.data], [0] * 4, [cs for cs, _ in positives],
+                            replay_clip(feats, 200, 210)[None])
         for x, (cs, _) in zip(X, positives):
             np.testing.assert_array_equal(x[160 - cs], feats.data[160])
 
@@ -53,7 +54,7 @@ class TestSampling:
         pairs = sample_grounding_pairs(_replay(start=200, end=210, event=80), feats, rng)
         positives = [(cs, off) for cs, label, off in pairs if label == 1]
         assert positives == [(80, 0.0)] * 4
-        X = _pair_sequences(feats.data, [80], replay_clip(feats, 200, 210))
+        X = _pair_sequences([feats.data], [0], [80], replay_clip(feats, 200, 210)[None])
         np.testing.assert_array_equal(X[0, 0], feats.data[80])
 
     def test_negatives_exclude_event_over_many_replays(self, rng):
@@ -88,24 +89,33 @@ class TestSampling:
         feats = make_features(T=400, D=8)
         clip = replay_clip(feats, 200, 280)
         np.testing.assert_array_equal(clip, feats.data[200:230])
-        X = _pair_sequences(feats.data, [100, 150], clip)
+        X = _pair_sequences([feats.data], [0, 0], [100, 150], clip[None])
         assert X.shape == (2, 60, 8)
         np.testing.assert_array_equal(X[:, 30:], [feats.data[200:230]] * 2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pair_sequences_match_stacked_windows(self, dtype):
-        data = np.random.default_rng(4).normal(size=(150, 5)).astype(dtype)
-        feats = make_features(data=data)
-        clip = replay_clip(feats, 140, 175)  # runs past the half's end too
-        starts = [0, 7, 120, 131, 149, 150]  # the last four run past row 149
-        X = _pair_sequences(data, starts, clip)
-        want = np.stack([np.concatenate([extract_window(data, cs, 30), clip]) for cs in starts])
+        rng = np.random.default_rng(4)
+        datas = [rng.normal(size=(T, 5)).astype(dtype) for T in (150, 90)]
+        # one clip of each half runs past its end too
+        clips = np.stack([replay_clip(make_features(data=datas[0]), 140, 175),
+                          replay_clip(make_features(data=datas[0]), 60, 70),
+                          replay_clip(make_features(data=datas[1]), 85, 100)])
+        halves = [0, 0, 1]  # the half of each clip
+        # the clips interleave; starts 131, 149, 150 (half 0) and 65, 89 (half 1) run past
+        # their half's end
+        which = [0, 2, 1, 0, 2, 0, 1, 2, 0]
+        starts = [0, 0, 7, 120, 65, 131, 149, 89, 150]
+        X = _pair_sequences([datas[h] for h in halves], which, starts, clips)
+        want = np.stack([np.concatenate([extract_window(datas[halves[r]], cs, 30), clips[r]])
+                         for r, cs in zip(which, starts)])
         assert X.dtype == want.dtype == dtype
         np.testing.assert_array_equal(X, want)
 
     def test_training_epoch_matches_stacked_windows(self, monkeypatch):
-        """The first epoch's tensors, against the same draws stacked from
-        extract_window; one replay's candidates run past its half's end."""
+        """The first epoch, gathered by the training step as one shuffled
+        batch, against the same draws stacked from extract_window; one
+        replay's candidates run past its half's end."""
         import copy
 
         import spotground.grounding as grounding
@@ -115,14 +125,22 @@ class TestSampling:
         halves.append(GameHalf(short, [], [ReplayAnnotation("short", 1, 175, 185, 148, "Goal")]))
         seen = {}
 
-        def first_epoch(model, spec, rng, epoch_data, step):
+        def first_batch(model, spec, rng, epoch_data, step):
             seen["rng"] = copy.deepcopy(rng)
-            seen["data"] = epoch_data()
+            seen["data"] = data = epoch_data()
+            seen["perm"] = perm = np.random.default_rng(0).permutation(len(data[0]))
+            step(*(a[perm] for a in data))
 
-        monkeypatch.setattr(grounding, "fit", first_epoch)
+        def forward(params, config, x, **kwargs):
+            seen["x"] = x
+            return encoder_forward_batch(params, config, x, **kwargs)
+
+        monkeypatch.setattr(grounding, "fit", first_batch)
+        monkeypatch.setattr(grounding, "encoder_forward_batch", forward)
         spec = TrainSpec(mode="ultra", epochs=1, mixup_alpha=0.0, seed=3)
         train_grounding(halves, spec, config=default_grounding_config(16, dropout_p=0.0))
-        X, labels, offsets = seen["data"]
+        X, perm = seen["x"], seen["perm"]
+        _, _, labels, offsets = seen["data"]
         rng = seen["rng"]
         windows, want_labels, want_offsets, overrun = [], [], [], False
         for gh in halves:
@@ -135,7 +153,7 @@ class TestSampling:
                     want_labels.append(label)
                     want_offsets.append(off)
         assert overrun
-        np.testing.assert_array_equal(X, np.stack(windows))
+        np.testing.assert_array_equal(X, np.stack(windows)[perm])
         np.testing.assert_array_equal(labels, want_labels)
         np.testing.assert_array_equal(offsets, want_offsets)
         assert X.dtype == np.float32 and labels.dtype == offsets.dtype == np.float64
@@ -228,7 +246,8 @@ class TestTrainGrounding:
             for rp in gh.replays:
                 pairs = sample_grounding_pairs(rp, gh.features, rng)
                 clip = replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s)
-                X.append(_pair_sequences(gh.features.data, [cs for cs, _, _ in pairs], clip))
+                X.append(_pair_sequences([gh.features.data], [0] * len(pairs),
+                                         [cs for cs, _, _ in pairs], clip[None]))
                 labels.extend(label for _, label, _ in pairs)
         X, labels = np.concatenate(X), np.array(labels)
         seg = np.repeat([[0] * 30 + [1] * 30], len(X), axis=0)  # candidate, replay

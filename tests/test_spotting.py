@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from spotground.checkpoint import KIND_SPOT_NETVLAD, KIND_SPOT_TRANSFORMER, Mode
 from spotground.checkpoint import load_model, save_model
 from spotground.data import GameHalf, extract_window
 from spotground.errors import ParseError, ShapeError
+from spotground.grounding import train_grounding
 from spotground.nn import (
     AdamState,
     EncoderConfig,
@@ -19,7 +22,7 @@ from spotground.spotting import (
     NetVLADConfig,
     SpotPrediction,
     TrainSpec,
-    _chunk_tensors,
+    _chunk_samples,
     default_spot_epochs,
     default_spot_lr,
     fit,
@@ -52,7 +55,9 @@ class TestMakeChunks:
     def test_tiling_count_and_padding(self):
         feats = make_features(T=100, D=4)
         assert make_chunks(feats, [], 7).shape == (15, 18)
-        X, _ = _chunk_tensors([GameHalf(feats)], TrainSpec(chunk_size_s=7), DEFAULT_VOCAB)
+        which, starts, _, windows = _chunk_samples([GameHalf(feats)], TrainSpec(chunk_size_s=7),
+                                                   DEFAULT_VOCAB)
+        X = windows(which, starts)
         assert X.shape == (15, 7, 4)
         assert np.all(X[-1, 2:] == 0.0)  # rows 100..104 padded
 
@@ -71,7 +76,9 @@ class TestMakeChunks:
 
     def test_partition_property(self):
         feats = make_features(T=101, D=3)
-        X, Y = _chunk_tensors([GameHalf(feats)], TrainSpec(chunk_size_s=7), DEFAULT_VOCAB)
+        which, starts, Y, windows = _chunk_samples([GameHalf(feats)], TrainSpec(chunk_size_s=7),
+                                                   DEFAULT_VOCAB)
+        X = windows(which, starts)
         assert len(X) == len(Y) == len(range(0, 105, 7))
         np.testing.assert_array_equal(X.reshape(-1, 3)[:101], feats.data)
 
@@ -81,21 +88,27 @@ class TestMakeChunks:
 
     @pytest.mark.parametrize("dtypes", [[np.float32] * 4, [np.float64] * 4,
                                         [np.float32, np.float64, np.float32, np.float32]])
-    def test_chunk_tensors_match_stacked_windows(self, dtypes):
+    def test_chunk_samples_match_stacked_windows(self, dtypes):
         lengths, L = (101, 13, 50, 7), 7  # one T below L, one a multiple of it
         rng = np.random.default_rng(3)
         halves = [GameHalf(make_features(game_id=f"g{i}",
                                          data=rng.normal(size=(T, 5)).astype(dtype)),
                            [make_event(int(T * 0.6), "Goal", game_id=f"g{i}")])
                   for i, (T, dtype) in enumerate(zip(lengths, dtypes))]
-        X, Y = _chunk_tensors(halves, TrainSpec(chunk_size_s=L), DEFAULT_VOCAB)
+        which, starts, Y, windows = _chunk_samples(halves, TrainSpec(chunk_size_s=L),
+                                                   DEFAULT_VOCAB)
         want_x = np.stack([extract_window(gh.features.data, start, L)
                            for gh in halves for start in range(0, gh.features.duration_s, L)])
         want_y = np.concatenate([make_chunks(gh.features, gh.events, L) for gh in halves])
-        assert X.dtype == want_x.dtype == np.result_type(*dtypes)
-        assert X.shape == want_x.shape == (15 + 2 + 8 + 1, L, 5)
-        np.testing.assert_array_equal(X, want_x)
+        assert len(which) == len(starts) == len(want_x) == 15 + 2 + 8 + 1
         np.testing.assert_array_equal(Y, want_y)
+        # batches gather in any order, each in the dtype of all the halves
+        perm = rng.permutation(len(Y))
+        for lo in range(0, len(perm), 6):
+            idx = perm[lo : lo + 6]
+            X = windows(which[idx], starts[idx])
+            assert X.dtype == np.result_type(*dtypes)
+            np.testing.assert_array_equal(X, want_x[idx])
 
 
 class _FixedDraws:
@@ -158,7 +171,7 @@ class TestSpotForward:
                                num_heads=2, hidden_dim=16, dropout_p=0.0)
         model = Model(KIND_SPOT_TRANSFORMER, config, list(DEFAULT_VOCAB),
                       init_encoder_params(config, np.random.default_rng(1)))
-        probs = score_series(model, make_features(T=30, D=6), 9, batch_size=8)
+        probs = score_series(model, make_features(T=70, D=6), 9)  # two batches
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
         assert probs.min() >= 0.0
 
@@ -365,10 +378,11 @@ class TestTraining:
 
     def test_event_chunk_argmax_recovers_planted_class(self, trained_two_class):
         halves, spec, model = trained_two_class
-        X, Y = _chunk_tensors(halves, spec, DEFAULT_VOCAB)
+        which, starts, Y, windows = _chunk_samples(halves, spec, DEFAULT_VOCAB)
         events = Y[:, BACKGROUND_INDEX] != 1.0
         assert events.sum() >= 10
-        logits, _ = encoder_forward_batch(model.params, model.config, X[events])
+        logits, _ = encoder_forward_batch(model.params, model.config,
+                                          windows(which[events], starts[events]))
         hits = np.argmax(logits, axis=1) == np.argmax(Y[events], axis=1)
         assert hits.mean() >= 0.95
 
@@ -418,8 +432,8 @@ class TestTraining:
         # returned parameters are the snapshot with the lowest validation loss
         from spotground.spotting import _eval_loss
 
-        vx, vy = _chunk_tensors(splits.valid, spec, DEFAULT_VOCAB)
-        returned_loss = _eval_loss(model, vx, vy, spec.batch_size)
+        valid = _chunk_samples(splits.valid, spec, DEFAULT_VOCAB)
+        returned_loss = _eval_loss(model, *valid, spec.batch_size)
         assert returned_loss == pytest.approx(
             min(h["valid_loss"] for h in model.history), abs=1e-12
         )
@@ -441,6 +455,40 @@ class TestTraining:
         spec = TrainSpec(epochs=1)
         with pytest.raises(ParseError):
             train_spotting(DatasetSplits(train=[]), spec)
+
+
+class TestTrainingMemory:
+    """Training gathers each batch from the loaded halves: no copy of the
+    dataset's chunks or grounding pairs is built."""
+
+    @pytest.fixture(scope="class")
+    def halves(self):
+        cfg = SynthConfig(duration_s=2200, feature_dim=256, num_classes=2, events_per_class=3,
+                          noise_sigma=0.25, min_gap_s=130, edge_margin_s=120, num_halves=8,
+                          with_replays=True, replay_delay_min_s=10, replay_delay_max_s=110,
+                          replay_duration_s=8)
+        return [GameHalf(f, e, r) for f, e, r in synth_dataset(cfg, seed=3)]
+
+    @pytest.mark.parametrize("head", ["transformer", "netvlad", "grounding"])
+    def test_training_peak_is_below_half_the_loaded_features(self, halves, head):
+        spec = TrainSpec(mode="ultra", lr=1e-3, epochs=1, batch_size=8, chunk_size_s=8, seed=1)
+        small = dict(model_dim=16, num_layers=1, num_heads=2, hidden_dim=32, dropout_p=0.1)
+        tracemalloc.start()
+        try:
+            if head == "grounding":
+                train_grounding(halves, spec, config=EncoderConfig(
+                    input_dim=256, output_dim=2, num_segments=2, **small))
+            elif head == "netvlad":
+                train_spotting(DatasetSplits(train=halves), spec, head="netvlad",
+                               config=NetVLADConfig(input_dim=256, clusters=4))
+            else:
+                train_spotting(DatasetSplits(train=halves), spec,
+                               config=EncoderConfig(input_dim=256, output_dim=18, **small))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        loaded = sum(gh.features.data.nbytes for gh in halves)
+        assert peak < 0.5 * loaded, (peak, loaded)
 
 
 class TestFit:
@@ -531,22 +579,21 @@ class TestScoreSeries:
         path = tmp_path / "model.sgckpt"
         save_model(path, Model(KIND_SPOT_TRANSFORMER, config, list(DEFAULT_VOCAB), params))
         model = load_model(path)
-        for T in (1, 3, 7, 50):
+        for T in (1, 3, 7, 50, 130):  # 130 s crosses two batch boundaries
             feats = make_features(T=T, D=5, seed=T)
             for chunk in (1, 2, 7, 8):
-                ref = _window_reference(model, feats.data, chunk)
-                for batch in (256, 3):
-                    probs = score_series(model, feats, chunk, batch_size=batch)
-                    np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-12)
+                probs = score_series(model, feats, chunk)
+                np.testing.assert_allclose(probs, _window_reference(model, feats.data, chunk),
+                                           rtol=0, atol=1e-12)
 
     def test_netvlad_matches_per_window_forward(self):
         config = NetVLADConfig(input_dim=4, clusters=3)
         params = init_netvlad_params(config, np.random.default_rng(22))
         model = Model(KIND_SPOT_NETVLAD, config, list(DEFAULT_VOCAB), params)
-        for T in (1, 7, 50):
+        for T in (1, 7, 50, 130):
             feats = make_features(T=T, D=4, seed=T)
             for chunk in (2, 8):
-                probs = score_series(model, feats, chunk, batch_size=16)
+                probs = score_series(model, feats, chunk)
                 np.testing.assert_allclose(probs, _window_reference(model, feats.data, chunk),
                                            rtol=0, atol=1e-12)
 
