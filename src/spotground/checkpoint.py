@@ -166,7 +166,8 @@ def _read_header(raw: bytes, path) -> tuple[dict, int]:
 
 
 def _read_tensor(entry, raw: bytes, data_start: int) -> tuple[str, np.ndarray]:
-    """One manifest entry's tensor, after checking its shape, size and bounds."""
+    """One manifest entry's tensor, after checking its shape, size, bounds
+    and that every value is finite."""
     if not isinstance(entry, dict) or set(entry) != _TENSOR_KEYS:
         raise FormatError(f"tensor entry must be an object with keys {sorted(_TENSOR_KEYS)}")
     name, shape, dtype = entry["name"], entry["shape"], _DTYPES.get(entry["dtype"])
@@ -182,12 +183,15 @@ def _read_tensor(entry, raw: bytes, data_start: int) -> tuple[str, np.ndarray]:
     start = data_start + offset
     if start + nbytes > len(raw):
         raise FormatError(f"checkpoint truncated at tensor {name}")
-    return name, np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape).copy()
+    arr = np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape).copy()
+    if not np.isfinite(arr).all():
+        raise FormatError(f"tensor {name} holds NaN or infinite values")
+    return name, arr
 
 
 def load_model(path: str | Path) -> Model:
     """Read a checkpoint, checking its header schema and that its tensors are
-    exactly the parameters its head config defines."""
+    exactly the parameters its head config defines, with finite values."""
     raw = Path(path).read_bytes()
     header, data_start = _read_header(raw, path)
     config = _config_from_dict(header["config"])

@@ -23,6 +23,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .checkpoint import load_model, save_model
 from .data import (
@@ -299,6 +301,11 @@ SPOT_TRAIN_DEFAULTS = {
     "dropout": 0.1,
     "clusters": 64,
 }
+# the keys only one head reads: set for the other head, they would have no effect
+HEAD_ONLY_KEYS = {
+    "transformer": ("layers", "heads", "model_dim", "hidden", "dropout"),
+    "netvlad": ("clusters",),
+}
 
 
 def _read_splits(data: Path, path: str | None) -> dict[str, list[str]] | None:
@@ -360,6 +367,11 @@ def cmd_spot_train(args, cfg) -> list[Path]:
     spec = _checked(TrainSpec, mode=cfg["mode"], lr=cfg["lr"], epochs=cfg["epochs"],
                     batch_size=cfg["batch"], chunk_size_s=cfg["chunk"],
                     mixup_alpha=cfg["mixup"], seed=cfg["seed"])
+    for head, keys in HEAD_ONLY_KEYS.items():
+        for key in keys:
+            if head != cfg["head"] and cfg[key] != SPOT_TRAIN_DEFAULTS[key]:
+                raise UsageError(f"{_flag(key)} is read only by the {head} head, "
+                                 f"not --head {cfg['head']}")
     # checked before any data loads; the input width comes from the data
     if cfg["head"] == "transformer":
         config = _checked(EncoderConfig, input_dim=1, output_dim=NUM_OUTPUT_CLASSES,
@@ -374,8 +386,7 @@ def cmd_spot_train(args, cfg) -> list[Path]:
         raise UsageError("regular mode needs --splits with a valid set")
     halves = load_dataset(args.data, vocab=vocab)
     config = replace(config, input_dim=halves[0].features.dim)
-    model = train_spotting(_split_halves(halves, splits), spec, head=cfg["head"],
-                           config=config, vocab=vocab)
+    model = train_spotting(_split_halves(halves, splits), spec, config, vocab=vocab)
     return _write_trained(Path(args.out), model, f"{cfg['head']} head")
 
 
@@ -391,8 +402,9 @@ def _map_games(fn, data: Path, jobs: int, *args) -> list:
     """fn((game_dir, *args)) for every game directory under data, in game
     order; across a pool of `jobs` processes when jobs > 1."""
     tasks = [(str(g), *args) for g in game_dirs(data)]
-    if jobs > 1:
-        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1:  # each worker silences numpy's warnings, as _run_command does
+        with futures.ProcessPoolExecutor(max_workers=jobs, initializer=np.seterr,
+                                         initargs=("ignore",)) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
@@ -920,8 +932,11 @@ def _run_command(cmd: Command, args: argparse.Namespace) -> int:
     t0 = time.time()
     cfg = _resolve_config(args, cmd.defaults)
     _check_ranges(cfg)
-    # looked up by name, so a rebound command function (tracing, tests) is the one run
-    result = globals()[cmd.body.__name__](args, cfg)
+    # a finite value can still overflow; the finiteness checks then report it
+    # as one error line, and numpy's own warning lines would come first
+    with np.errstate(all="ignore"):
+        # looked up by name, so a rebound command function (tracing, tests) is the one run
+        result = globals()[cmd.body.__name__](args, cfg)
     if "out" not in cmd.paths:
         return result
     out = Path(args.out)

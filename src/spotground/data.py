@@ -215,11 +215,6 @@ def combine_features(sources: list[FeatureSequence]) -> FeatureSequence:
     return FeatureSequence(first.game_id, first.half, combined, dims)
 
 
-def extract_window(data: np.ndarray, start_s: int, length_s: int) -> np.ndarray:
-    """Rows [start_s, start_s + length_s) of data, zero-padded outside [0, T)."""
-    return gather_windows([data], [0], [start_s], length_s, data.dtype)[0]
-
-
 def gather_windows(datas: list[np.ndarray], which, starts, length_s: int, dtype) -> np.ndarray:
     """(n, length_s, D) windows in dtype: window i is rows [starts[i],
     starts[i] + length_s) of datas[which[i]], zero-padded outside its

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import KIND_GROUNDING, Model
-from .data import FeatureSequence, GameHalf, ReplayAnnotation, extract_window, gather_windows
+from .data import FeatureSequence, GameHalf, ReplayAnnotation, gather_windows
 from .errors import IdentityError, ParseError, ShapeError
 from .nn import (
     EncoderConfig,
@@ -61,15 +61,6 @@ class ReplayQuery:
     half: int
     start_s: int
     end_s: int
-
-
-def replay_clip(features: FeatureSequence, start_s: int, end_s: int) -> np.ndarray:
-    """The replay interval's rows, truncated or zero-padded to CANDIDATE_CHUNK_S."""
-    clip = np.zeros((CANDIDATE_CHUNK_S, features.dim), dtype=features.data.dtype)
-    n = min(CANDIDATE_CHUNK_S, end_s - start_s)
-    if n > 0:
-        clip[:n] = extract_window(features.data, start_s, n)
-    return clip
 
 
 def sample_grounding_pairs(
@@ -134,32 +125,28 @@ def sample_grounding_pairs(
     return pairs
 
 
-def _pair_sequences(datas, which, starts, clips: np.ndarray) -> np.ndarray:
-    """(n, 2 * chunk_s, D) candidate-then-replay sequences: sequence i is
-    rows [starts[i], starts[i] + chunk_s) of datas[which[i]], zero-padded
-    outside the half, followed by the replay clip clips[which[i]]."""
-    chunk_s = clips.shape[1]
-    candidates = gather_windows(datas, which, starts, chunk_s, clips.dtype)
-    return np.concatenate([candidates, clips[which]], axis=1)
+def _pair_sequences(datas, which, starts, intervals: np.ndarray, dtype) -> np.ndarray:
+    """(n, 2 * chunk_s, D) candidate-then-replay sequences in dtype.
 
-
-def default_grounding_config(input_dim: int, dropout_p: float = 0.1) -> EncoderConfig:
-    return EncoderConfig(
-        input_dim=input_dim,
-        output_dim=2,
-        model_dim=64,
-        num_layers=4,
-        num_heads=4,
-        hidden_dim=256,
-        dropout_p=dropout_p,
-        num_segments=2,
-    )
+    Sequence i is rows [starts[i], starts[i] + chunk_s) of datas[which[i]],
+    then the chunk_s rows from its replay's start intervals[which[i], 0],
+    zeroed at or past the replay's end intervals[which[i], 1]. Both windows
+    are zero-padded outside the half.
+    """
+    chunk_s = CANDIDATE_CHUNK_S
+    replay_start, replay_end = intervals[which].T
+    # 2n windows, each candidate followed by its replay's clip
+    windows = np.stack([starts, replay_start], axis=1).ravel()
+    X = gather_windows(datas, np.repeat(which, 2), windows, chunk_s, dtype)
+    X = X.reshape(len(which), 2 * chunk_s, -1)
+    X[:, chunk_s:][np.arange(chunk_s) >= (replay_end - replay_start)[:, None]] = 0
+    return X
 
 
 def train_grounding(
     halves: list[GameHalf],
     spec: TrainSpec,
-    config: EncoderConfig | None = None,
+    config: EncoderConfig,
     offset_weight: float = 1.0,
 ) -> Model:
     """Train the grounding head; pairs are re-sampled every epoch.
@@ -173,8 +160,6 @@ def train_grounding(
     if not replays:
         raise ParseError("empty dataset: no replay annotations")
     input_dim = halves[0].features.dim
-    if config is None:
-        config = default_grounding_config(input_dim)
     if config.output_dim != 2 or config.num_segments != 2:
         raise ShapeError("grounding config needs output_dim=2 and num_segments=2")
     if config.input_dim != input_dim:
@@ -183,8 +168,9 @@ def train_grounding(
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
     model = training_model(KIND_GROUNDING, config, [], init_encoder_params(config, rng))
     datas = [gh.features.data for gh, _ in replays]
-    clips = np.stack([replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s)
-                      for gh, rp in replays])
+    intervals = np.array([(rp.replay_start_s, rp.replay_end_s) for _, rp in replays],
+                         dtype=np.int64)
+    dtype = np.result_type(*(data.dtype for data in datas))
 
     def epoch_pairs():
         drawn = [sample_grounding_pairs(rp, gh.features, rng) for gh, rp in replays]
@@ -197,7 +183,7 @@ def train_grounding(
         return which, starts, labels, offsets
 
     def step(which, starts, labels, offsets):
-        xb = _pair_sequences(datas, which, starts, clips)
+        xb = _pair_sequences(datas, which, starts, intervals, dtype)
         out, cache = encoder_forward_batch(
             model.params, config, xb, segments=_SEGMENTS, train_mode=True, rng=rng
         )
@@ -229,8 +215,8 @@ def infer_grounding(
     starts = list(range(window_lo, last_start + 1, stride_s))
     if not starts:
         return []
-    clip = replay_clip(features, query.start_s, query.end_s)
-    X = _pair_sequences([features.data], [0] * len(starts), starts, clip[None])
+    X = _pair_sequences([features.data], [0] * len(starts), starts,
+                        np.array([[query.start_s, query.end_s]]), features.data.dtype)
     h = embed_input(model.params, model.config, X)
     out = encoder_forward_embedded(model.params, model.config, h, segments=_SEGMENTS)
     probs = sigmoid(out[:, 0])

@@ -21,6 +21,7 @@ from .data import EventAnnotation, FeatureSequence, GameHalf, gather_windows
 from .errors import ParseError, ShapeError
 from .nn import (
     AdamState,
+    _check_finite,
     _glorot,
     EncoderConfig,
     adam_step,
@@ -245,6 +246,7 @@ def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray):
     desc = np.concatenate([flat_p, flat_f], axis=1)  # (B, 2KD)
     out_desc, desc_norms = _safe_row_normalize(desc)
     logits = out_desc @ params["vlad.out.w"] + params["vlad.out.b"]
+    _check_finite(logits, "NetVLAD output projection")
     cache = {
         "params": params,
         "config": config,
@@ -352,18 +354,16 @@ def _eval_loss(model, which, starts, Y, windows, batch_size):
 def train_spotting(
     splits: DatasetSplits,
     spec: TrainSpec,
-    head: str = "transformer",
-    config: EncoderConfig | NetVLADConfig | None = None,
+    config: EncoderConfig | NetVLADConfig,
     vocab=DEFAULT_VOCAB,
 ) -> Model:
-    """Train a spotting head. Deterministic for a given (spec.seed, config).
+    """Train a spotting head: NetVLAD for a NetVLADConfig, the transformer
+    for an EncoderConfig. Deterministic for a given (spec.seed, config).
 
     Regular mode trains on the train split and returns the parameters with
     the best validation loss; ultra mode pools every split and returns the
     final epoch.
     """
-    if head not in ("transformer", "netvlad"):
-        raise ShapeError(f"unknown head {head!r}")
     halves = splits.pooled() if spec.mode == "ultra" else list(splits.train)
     if not halves:
         raise ParseError("empty dataset")
@@ -373,16 +373,12 @@ def train_spotting(
     which, starts, Y, windows = _chunk_samples(halves, spec, vocab)
     input_dim = halves[0].features.dim
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
-    if head == "transformer":
-        if config is None:
-            config = EncoderConfig(input_dim=input_dim, output_dim=NUM_OUTPUT_CLASSES)
-        params = init_encoder_params(config, rng)
-        kind = KIND_SPOT_TRANSFORMER
-    else:
-        if config is None:
-            config = NetVLADConfig(input_dim=input_dim)
+    if isinstance(config, NetVLADConfig):
         params = init_netvlad_params(config, rng)
         kind = KIND_SPOT_NETVLAD
+    else:
+        params = init_encoder_params(config, rng)
+        kind = KIND_SPOT_TRANSFORMER
     if config.output_dim != NUM_OUTPUT_CLASSES:
         raise ShapeError(f"spotting heads emit {NUM_OUTPUT_CLASSES} classes, "
                          f"config has {config.output_dim}")

@@ -17,6 +17,13 @@ def make_features(T=100, D=8, game_id="g0", half=1, seed=0, data=None):
     return FeatureSequence(game_id, half, data, (data.shape[1],))
 
 
+def padded_window(data, start, length):
+    """Rows [start, start + length) of data, zero outside [0, T): a plain
+    slice of data with enough zero rows stacked on either side."""
+    pad = np.zeros((abs(start) + length, data.shape[1]), dtype=data.dtype)
+    return np.concatenate([pad, data, pad])[len(pad) + start : len(pad) + start + length]
+
+
 def make_event(time_s, label="Goal", game_id="g0", half=1):
     return EventAnnotation(game_id, half, time_s, label)
 

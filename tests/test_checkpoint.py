@@ -95,6 +95,20 @@ def test_float32_tensors_preserved(tmp_path):
     assert back.params["in.w"].tobytes() == params["in.w"].tobytes()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_non_finite_tensor_is_a_format_error_naming_it(tmp_path, value, dtype):
+    config = NetVLADConfig(input_dim=6, clusters=3)
+    params = {name: arr.astype(dtype)
+              for name, arr in init_netvlad_params(config, np.random.default_rng(0)).items()}
+    params["vlad.past.centers"][1, 2] = value
+    path = tmp_path / "nv.sgckpt"
+    save_model(path, Model("spot_netvlad", config, list(DEFAULT_VOCAB), params))
+    with pytest.raises(FormatError,
+                       match=r"^tensor param:vlad\.past\.centers holds NaN or infinite values$"):
+        load_model(path)
+
+
 def test_version_1_checkpoint_is_one_format_error(tmp_path, rng):
     """A checkpoint of the format that kept Adam moments and the optimizer step."""
     path = tmp_path / "v1.sgckpt"

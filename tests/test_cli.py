@@ -245,6 +245,86 @@ class TestGroundPipeline:
         assert outs[0] == outs[1]
 
 
+class TestNumericFailures:
+    """A value that overflows, in a flag or a checkpoint, ends in exit 1 and
+    one error line, with no numpy warning ahead of it."""
+
+    def test_overflowing_training_values_exit_one_with_one_line(self, tmp_path, capsys):
+        spot_data = _synth(tmp_path / "spot")
+        ground_data = tmp_path / "ground"
+        assert run(["synth", "--out", str(ground_data), "--seed", "4", *GROUND_SYNTH]) == 0
+        capsys.readouterr()
+        for argv, needle in (
+            (["spot", "train", "--data", str(spot_data), *TRAIN_FAST, "--lr", "1e38"],
+             "error: NumericError: non-finite values after input projection"),
+            (["ground", "train", "--data", str(ground_data), *GROUND_TRAIN_FAST,
+              "--offset-weight", "1e308"], "error: NumericError: non-finite gradient"),
+        ):
+            assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(needle) and len(err.splitlines()) == 1, err
+
+    @staticmethod
+    def _checkpoint(path, head, name, value):
+        """A fresh spotting checkpoint for 16-wide features with one value
+        of tensor name set to value."""
+        import numpy as np
+
+        from spotground.checkpoint import KIND_SPOT_NETVLAD, KIND_SPOT_TRANSFORMER, Model
+        from spotground.checkpoint import save_model
+        from spotground.nn import EncoderConfig, init_encoder_params
+        from spotground.spotting import NetVLADConfig, init_netvlad_params
+
+        rng = np.random.default_rng(0)
+        if head == "netvlad":
+            config = NetVLADConfig(input_dim=16, clusters=2)
+            model = Model(KIND_SPOT_NETVLAD, config, list(DEFAULT_VOCAB),
+                          init_netvlad_params(config, rng))
+        else:
+            config = EncoderConfig(input_dim=16, output_dim=18, model_dim=8, num_layers=1,
+                                   num_heads=2, hidden_dim=8)
+            model = Model(KIND_SPOT_TRANSFORMER, config, list(DEFAULT_VOCAB),
+                          init_encoder_params(config, rng))
+        model.params[name].flat[:] = value
+        save_model(path, model)
+        return path
+
+    @pytest.mark.parametrize("head, name, value", [
+        ("netvlad", "vlad.past.centers", float("nan")),
+        ("transformer", "in.w", float("inf")),
+    ])
+    def test_non_finite_checkpoint_exits_one_before_loading_features(
+            self, head, name, value, tmp_path, capsys, monkeypatch):
+        ckpt = self._checkpoint(tmp_path / "m.sgckpt", head, name, value)
+        monkeypatch.setattr("spotground.cli.load_game", TestRejectedBeforeLoading.forbidden)
+        out = tmp_path / "out"
+        assert run(["spot", "infer", "--model", str(ckpt), "--data", str(_synth(tmp_path / "d")),
+                    "--out", str(out), "--chunk", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: FormatError: tensor param:{name} ") and \
+            len(err.splitlines()) == 1, err
+        assert not out.exists()
+
+    def test_parallel_workers_print_no_warning(self, tmp_path, capfd, monkeypatch):
+        import multiprocessing
+        from concurrent import futures
+        from functools import partial
+
+        # a spawned worker inherits neither numpy's error state nor the warning filters
+        spawn = partial(futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr("spotground.cli.futures.ProcessPoolExecutor", spawn)
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "4", *SYNTH_SMALL,
+                    "--halves", "4"]) == 0  # two games, one per worker
+        ckpt = self._checkpoint(tmp_path / "m.sgckpt", "transformer", "in.b", 1e308)
+        capfd.readouterr()
+        assert run(["spot", "infer", "--model", str(ckpt), "--data", str(data),
+                    "--out", str(tmp_path / "out"), "--jobs", "2"]) == 1
+        err = capfd.readouterr().err  # the workers' stderr too
+        assert err.startswith("error: NumericError: non-finite values after input projection")
+        assert len(err.splitlines()) == 1, err
+
+
 class TestMixedFeatureWidths:
     @pytest.mark.parametrize("command", ["spot", "ground"])
     def test_train_exits_one_naming_the_game_and_both_widths(self, command, tmp_path, capsys):
@@ -271,12 +351,13 @@ class TestRejectedBeforeLoading:
     """Invalid flag combinations exit 2 before any data is read or written."""
 
     @staticmethod
-    def _forbid_loading(monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("data was loaded for an invalid configuration")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("data was loaded for an invalid configuration")
 
+    @staticmethod
+    def _forbid_loading(monkeypatch):
         for name in ("load_dataset", "load_game", "load_model", "load_labels"):
-            monkeypatch.setattr(f"spotground.cli.{name}", fail)
+            monkeypatch.setattr(f"spotground.cli.{name}", TestRejectedBeforeLoading.forbidden)
 
     def test_netvlad_odd_chunk_is_usage_error(self, tmp_path, capsys, monkeypatch):
         self._forbid_loading(monkeypatch)
@@ -429,6 +510,14 @@ class TestRejectedBeforeLoading:
         (["spot", "train", "--data", "{tmp}", "--mixup", "inf"], "--mixup"),
         (["spot", "train", "--data", "{tmp}", "--mixup", "nan"], "--mixup"),
         (["spot", "train", "--data", "{tmp}", "--dropout", "nan"], "--dropout"),
+        # a key only the other head reads
+        (["spot", "train", "--data", "{tmp}", "--head", "transformer", "--clusters", "-5"],
+         "--clusters"),
+        (["spot", "train", "--data", "{tmp}", "--clusters", "8"], "--clusters"),
+        (["spot", "train", "--data", "{tmp}", "--head", "netvlad", "--chunk", "8", "--layers",
+          "0"], "--layers"),
+        (["spot", "train", "--data", "{tmp}", "--head", "netvlad", "--chunk", "8",
+          "--dropout", "0.0"], "--dropout"),
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, needle, tmp_path, capsys,
                                                   monkeypatch):
@@ -459,6 +548,24 @@ class TestRejectedBeforeLoading:
                     "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and needle in err, err
+        assert not out.exists()
+
+    def test_other_heads_keys_in_a_config_file(self, tmp_path, capsys, monkeypatch):
+        """Rejected when they differ from their defaults; at the default they pass
+        on to loading the data."""
+        self._forbid_loading(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        argv = ["spot", "train", "--data", str(tmp_path), "--out", str(out), "--config",
+                str(cfg)]
+        cfg.write_text(json.dumps({"head": "netvlad", "chunk": 8, "hidden": 128}))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: --hidden") and len(err.splitlines()) == 1, err
+        cfg.write_text(json.dumps({"head": "netvlad", "chunk": 8, "hidden": 256,
+                                   "dropout": 0.1}))
+        with pytest.raises(AssertionError, match="data was loaded"):
+            run(argv)
         assert not out.exists()
 
     def test_bad_splits_are_usage_errors(self, tmp_path, capsys, monkeypatch):

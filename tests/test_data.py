@@ -11,7 +11,7 @@ from spotground.npyio import write_npy
 from spotground.data import (
     FeatureSequence,
     combine_features,
-    extract_window,
+    gather_windows,
     load_game,
     load_labels,
     parse_game_time,
@@ -209,23 +209,29 @@ class TestFeatureSequenceInvariants:
 
 
 class TestExtractWindow:
+    """gather_windows' zero-padding rule, one window at a time."""
+
+    @staticmethod
+    def _window(data, start, length):
+        return gather_windows([data], [0], [start], length, data.dtype)[0]
+
     def test_centered_window(self):
         feats = make_features(T=200, D=4)
-        np.testing.assert_array_equal(extract_window(feats.data, 98, 5), feats.data[98:103])
+        np.testing.assert_array_equal(self._window(feats.data, 98, 5), feats.data[98:103])
 
     def test_boundary_zero_padding(self):
         feats = make_features(T=50, D=4)
-        window = extract_window(feats.data, -1, 5)
+        window = self._window(feats.data, -1, 5)
         assert np.all(window[0] == 0.0)  # t = -1 row
         np.testing.assert_array_equal(window[1:], feats.data[0:4])
-        tail = extract_window(feats.data, 48, 5)
+        tail = self._window(feats.data, 48, 5)
         np.testing.assert_array_equal(tail[:2], feats.data[48:50])
         assert np.all(tail[2:] == 0.0) and tail.dtype == feats.data.dtype
-        both = extract_window(feats.data[:3], -2, 7)  # padded on both sides
+        both = self._window(feats.data[:3], -2, 7)  # padded on both sides
         np.testing.assert_array_equal(both[2:5], feats.data[:3])
         assert np.all(both[:2] == 0.0) and np.all(both[5:] == 0.0)
         for start in (-5, 50, 60):  # no row of the half inside the window
-            assert np.all(extract_window(feats.data, start, 5) == 0.0)
+            assert np.all(self._window(feats.data, start, 5) == 0.0)
 
 
 def _game_files():

@@ -1,24 +1,32 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import float_arrays, make_features
+from conftest import float_arrays, make_features, padded_window
 from spotground.checkpoint import KIND_GROUNDING, Model
-from spotground.data import GameHalf, ReplayAnnotation, extract_window
+from spotground.data import GameHalf, ReplayAnnotation
 from spotground.grounding import (
     GroundingPrediction,
     ReplayQuery,
     _pair_sequences,
-    default_grounding_config,
     filter_predictions,
     fuse_with_spotting,
     infer_grounding,
     merge_nms,
     minmax_normalize,
-    replay_clip,
     sample_grounding_pairs,
     train_grounding,
 )
-from spotground.nn import bce_plus_l2, encoder_forward_batch, init_encoder_params, sigmoid
+from spotground.nn import (
+    GROUND_GRADCHECK_CONFIG,
+    EncoderConfig,
+    bce_plus_l2,
+    encoder_forward_batch,
+    init_encoder_params,
+    sigmoid,
+)
 from spotground.spotting import SpotPrediction, TrainSpec
 from spotground.synth import SynthConfig, synth_dataset
 
@@ -27,8 +35,22 @@ def _replay(start=200, end=210, event=160, game_id="g0", half=1, label="Goal"):
     return ReplayAnnotation(game_id, half, start, end, event, label)
 
 
+def _config(input_dim=16, dropout_p=0.0):
+    """The grounding architecture the CLI trains by default, for input_dim."""
+    return replace(GROUND_GRADCHECK_CONFIG, input_dim=input_dim, dropout_p=dropout_p)
+
+
+def _want_pair(data, cs, replay_start, replay_end):
+    """A candidate-then-replay sequence from explicit zero-padded slices: the
+    candidate's 30 rows, then the replay's first 30 rows with those at or
+    past its end zeroed."""
+    clip = padded_window(data, replay_start, 30)
+    clip[max(replay_end - replay_start, 0):] = 0.0
+    return np.concatenate([padded_window(data, cs, 30), clip])
+
+
 def _zero_ground_model(input_dim=8):
-    config = default_grounding_config(input_dim, dropout_p=0.0)
+    config = _config(input_dim)
     params = {k: np.zeros_like(v)
               for k, v in init_encoder_params(config, np.random.default_rng(0)).items()}
     return Model(KIND_GROUNDING, config, [], params)
@@ -44,9 +66,10 @@ class TestSampling:
             assert 0.0 <= off <= 1.0 and cs + off * 30 == 160
         # the candidate row at the offset is the event row
         X = _pair_sequences([feats.data], [0] * 4, [cs for cs, _ in positives],
-                            replay_clip(feats, 200, 210)[None])
+                            np.array([[200, 210]]), feats.data.dtype)
         for x, (cs, _) in zip(X, positives):
             np.testing.assert_array_equal(x[160 - cs], feats.data[160])
+            np.testing.assert_array_equal(x, _want_pair(feats.data, cs, 200, 210))
 
     def test_offset_zero_when_chunk_starts_at_event(self, rng):
         feats = make_features(T=400, D=8)
@@ -54,8 +77,9 @@ class TestSampling:
         pairs = sample_grounding_pairs(_replay(start=200, end=210, event=80), feats, rng)
         positives = [(cs, off) for cs, label, off in pairs if label == 1]
         assert positives == [(80, 0.0)] * 4
-        X = _pair_sequences([feats.data], [0], [80], replay_clip(feats, 200, 210)[None])
+        X = _pair_sequences([feats.data], [0], [80], np.array([[200, 210]]), feats.data.dtype)
         np.testing.assert_array_equal(X[0, 0], feats.data[80])
+        np.testing.assert_array_equal(X[0], _want_pair(feats.data, 80, 200, 210))
 
     def test_negatives_exclude_event_over_many_replays(self, rng):
         feats = make_features(T=4000, D=8)
@@ -87,42 +111,44 @@ class TestSampling:
 
     def test_replay_clip_truncated_to_30s(self):
         feats = make_features(T=400, D=8)
-        clip = replay_clip(feats, 200, 280)
-        np.testing.assert_array_equal(clip, feats.data[200:230])
-        X = _pair_sequences([feats.data], [0, 0], [100, 150], clip[None])
+        X = _pair_sequences([feats.data], [0, 0], [100, 150], np.array([[200, 280]]),
+                            feats.data.dtype)
         assert X.shape == (2, 60, 8)
+        np.testing.assert_array_equal(X[:, :30], [feats.data[100:130], feats.data[150:180]])
         np.testing.assert_array_equal(X[:, 30:], [feats.data[200:230]] * 2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pair_sequences_match_stacked_windows(self, dtype):
         rng = np.random.default_rng(4)
         datas = [rng.normal(size=(T, 5)).astype(dtype) for T in (150, 90)]
-        # one clip of each half runs past its end too
-        clips = np.stack([replay_clip(make_features(data=datas[0]), 140, 175),
-                          replay_clip(make_features(data=datas[0]), 60, 70),
-                          replay_clip(make_features(data=datas[1]), 85, 100)])
-        halves = [0, 0, 1]  # the half of each clip
-        # the clips interleave; starts 131, 149, 150 (half 0) and 65, 89 (half 1) run past
-        # their half's end
-        which = [0, 2, 1, 0, 2, 0, 1, 2, 0]
-        starts = [0, 0, 7, 120, 65, 131, 149, 89, 150]
-        X = _pair_sequences([datas[h] for h in halves], which, starts, clips)
-        want = np.stack([np.concatenate([extract_window(datas[halves[r]], cs, 30), clips[r]])
+        # one replay of each half runs past its end too, and the last is over 30 s long
+        intervals = np.array([(140, 175), (60, 70), (85, 100), (20, 95)])
+        halves = [0, 0, 1, 1]  # the half of each replay
+        # the replays interleave; starts 131, 149, 150 (half 0) and 65, 89 (half 1) run
+        # past their half's end
+        which = [0, 2, 1, 0, 2, 0, 1, 2, 0, 3]
+        starts = [0, 0, 7, 120, 65, 131, 149, 89, 150, 40]
+        X = _pair_sequences([datas[h] for h in halves], which, starts, intervals, dtype)
+        want = np.stack([_want_pair(datas[halves[r]], cs, *intervals[r])
                          for r, cs in zip(which, starts)])
         assert X.dtype == want.dtype == dtype
         np.testing.assert_array_equal(X, want)
 
     def test_training_epoch_matches_stacked_windows(self, monkeypatch):
         """The first epoch, gathered by the training step as one shuffled
-        batch, against the same draws stacked from extract_window; one
-        replay's candidates run past its half's end."""
+        batch, against the same draws built from explicit slices; one
+        replay's candidates run past its half's end, and one replay is
+        longer than its 30 s clip. Noisy halves, so that no row the clips
+        zero past a replay's end is zero already."""
         import copy
 
         import spotground.grounding as grounding
 
-        halves = _grounding_halves(n_halves=2)
+        halves = _grounding_halves(n_halves=2, sigma=0.25)
         short = make_features(T=150, D=16, game_id="short", seed=5)
         halves.append(GameHalf(short, [], [ReplayAnnotation("short", 1, 175, 185, 148, "Goal")]))
+        long = make_features(T=300, D=16, game_id="long", seed=6)
+        halves.append(GameHalf(long, [], [ReplayAnnotation("long", 1, 100, 150, 80, "Goal")]))
         seen = {}
 
         def first_batch(model, spec, rng, epoch_data, step):
@@ -138,18 +164,17 @@ class TestSampling:
         monkeypatch.setattr(grounding, "fit", first_batch)
         monkeypatch.setattr(grounding, "encoder_forward_batch", forward)
         spec = TrainSpec(mode="ultra", epochs=1, mixup_alpha=0.0, seed=3)
-        train_grounding(halves, spec, config=default_grounding_config(16, dropout_p=0.0))
+        train_grounding(halves, spec, config=_config())
         X, perm = seen["x"], seen["perm"]
         _, _, labels, offsets = seen["data"]
         rng = seen["rng"]
         windows, want_labels, want_offsets, overrun = [], [], [], False
         for gh in halves:
             for rp in gh.replays:
-                clip = replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s)
                 for cs, label, off in sample_grounding_pairs(rp, gh.features, rng):
-                    window = extract_window(gh.features.data, cs, 30)
                     overrun |= cs + 30 > gh.features.duration_s
-                    windows.append(np.concatenate([window, clip]))
+                    windows.append(_want_pair(gh.features.data, cs, rp.replay_start_s,
+                                              rp.replay_end_s))
                     want_labels.append(label)
                     want_offsets.append(off)
         assert overrun
@@ -171,7 +196,7 @@ class TestGroundForward:
         assert [p.time_s for p in preds] == list(range(80, 171, 5))
 
     def test_eval_determinism(self):
-        config = default_grounding_config(8, dropout_p=0.0)
+        config = _config(8)
         model = Model(KIND_GROUNDING, config, [],
                       init_encoder_params(config, np.random.default_rng(1)))
         feats = make_features(T=400, D=8, seed=3)
@@ -226,7 +251,7 @@ def trained_grounding():
     halves = _grounding_halves()
     spec = TrainSpec(mode="ultra", lr=5e-4, epochs=20, batch_size=16,
                      mixup_alpha=0.0, seed=2)
-    model = train_grounding(halves, spec, config=default_grounding_config(16, dropout_p=0.0))
+    model = train_grounding(halves, spec, config=_config())
     return halves, model
 
 
@@ -245,9 +270,10 @@ class TestTrainGrounding:
         for gh in halves:
             for rp in gh.replays:
                 pairs = sample_grounding_pairs(rp, gh.features, rng)
-                clip = replay_clip(gh.features, rp.replay_start_s, rp.replay_end_s)
                 X.append(_pair_sequences([gh.features.data], [0] * len(pairs),
-                                         [cs for cs, _, _ in pairs], clip[None]))
+                                         [cs for cs, _, _ in pairs],
+                                         np.array([[rp.replay_start_s, rp.replay_end_s]]),
+                                         gh.features.data.dtype))
                 labels.extend(label for _, label, _ in pairs)
         X, labels = np.concatenate(X), np.array(labels)
         seg = np.repeat([[0] * 30 + [1] * 30], len(X), axis=0)  # candidate, replay
@@ -272,7 +298,7 @@ class TestTrainGrounding:
         halves = _grounding_halves(n_halves=2)
         spec = TrainSpec(mode="ultra", lr=2e-4, epochs=2, batch_size=16,
                          mixup_alpha=0.0, seed=9)
-        config = default_grounding_config(16, dropout_p=0.1)
+        config = _config(dropout_p=0.1)
         paths = []
         for name in ("a", "b"):
             model = train_grounding(halves, spec, config=config)
@@ -288,6 +314,31 @@ class TestTrainGrounding:
         assert GROUND_TRAIN_DEFAULTS["epochs"] == 40
 
 
+class TestTrainingMemory:
+    def test_epoch_peak_is_below_one_stack_of_the_replay_clips(self):
+        """One epoch on 8 x 2700 s halves at D=256 with 128 replays gathers
+        each batch's replay clips with its candidates: its peak stays below
+        the bytes of every replay's (30, D) clip stacked."""
+        cfg = SynthConfig(duration_s=2700, feature_dim=256, num_classes=2, events_per_class=8,
+                          noise_sigma=0.25, min_gap_s=130, edge_margin_s=120, num_halves=8,
+                          with_replays=True, replay_delay_min_s=10, replay_delay_max_s=110,
+                          replay_duration_s=8)
+        halves = [GameHalf(f, e, r) for f, e, r in synth_dataset(cfg, seed=3)]
+        replays = sum(len(gh.replays) for gh in halves)
+        assert replays == 128
+        spec = TrainSpec(mode="ultra", lr=1e-3, epochs=1, batch_size=8, seed=1)
+        config = EncoderConfig(input_dim=256, output_dim=2, model_dim=16, num_layers=1,
+                               num_heads=2, hidden_dim=32, dropout_p=0.1, num_segments=2)
+        tracemalloc.start()
+        try:
+            train_grounding(halves, spec, config=config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        clip_stack = replays * 30 * 256 * halves[0].features.data.itemsize
+        assert peak < clip_stack, (peak, clip_stack)
+
+
 class TestInferGrounding:
     def test_stride_five_gives_19_chunks(self):
         model = _zero_ground_model()
@@ -296,7 +347,7 @@ class TestInferGrounding:
         assert len(preds) == 19
 
     def test_times_inside_chunk_bounds(self, rng):
-        config = default_grounding_config(8, dropout_p=0.0)
+        config = _config(8)
         model = Model(KIND_GROUNDING, config, [],
                       init_encoder_params(config, np.random.default_rng(2)))
         feats = make_features(T=600, D=8)

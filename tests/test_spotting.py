@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import float_arrays, make_event, make_features
+from conftest import float_arrays, make_event, make_features, padded_window
 from spotground.checkpoint import KIND_SPOT_NETVLAD, KIND_SPOT_TRANSFORMER, Model
 from spotground.checkpoint import load_model, save_model
-from spotground.data import GameHalf, extract_window
-from spotground.errors import ParseError, ShapeError
+from spotground.data import GameHalf
+from spotground.errors import NumericError, ParseError, ShapeError
 from spotground.grounding import train_grounding
 from spotground.nn import (
     AdamState,
@@ -97,7 +97,7 @@ class TestMakeChunks:
                   for i, (T, dtype) in enumerate(zip(lengths, dtypes))]
         which, starts, Y, windows = _chunk_samples(halves, TrainSpec(chunk_size_s=L),
                                                    DEFAULT_VOCAB)
-        want_x = np.stack([extract_window(gh.features.data, start, L)
+        want_x = np.stack([padded_window(gh.features.data, start, L)
                            for gh in halves for start in range(0, gh.features.duration_s, L)])
         want_y = np.concatenate([make_chunks(gh.features, gh.events, L) for gh in halves])
         assert len(which) == len(starts) == len(want_x) == 15 + 2 + 8 + 1
@@ -215,6 +215,13 @@ class TestNetVLAD:
         params = init_netvlad_params(config, np.random.default_rng(5))
         with pytest.raises(ShapeError):
             netvlad_forward_batch(params, config, rng.normal(size=(1, 7, 4)))
+
+    def test_overflow_is_a_numeric_error(self, rng):
+        config = NetVLADConfig(input_dim=4, clusters=2)
+        params = init_netvlad_params(config, np.random.default_rng(5))
+        params["vlad.past.assign_w"][:] = 1e308  # finite, but the assignment overflows
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="NetVLAD output"):
+            netvlad_forward_batch(params, config, rng.normal(size=(2, 4, 4)))
 
     def test_gradients_match_finite_differences(self, rng):
         config = NetVLADConfig(input_dim=4, output_dim=5, clusters=3)
@@ -398,8 +405,7 @@ class TestTraining:
         spec = TrainSpec(mode="ultra", lr=1e-3, epochs=8, batch_size=8, chunk_size_s=8,
                          mixup_alpha=0.0, seed=2)
         config = NetVLADConfig(input_dim=16, clusters=4)
-        model = train_spotting(DatasetSplits(train=halves), spec, head="netvlad",
-                               config=config)
+        model = train_spotting(DatasetSplits(train=halves), spec, config)
         assert model.kind == KIND_SPOT_NETVLAD
         assert {a.dtype for a in float_arrays(model.params)} == {np.dtype(np.float32)}
         assert model.history[-1]["train_loss"] < model.history[0]["train_loss"]
@@ -449,12 +455,13 @@ class TestTraining:
         halves = _tiny_halves()
         spec = TrainSpec(mode="regular", epochs=1)
         with pytest.raises(ParseError):
-            train_spotting(DatasetSplits(train=halves), spec)
+            train_spotting(DatasetSplits(train=halves), spec,
+                           EncoderConfig(input_dim=16, output_dim=18))
 
     def test_empty_dataset(self):
         spec = TrainSpec(epochs=1)
         with pytest.raises(ParseError):
-            train_spotting(DatasetSplits(train=[]), spec)
+            train_spotting(DatasetSplits(train=[]), spec, NetVLADConfig(input_dim=16))
 
 
 class TestTrainingMemory:
@@ -479,8 +486,8 @@ class TestTrainingMemory:
                 train_grounding(halves, spec, config=EncoderConfig(
                     input_dim=256, output_dim=2, num_segments=2, **small))
             elif head == "netvlad":
-                train_spotting(DatasetSplits(train=halves), spec, head="netvlad",
-                               config=NetVLADConfig(input_dim=256, clusters=4))
+                train_spotting(DatasetSplits(train=halves), spec,
+                               NetVLADConfig(input_dim=256, clusters=4))
             else:
                 train_spotting(DatasetSplits(train=halves), spec,
                                config=EncoderConfig(input_dim=256, output_dim=18, **small))
@@ -557,9 +564,9 @@ class TestSpotGame:
 
 
 def _window_reference(model, data, chunk):
-    """Per-window probabilities: each window cut with extract_window, centred
+    """Per-window probabilities: each window a zero-padded slice, centred
     on its second, and run through the full forward pass."""
-    windows = np.stack([extract_window(data, t - chunk // 2, chunk) for t in range(len(data))])
+    windows = np.stack([padded_window(data, t - chunk // 2, chunk) for t in range(len(data))])
     if model.kind == KIND_SPOT_TRANSFORMER:
         logits, _ = encoder_forward_batch(model.params, model.config, windows)
     else:
