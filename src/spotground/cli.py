@@ -26,7 +26,13 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_model, save_model
+from .checkpoint import (
+    KIND_GROUNDING,
+    KIND_SPOT_NETVLAD,
+    KIND_SPOT_TRANSFORMER,
+    load_model,
+    save_model,
+)
 from .data import (
     GameHalf,
     format_game_time,
@@ -36,7 +42,7 @@ from .data import (
     load_labels,
     parse_game_time,
 )
-from .errors import ParseError, ShapeError, SpotGroundError
+from .errors import DomainError, ParseError, ShapeError, SpotGroundError
 from .evaluation import (
     average_map,
     interval_histogram_svg,
@@ -56,6 +62,7 @@ from .nn import (
     GROUND_GRADCHECK_CONFIG,
     SPOT_GRADCHECK_CONFIG,
     EncoderConfig,
+    Workspace,
     grounding_grad_check,
     spotting_grad_check,
 )
@@ -409,9 +416,18 @@ def _map_games(fn, data: Path, jobs: int, *args) -> list:
     return [fn(t) for t in tasks]
 
 
+def _load_head(path: str, kinds: tuple[str, ...], outputs: int):
+    """The checkpoint at path, checked to hold one of the heads an infer
+    command runs, before any features load."""
+    model = load_model(path)
+    if model.kind not in kinds or model.config.output_dim != outputs:
+        raise DomainError(f"{path} holds a {model.kind} head with {model.config.output_dim} "
+                          f"outputs, not {' or '.join(kinds)} with {outputs}")
+    return model
+
+
 def _spot_infer_game(task):
-    game_dir, model_path, vocab, chunk, nms, threshold = task
-    model = load_model(model_path)
+    game_dir, model, vocab, chunk, nms, threshold = task
     halves = load_game(Path(game_dir), vocab=vocab)
     preds: list[SpotPrediction] = []
     for gh in halves:
@@ -420,9 +436,14 @@ def _spot_infer_game(task):
 
 
 def cmd_spot_infer(args, cfg) -> list[Path]:
+    model = _load_head(args.model, (KIND_SPOT_TRANSFORMER, KIND_SPOT_NETVLAD),
+                       NUM_OUTPUT_CLASSES)
+    if model.kind == KIND_SPOT_NETVLAD and cfg["chunk"] % 2 != 0:
+        raise ShapeError(f"{args.model} holds a netvlad head, which pools two halves and "
+                         f"needs an even --chunk, got {cfg['chunk']}")
     vocab = _load_vocab_arg(args.vocab)
     out = Path(args.out)
-    results = _map_games(_spot_infer_game, Path(args.data), cfg["jobs"], args.model, vocab,
+    results = _map_games(_spot_infer_game, Path(args.data), cfg["jobs"], model, vocab,
                          cfg["chunk"], cfg["nms"], cfg["threshold"])
     written = [write_spot_predictions(out, game_id, preds) for game_id, preds in results]
     total = sum(len(preds) for _, preds in results)
@@ -471,14 +492,14 @@ GROUND_INFER_DEFAULTS = {
 
 
 def _ground_infer_game(task):
-    game_dir, model_path, stride, filter_s = task
-    model = load_model(model_path)
+    game_dir, model, stride, filter_s = task
     halves = load_game(Path(game_dir))
+    ws = Workspace()
     results = []
     for gh in halves:
         for rp in gh.replays:
             query = ReplayQuery(rp.game_id, rp.half, rp.replay_start_s, rp.replay_end_s)
-            preds = infer_grounding(model, query, gh.features, stride_s=stride)
+            preds = infer_grounding(model, query, gh.features, stride_s=stride, workspace=ws)
             if filter_s:
                 preds = filter_predictions(preds, rp.replay_end_s, filter_s)
             results.append((query, preds))
@@ -486,8 +507,9 @@ def _ground_infer_game(task):
 
 
 def cmd_ground_infer(args, cfg) -> list[Path]:
+    model = _load_head(args.model, (KIND_GROUNDING,), 2)
     out = Path(args.out)
-    results = _map_games(_ground_infer_game, Path(args.data), cfg["jobs"], args.model,
+    results = _map_games(_ground_infer_game, Path(args.data), cfg["jobs"], model,
                          cfg["stride"], cfg["filter"])
     written = [write_ground_predictions(out, game_id, rs) for game_id, rs in results]
     n_queries = sum(len(rs) for _, rs in results)

@@ -20,6 +20,7 @@ from .data import FeatureSequence, GameHalf, ReplayAnnotation, gather_windows
 from .errors import IdentityError, ParseError, ShapeError
 from .nn import (
     EncoderConfig,
+    Workspace,
     bce_plus_l2,
     embed_input,
     encoder_backward,
@@ -171,6 +172,7 @@ def train_grounding(
     intervals = np.array([(rp.replay_start_s, rp.replay_end_s) for _, rp in replays],
                          dtype=np.int64)
     dtype = np.result_type(*(data.dtype for data in datas))
+    ws = Workspace()
 
     def epoch_pairs():
         drawn = [sample_grounding_pairs(rp, gh.features, rng) for gh, rp in replays]
@@ -185,7 +187,7 @@ def train_grounding(
     def step(which, starts, labels, offsets):
         xb = _pair_sequences(datas, which, starts, intervals, dtype)
         out, cache = encoder_forward_batch(
-            model.params, config, xb, segments=_SEGMENTS, train_mode=True, rng=rng
+            model.params, config, xb, segments=_SEGMENTS, train_mode=True, rng=rng, workspace=ws
         )
         loss, dout = bce_plus_l2(out, labels, offsets, offset_weight)
         return loss, encoder_backward(cache, dout)
@@ -199,12 +201,14 @@ def infer_grounding(
     query: ReplayQuery,
     features: FeatureSequence,
     stride_s: int = 5,
+    workspace: Workspace | None = None,
 ) -> list[GroundingPrediction]:
     """Slide candidate chunks over the pre-replay window.
 
     Every candidate yields one prediction: time = chunk start +
     CANDIDATE_CHUNK_S * clamp(offset, 0, 1), confidence = replay
     probability. Post-processing (filtering, fusion, merging) is separate.
+    A workspace given by the caller is reused across its queries.
     """
     if (query.game_id, query.half) != (features.game_id, features.half):
         raise IdentityError("query and features describe different halves")
@@ -217,8 +221,9 @@ def infer_grounding(
         return []
     X = _pair_sequences([features.data], [0] * len(starts), starts,
                         np.array([[query.start_s, query.end_s]]), features.data.dtype)
-    h = embed_input(model.params, model.config, X)
-    out = encoder_forward_embedded(model.params, model.config, h, segments=_SEGMENTS)
+    h = embed_input(model.params, model.config, X, workspace)
+    out = encoder_forward_embedded(model.params, model.config, h, segments=_SEGMENTS,
+                                   workspace=workspace)
     probs = sigmoid(out[:, 0])
     offsets = np.clip(out[:, 1], 0.0, 1.0)
     preds = []

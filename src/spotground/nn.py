@@ -22,6 +22,18 @@ loops over the batch axis, and is slower still with a transposed weight.
 Last-axis means and sums (layer norm, softmax) and the bias gradients'
 sums over rows are BLAS products with a constant vector, for the same
 reason. Only the per-head attention products stay batched.
+
+Attention scores are computed key-major, (T_key, B, H, T_query), so the
+softmax's max, subtract and exp run down whole contiguous rows. One copy
+then stores the weights query-major, where the row sums and every product
+with the weights run as on query-major scores: products on key-major
+weights, through transpose flags, round differently at some head widths.
+
+Every activation and gradient is written into a `Workspace`, so a stream
+of batches allocates nothing of activation size. Buffer lifetime: a
+forward's logits and cache stay valid until the next forward on the same
+workspace, a backward's gradients until the next backward. A call given no
+workspace makes a fresh one, so grad_check runs the code training runs.
 """
 
 from __future__ import annotations
@@ -86,26 +98,46 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (..., k) @ w (k, n) -> (..., n), as one 2-D BLAS product over all rows."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+class Workspace:
+    """Named reusable buffers, one flat array per (name, dtype), grown to the
+    largest request so far; a smaller batch gets a leading slice."""
+
+    def __init__(self):
+        self._flat: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        key = (name, np.dtype(dtype))
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size, dtype=key[1])
+        return flat[:size].reshape(shape)
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
+def _mm(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x (..., k) @ w (k, n) -> (..., n), as one 2-D BLAS product over all
+    rows; into out (C-contiguous) if given."""
+    if out is None:
+        out = np.empty((*x.shape[:-1], w.shape[-1]), dtype=np.result_type(x, w))
+    np.matmul(x.reshape(-1, x.shape[-1]), w, out=out.reshape(-1, w.shape[-1]))
+    return out
+
+
+def _row_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over the last axis, keeping it, as a BLAS product with ones."""
-    return _mm(x, np.ones((x.shape[-1], 1), dtype=x.dtype))
+    return _mm(x, np.ones((x.shape[-1], 1), dtype=x.dtype), out)
 
 
-def _row_mean(x: np.ndarray) -> np.ndarray:
+def _row_mean(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Mean over the last axis, keeping it, as a BLAS product."""
     d = x.shape[-1]
-    return _mm(x, np.full((d, 1), 1.0 / d, dtype=x.dtype))
+    return _mm(x, np.full((d, 1), 1.0 / d, dtype=x.dtype), out)
 
 
-def _col_sum(x: np.ndarray) -> np.ndarray:
+def _col_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over every leading axis, (..., n) -> (n,), as a BLAS product with ones."""
     x = x.reshape(-1, x.shape[-1])
-    return np.ones(x.shape[0], dtype=x.dtype) @ x
+    return np.matmul(np.ones(x.shape[0], dtype=x.dtype), x, out=out)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -155,49 +187,101 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
         raise NumericError(f"non-finite values after {where}")
 
 
-def _dropout_mask(rng, shape, p, dtype):
-    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+def _dropout(x, p, rng, ws: Workspace, name: str) -> np.ndarray:
+    """Inverted dropout of x, in place. Returns the mask, 1 / (1 - p) where a
+    uniform draw is >= p and 0 elsewhere, in the workspace buffer name."""
+    mask = ws.array(name, x.shape, x.dtype)
+    np.greater_equal(rng.random(out=ws.array("drop.u", x.shape, np.float64)), p, out=mask)
+    mask /= 1.0 - p
+    x *= mask
+    return mask
 
 
-def _layernorm_forward(x, g, b):
-    xc = x - _row_mean(x)
-    inv_std = 1.0 / np.sqrt(_row_mean(xc * xc) + LN_EPS)
-    xhat = xc * inv_std
-    return xhat * g + b, xhat, inv_std
+def _layernorm_forward(x, g, b, ws: Workspace | None = None, tag: str = ""):
+    """Layer norm over the last axis: (y, xhat, inv_std), written into the
+    workspace buffers tag + "y", "xhat" and "inv"."""
+    ws = Workspace() if ws is None else ws
+    xhat = ws.array(tag + "xhat", x.shape, x.dtype)
+    inv_std = ws.array(tag + "inv", (*x.shape[:-1], 1), x.dtype)
+    np.subtract(x, _row_mean(x, inv_std), out=xhat)  # inv_std holds the mean until here
+    _row_mean(np.multiply(xhat, xhat, out=ws.array("ln.sq", x.shape, x.dtype)), inv_std)
+    inv_std += LN_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    y = np.multiply(xhat, g, out=ws.array(tag + "y", x.shape, x.dtype))
+    y += b
+    return y, xhat, inv_std
 
 
-def _layernorm_backward(dy, xhat, inv_std, g):
-    dgamma = _col_sum(dy * xhat)
-    dbeta = _col_sum(dy)
-    dxhat = dy * g
-    m1 = _row_mean(dxhat)
-    m2 = _row_mean(dxhat * xhat)
-    dx = inv_std * (dxhat - m1 - xhat * m2)
-    return dx, dgamma, dbeta
+def _layernorm_backward(dy, xhat, inv_std, g, ws: Workspace, dx, dgamma, dbeta):
+    """Writes d loss / d (input, gain, bias) into dx, dgamma and dbeta; dx
+    may be dy itself. Returns dx."""
+    t = ws.array("ln.t", dy.shape, dy.dtype)
+    _col_sum(np.multiply(dy, xhat, out=t), dgamma)
+    _col_sum(dy, dbeta)
+    dxhat = np.multiply(dy, g, out=ws.array("ln.dxhat", dy.shape, dy.dtype))
+    m1 = _row_mean(dxhat, ws.array("ln.m1", inv_std.shape, dy.dtype))
+    m2 = _row_mean(np.multiply(dxhat, xhat, out=t), ws.array("ln.m2", inv_std.shape, dy.dtype))
+    dxhat -= m1
+    dxhat -= np.multiply(xhat, m2, out=t)
+    return np.multiply(inv_std, dxhat, out=dx)
 
 
 def _split_heads(x, num_heads):
+    """(B, T, H * dk) -> a (B, H, T, dk) view."""
     B, T, dm = x.shape
-    dk = dm // num_heads
-    return x.reshape(B, T, num_heads, dk).transpose(0, 2, 1, 3)
+    return x.reshape(B, T, num_heads, dm // num_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
-    B, H, T, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, T, H * dk)
+def _attention(q, k, v, num_heads, ws: Workspace, attn, o):
+    """Scaled dot-product attention of every head, scores taken key-major.
+    Writes the weights into attn (B, H, T_query, T_key), the context into o."""
+    B, T, dm = q.shape
+    qh, kh = _split_heads(q, num_heads), _split_heads(k, num_heads)
+    scores = ws.array("attn.scores", (T, B, num_heads, T), q.dtype)
+    np.matmul(kh, qh.transpose(0, 1, 3, 2), out=scores.transpose(1, 2, 0, 3))
+    scores *= 1.0 / math.sqrt(dm // num_heads)
+    rows = scores.reshape(T, -1)
+    rows -= np.max(rows, axis=0, out=ws.array("attn.max", rows.shape[1:], q.dtype))
+    np.exp(scores, out=scores)
+    np.copyto(attn, scores.transpose(1, 2, 3, 0))
+    attn /= _row_sum(attn, ws.array("attn.sum", (B, num_heads, T, 1), q.dtype))
+    np.matmul(attn, _split_heads(v, num_heads), out=_split_heads(o, num_heads))
 
 
-def embed_input(params: dict[str, np.ndarray], config: EncoderConfig, x: np.ndarray):
+def _attention_backward(q, k, v, attn, do, num_heads, ws: Workspace, dq, dk, dv):
+    """Gradients of `_attention` with respect to q, k and v, from d loss /
+    d context; written into dq, dk and dv."""
+    qh, kh, vh, doh = (_split_heads(t, num_heads) for t in (q, k, v, do))
+    dattn = np.matmul(doh, vh.transpose(0, 1, 3, 2), out=ws.array("dattn", attn.shape, q.dtype))
+    np.matmul(attn.transpose(0, 1, 3, 2), doh, out=_split_heads(dv, num_heads))
+    prod = np.multiply(dattn, attn, out=ws.array("attn.prod", attn.shape, q.dtype))
+    dattn -= _row_sum(prod, ws.array("attn.sum", (*attn.shape[:-1], 1), q.dtype))
+    dattn *= attn  # d loss / d scores
+    scale = 1.0 / math.sqrt(q.shape[-1] // num_heads)
+    np.matmul(dattn, kh, out=_split_heads(dq, num_heads))
+    dq *= scale
+    np.matmul(dattn.transpose(0, 1, 3, 2), qh, out=_split_heads(dk, num_heads))
+    dk *= scale
+
+
+def embed_input(params: dict[str, np.ndarray], config: EncoderConfig, x: np.ndarray,
+                workspace: Workspace | None = None):
     """Input projection, (..., input_dim) -> (..., model_dim), scaled by sqrt(model_dim).
 
     It acts on each row alone, so a sequence can be embedded once and
     windows cut from the embedded rows. A zero row embeds to exactly
-    in.b * sqrt(model_dim).
+    in.b * sqrt(model_dim). The result views the workspace's "embed" buffer.
     """
     x = np.asarray(x, dtype=params["in.w"].dtype)
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"input dim {x.shape[-1]} != configured {config.input_dim}")
-    return (_mm(x, params["in.w"]) + params["in.b"]) * math.sqrt(config.model_dim)
+    ws = Workspace() if workspace is None else workspace
+    h = _mm(x, params["in.w"], ws.array("embed", (*x.shape[:-1], config.model_dim), x.dtype))
+    h += params["in.b"]
+    h *= math.sqrt(config.model_dim)
+    return h
 
 
 def encoder_forward_batch(
@@ -207,13 +291,16 @@ def encoder_forward_batch(
     segments: np.ndarray | None = None,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    workspace: Workspace | None = None,
 ):
-    """Run the encoder on a batch. Returns (logits (B, out), cache for backward)."""
+    """Run the encoder on a batch. Returns (logits (B, out), cache for backward),
+    both views of the workspace."""
     x = np.asarray(x, dtype=params["in.w"].dtype)
     if x.ndim != 3:
         raise ShapeError(f"expected (B, T, input_dim), got shape {x.shape}")
-    logits, cache = _encode(params, config, embed_input(params, config, x), segments,
-                            train_mode, rng)
+    ws = Workspace() if workspace is None else workspace
+    logits, cache = _encode(params, config, embed_input(params, config, x, ws), segments,
+                            train_mode, rng, ws)
     cache["x"] = x
     return logits, cache
 
@@ -223,98 +310,108 @@ def encoder_forward_embedded(
     config: EncoderConfig,
     h: np.ndarray,
     segments: np.ndarray | None = None,
+    workspace: Workspace | None = None,
 ):
     """Inference logits (B, out) from embedded rows (B, T, model_dim).
 
     The rows come from `embed_input`; what follows is the body of
     `encoder_forward_batch` after its input projection. No backward cache
-    is kept, so each layer's activations are freed as the next one runs.
+    is kept, so every layer writes into the same buffers.
     """
     h = np.asarray(h, dtype=params["in.w"].dtype)
     if h.ndim != 3 or h.shape[2] != config.model_dim:
         raise ShapeError(f"expected (B, T, {config.model_dim}) embedded rows, got {h.shape}")
-    return _encode(params, config, h, segments, False, None, keep_layers=False)[0]
+    ws = Workspace() if workspace is None else workspace
+    return _encode(params, config, h, segments, False, None, ws, keep_layers=False)[0]
 
 
-def _encode(params, config, h, segments, train_mode, rng, keep_layers=True):
-    """Encoder body from the embedded input h (B, T, model_dim) to logits."""
-    B, T, _ = h.shape
+def _encode(params, config, h, segments, train_mode, rng, ws, keep_layers=True):
+    """Encoder body from the embedded input h (B, T, model_dim) to logits.
+    With keep_layers each layer has its own buffers, kept for backward."""
+    B, T, dm = h.shape
+    dt = h.dtype
     if config.num_segments and segments is None:
         raise ShapeError("this encoder requires a segments array")
     dropping = train_mode and config.dropout_p > 0.0
     if dropping and rng is None:
         raise ShapeError("train-mode forward with dropout needs an rng")
 
-    cache: dict = {
-        "params": params,
-        "config": config,
-        "segments": segments,
-        "train_mode": train_mode,
-        "embed_scale": math.sqrt(config.model_dim),
-    }
+    cache: dict = {"params": params, "config": config, "workspace": ws}
+    x0 = ws.array("h0", h.shape, dt)
     if config.num_segments:
         seg = np.asarray(segments, dtype=np.int64)
         if seg.shape != (B, T) and seg.shape != (T,):
             raise ShapeError(f"segments shape {seg.shape} does not match ({B}, {T})")
+        if seg.min() < 0 or seg.max() >= config.num_segments:
+            raise ShapeError(f"segments must lie in [0, {config.num_segments})")
         if seg.ndim == 1:
             seg = np.broadcast_to(seg, (B, T))
         cache["segments"] = seg
-        h = h + params["seg.emb"][seg]
-    h = h + positional_encoding(T, config.model_dim).astype(h.dtype, copy=False)
+        np.take(params["seg.emb"], seg, axis=0, out=x0, mode="clip")  # in range: checked
+        np.add(h, x0, out=x0)
+        h = x0
+    np.add(h, positional_encoding(T, dm).astype(dt, copy=False), out=x0)
+    h = x0
     if dropping:
-        mask0 = _dropout_mask(rng, h.shape, config.dropout_p, h.dtype)
-        h = h * mask0
-        cache["drop0"] = mask0
+        cache["drop0"] = _dropout(h, config.dropout_p, rng, ws, "drop0")
     _check_finite(h, "input projection")
 
-    scale = 1.0 / math.sqrt(config.model_dim // config.num_heads)
+    H = config.num_heads
     layers = []
     for i in range(config.num_layers):
         pre = f"layer{i}."
-        rec: dict = {"x": h}
-        q = _mm(h, params[pre + "attn.wq"]) + params[pre + "attn.bq"]
-        k = _mm(h, params[pre + "attn.wk"])
-        v = _mm(h, params[pre + "attn.wv"]) + params[pre + "attn.bv"]
-        rec["q"], rec["k"], rec["v"] = q, k, v
-        qh, kh, vh = (_split_heads(t, config.num_heads) for t in (q, k, v))
-        scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-        attn = softmax(scores)
-        rec["attn"] = attn
-        o = _merge_heads(attn @ vh)
-        rec["o"] = o
-        y = _mm(o, params[pre + "attn.wo"]) + params[pre + "attn.bo"]
-        if dropping:
-            rec["attn_drop"] = _dropout_mask(rng, y.shape, config.dropout_p, y.dtype)
-            y = y * rec["attn_drop"]
-        h1, xhat1, inv1 = _layernorm_forward(h + y, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        rec["ln1"] = (xhat1, inv1)
-        rec["h1"] = h1
+        tag = pre if keep_layers else ""
 
-        f_pre = _mm(h1, params[pre + "ffn.w1"]) + params[pre + "ffn.b1"]
-        f1 = np.maximum(f_pre, 0.0)
-        rec["f_pre"], rec["f1"] = f_pre, f1
-        f2 = _mm(f1, params[pre + "ffn.w2"]) + params[pre + "ffn.b2"]
+        def buf(name, width=dm):
+            return ws.array(tag + name, (B, T, width), dt)
+
+        rec: dict = {"x": h}
+        q = _mm(h, params[pre + "attn.wq"], buf("q"))
+        q += params[pre + "attn.bq"]
+        k = _mm(h, params[pre + "attn.wk"], buf("k"))
+        v = _mm(h, params[pre + "attn.wv"], buf("v"))
+        v += params[pre + "attn.bv"]
+        attn, o = ws.array(tag + "attn", (B, H, T, T), dt), buf("o")
+        _attention(q, k, v, H, ws, attn, o)
+        y = _mm(o, params[pre + "attn.wo"], ws.array("attn.y", h.shape, dt))
+        y += params[pre + "attn.bo"]
         if dropping:
-            rec["ffn_drop"] = _dropout_mask(rng, f2.shape, config.dropout_p, f2.dtype)
-            f2 = f2 * rec["ffn_drop"]
-        h, xhat2, inv2 = _layernorm_forward(h1 + f2, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        rec["ln2"] = (xhat2, inv2)
+            rec["attn_drop"] = _dropout(y, config.dropout_p, rng, ws, tag + "attn_drop")
+        y += h
+        h1, xhat1, inv1 = _layernorm_forward(y, params[pre + "ln1.g"], params[pre + "ln1.b"],
+                                             ws, tag + "ln1.")
+
+        f1 = _mm(h1, params[pre + "ffn.w1"], buf("f1", config.hidden_dim))
+        f1 += params[pre + "ffn.b1"]
+        np.maximum(f1, 0.0, out=f1)
+        f2 = _mm(f1, params[pre + "ffn.w2"], ws.array("ffn.y", h.shape, dt))
+        f2 += params[pre + "ffn.b2"]
+        if dropping:
+            rec["ffn_drop"] = _dropout(f2, config.dropout_p, rng, ws, tag + "ffn_drop")
+        f2 += h1
+        # without keep_layers this overwrites the layer's input h, read for the last time above
+        h, xhat2, inv2 = _layernorm_forward(f2, params[pre + "ln2.g"], params[pre + "ln2.b"],
+                                            ws, tag + "ln2.")
+        rec.update(q=q, k=k, v=v, attn=attn, o=o, ln1=(xhat1, inv1), h1=h1, f1=f1,
+                   ln2=(xhat2, inv2))
         _check_finite(h, f"encoder layer {i}")
         if keep_layers:
             layers.append(rec)
     cache["layers"] = layers
 
-    pooled = h.mean(axis=1)
+    pooled = np.mean(h, axis=1, out=ws.array("pooled", (B, dm), dt))
     cache["pooled"] = pooled
-    logits = pooled @ params["out.w"] + params["out.b"]
+    logits = np.matmul(pooled, params["out.w"],
+                       out=ws.array("logits", (B, config.output_dim), dt))
+    logits += params["out.b"]
     _check_finite(logits, "output projection")
     cache["logits_shape"] = logits.shape
     return logits, cache
 
 
-def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _weight_grad(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over every leading axis of a[..., i] * b[..., j], as one BLAS product."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+    return np.matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out=out)
 
 
 def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]:
@@ -328,72 +425,66 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
             f"upstream gradient shape {upstream.shape} does not match "
             f"forward output {cache['logits_shape']}"
         )
+    ws = cache["workspace"]
     B, T, _ = cache["x"].shape
+    dm, H, dtype = config.model_dim, config.num_heads, upstream.dtype
     grads: dict[str, np.ndarray] = {}
 
-    pooled = cache["pooled"]
-    grads["out.w"] = pooled.T @ upstream
-    grads["out.b"] = _col_sum(upstream)
-    dpooled = upstream @ params["out.w"].T
-    dh = np.repeat(dpooled[:, None, :], T, axis=1) / T
+    def grad(name):
+        grads[name] = ws.array("grad." + name, params[name].shape, dtype)
+        return grads[name]
 
-    scale = 1.0 / math.sqrt(config.model_dim // config.num_heads)
+    def buf(name, width=dm):
+        return ws.array(name, (B, T, width), dtype)
+
+    _weight_grad(cache["pooled"], upstream, grad("out.w"))
+    _col_sum(upstream, grad("out.b"))
+    dpooled = upstream @ params["out.w"].T
+    dh = np.divide(dpooled[:, None, :], T, out=buf("dh"))
+
     for i in reversed(range(config.num_layers)):
         pre = f"layer{i}."
         rec = cache["layers"][i]
-        xhat2, inv2 = rec["ln2"]
-        dr2, dg2, db2 = _layernorm_backward(dh, xhat2, inv2, params[pre + "ln2.g"])
-        grads[pre + "ln2.g"], grads[pre + "ln2.b"] = dg2, db2
+        dr2 = _layernorm_backward(dh, *rec["ln2"], params[pre + "ln2.g"], ws, buf("dr2"),
+                                  grad(pre + "ln2.g"), grad(pre + "ln2.b"))
 
-        df2 = dr2 * rec["ffn_drop"] if "ffn_drop" in rec else dr2
-        grads[pre + "ffn.w2"] = _weight_grad(rec["f1"], df2)
-        grads[pre + "ffn.b2"] = _col_sum(df2)
-        dfpre = _mm(df2, params[pre + "ffn.w2"].T)
-        dfpre *= rec["f_pre"] > 0.0
-        grads[pre + "ffn.w1"] = _weight_grad(rec["h1"], dfpre)
-        grads[pre + "ffn.b1"] = _col_sum(dfpre)
-        dh1 = dr2 + _mm(dfpre, params[pre + "ffn.w1"].T)
+        df2 = np.multiply(dr2, rec["ffn_drop"], out=buf("df2")) if "ffn_drop" in rec else dr2
+        _weight_grad(rec["f1"], df2, grad(pre + "ffn.w2"))
+        _col_sum(df2, grad(pre + "ffn.b2"))
+        dfpre = _mm(df2, params[pre + "ffn.w2"].T, buf("dfpre", config.hidden_dim))
+        dfpre *= np.greater(rec["f1"], 0.0, out=ws.array("relu", dfpre.shape, bool))
+        _weight_grad(rec["h1"], dfpre, grad(pre + "ffn.w1"))
+        _col_sum(dfpre, grad(pre + "ffn.b1"))
+        dh1 = _mm(dfpre, params[pre + "ffn.w1"].T, buf("dh1"))
+        dh1 += dr2
 
-        xhat1, inv1 = rec["ln1"]
-        dr1, dg1, db1 = _layernorm_backward(dh1, xhat1, inv1, params[pre + "ln1.g"])
-        grads[pre + "ln1.g"], grads[pre + "ln1.b"] = dg1, db1
+        # dh was read for the last time above: dr1 takes its buffer, and the
+        # gradient of the layer's input is summed into it once dy is used
+        dr1 = _layernorm_backward(dh1, *rec["ln1"], params[pre + "ln1.g"], ws, dh,
+                                  grad(pre + "ln1.g"), grad(pre + "ln1.b"))
+        dy = np.multiply(dr1, rec["attn_drop"], out=buf("dy")) if "attn_drop" in rec else dr1
+        _weight_grad(rec["o"], dy, grad(pre + "attn.wo"))
+        _col_sum(dy, grad(pre + "attn.bo"))
+        do = _mm(dy, params[pre + "attn.wo"].T, buf("do"))
+        dq, dk, dv = buf("dq"), buf("dk"), buf("dv")
+        _attention_backward(rec["q"], rec["k"], rec["v"], rec["attn"], do, H, ws, dq, dk, dv)
 
-        dy = dr1 * rec["attn_drop"] if "attn_drop" in rec else dr1
-        dx = dr1.copy()
-        grads[pre + "attn.wo"] = _weight_grad(rec["o"], dy)
-        grads[pre + "attn.bo"] = _col_sum(dy)
-        do = _mm(dy, params[pre + "attn.wo"].T)
-
-        H = config.num_heads
-        doh = _split_heads(do, H)
-        qh, kh, vh = (_split_heads(rec[n], H) for n in ("q", "k", "v"))
-        attn = rec["attn"]
-        dattn = doh @ vh.transpose(0, 1, 3, 2)
-        dvh = attn.transpose(0, 1, 3, 2) @ doh
-        dscores = attn * (dattn - _row_sum(dattn * attn))
-        dqh = (dscores @ kh) * scale
-        dkh = (dscores.transpose(0, 1, 3, 2) @ qh) * scale
-        dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
-
-        x_l = rec["x"]
         for name, dt in (("q", dq), ("k", dk), ("v", dv)):
-            grads[pre + f"attn.w{name}"] = _weight_grad(x_l, dt)
+            _weight_grad(rec["x"], dt, grad(pre + f"attn.w{name}"))
             if name != "k":
-                grads[pre + f"attn.b{name}"] = _col_sum(dt)
-            dx += _mm(dt, params[pre + f"attn.w{name}"].T)
-        dh = dx
+                _col_sum(dt, grad(pre + f"attn.b{name}"))
+            dh += _mm(dt, params[pre + f"attn.w{name}"].T, buf("dx.part"))
 
     if "drop0" in cache:
-        dh = dh * cache["drop0"]
+        dh *= cache["drop0"]
     if config.num_segments:
         seg = cache["segments"]
-        demb = np.zeros_like(params["seg.emb"])
+        demb = grad("seg.emb")
         for k in range(config.num_segments):
             demb[k] = dh[seg == k].sum(axis=0)
-        grads["seg.emb"] = demb
-    dproj = dh * cache["embed_scale"]
-    grads["in.w"] = _weight_grad(cache["x"], dproj)
-    grads["in.b"] = _col_sum(dproj)
+    dh *= math.sqrt(dm)
+    _weight_grad(cache["x"], dh, grad("in.w"))
+    _col_sum(dh, grad("in.b"))
     return grads
 
 

@@ -24,6 +24,7 @@ from .nn import (
     _check_finite,
     _glorot,
     EncoderConfig,
+    Workspace,
     adam_step,
     cross_entropy_soft,
     embed_input,
@@ -301,10 +302,10 @@ def netvlad_backward(cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
 # training
 
 
-def _head_forward(model: Model, xb: np.ndarray, train_mode=False, rng=None):
+def _head_forward(model: Model, xb: np.ndarray, train_mode=False, rng=None, workspace=None):
     if model.kind == KIND_SPOT_TRANSFORMER:
         return encoder_forward_batch(model.params, model.config, xb,
-                                     train_mode=train_mode, rng=rng)
+                                     train_mode=train_mode, rng=rng, workspace=workspace)
     if model.kind == KIND_SPOT_NETVLAD:
         return netvlad_forward_batch(model.params, model.config, xb)
     raise ShapeError(f"unknown spotting head {model.kind!r}")
@@ -386,12 +387,13 @@ def train_spotting(
         raise ShapeError(f"config input_dim {config.input_dim} != data dim {input_dim}")
 
     model = training_model(kind, config, vocab, params)
+    ws = Workspace()
 
     def step(which, starts, yb):
         xb = windows(which, starts)
         if spec.mixup_alpha > 0.0:
             xb, yb = mixup(xb, yb, spec.mixup_alpha, rng)
-        logits, cache = _head_forward(model, xb, train_mode=True, rng=rng)
+        logits, cache = _head_forward(model, xb, train_mode=True, rng=rng, workspace=ws)
         loss, dlogits = cross_entropy_soft(logits, yb)
         return loss, _head_backward(model, cache, dlogits)
 
@@ -454,7 +456,8 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int) -> 
     The window centred on second t starts at second t - chunk // 2 and has
     zero rows outside the half. The transformer's input projection acts on
     each row alone, so its windows slide over the half's rows embedded
-    once; a zero pad row embeds to in.b * sqrt(model_dim).
+    once; a zero pad row embeds to in.b * sqrt(model_dim). Every batch
+    reuses one workspace.
     """
     if chunk_size_s < 1:
         raise ShapeError("chunk size must be >= 1")
@@ -462,13 +465,15 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int) -> 
     T, D = data.shape
     left = chunk_size_s // 2
     embedded = model.kind == KIND_SPOT_TRANSFORMER
+    ws = Workspace()
     if embedded:
         padded = np.empty((T + chunk_size_s - 1, model.config.model_dim),
                           dtype=model.params["in.w"].dtype)
-        padded[:] = embed_input(model.params, model.config, np.zeros(D))
+        padded[:] = embed_input(model.params, model.config, np.zeros(D), ws)
         for lo in range(0, T, SCORE_BATCH):
             hi = min(lo + SCORE_BATCH, T)
-            padded[left + lo : left + hi] = embed_input(model.params, model.config, data[lo:hi])
+            padded[left + lo : left + hi] = embed_input(model.params, model.config,
+                                                        data[lo:hi], ws)
     else:
         padded = np.zeros((T + chunk_size_s - 1, D), dtype=data.dtype)
         padded[left : left + T] = data
@@ -476,11 +481,11 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int) -> 
     windows = windows.transpose(0, 2, 1)  # (T, chunk, width)
     probs = np.empty((T, NUM_OUTPUT_CLASSES))
     for lo in range(0, T, SCORE_BATCH):
-        xb = np.ascontiguousarray(windows[lo : lo + SCORE_BATCH])
-        if embedded:
-            logits = encoder_forward_embedded(model.params, model.config, xb)
+        xb = windows[lo : lo + SCORE_BATCH]
+        if embedded:  # its first step copies the strided windows into the workspace
+            logits = encoder_forward_embedded(model.params, model.config, xb, workspace=ws)
         else:
-            logits, _ = _head_forward(model, xb)
+            logits, _ = _head_forward(model, np.ascontiguousarray(xb))
         probs[lo : lo + logits.shape[0]] = softmax(logits)
     return probs
 

@@ -265,13 +265,14 @@ class TestNumericFailures:
             assert err.startswith(needle) and len(err.splitlines()) == 1, err
 
     @staticmethod
-    def _checkpoint(path, head, name, value):
-        """A fresh spotting checkpoint for 16-wide features with one value
-        of tensor name set to value."""
+    def _checkpoint(path, head, name=None, value=None, outputs=18):
+        """A fresh checkpoint for 16-wide features of a "netvlad",
+        "transformer" or "grounding" head, with one value of tensor name, if
+        given, set to value."""
         import numpy as np
 
-        from spotground.checkpoint import KIND_SPOT_NETVLAD, KIND_SPOT_TRANSFORMER, Model
-        from spotground.checkpoint import save_model
+        from spotground.checkpoint import KIND_GROUNDING, KIND_SPOT_NETVLAD
+        from spotground.checkpoint import KIND_SPOT_TRANSFORMER, Model, save_model
         from spotground.nn import EncoderConfig, init_encoder_params
         from spotground.spotting import NetVLADConfig, init_netvlad_params
 
@@ -281,11 +282,14 @@ class TestNumericFailures:
             model = Model(KIND_SPOT_NETVLAD, config, list(DEFAULT_VOCAB),
                           init_netvlad_params(config, rng))
         else:
-            config = EncoderConfig(input_dim=16, output_dim=18, model_dim=8, num_layers=1,
-                                   num_heads=2, hidden_dim=8)
-            model = Model(KIND_SPOT_TRANSFORMER, config, list(DEFAULT_VOCAB),
-                          init_encoder_params(config, rng))
-        model.params[name].flat[:] = value
+            grounding = head == "grounding"
+            config = EncoderConfig(input_dim=16, output_dim=2 if grounding else outputs,
+                                   model_dim=8, num_layers=1, num_heads=2, hidden_dim=8,
+                                   num_segments=2 if grounding else 0)
+            model = Model(KIND_GROUNDING if grounding else KIND_SPOT_TRANSFORMER, config,
+                          list(DEFAULT_VOCAB), init_encoder_params(config, rng))
+        if name is not None:
+            model.params[name].flat[:] = value
         save_model(path, model)
         return path
 
@@ -323,6 +327,40 @@ class TestNumericFailures:
         err = capfd.readouterr().err  # the workers' stderr too
         assert err.startswith("error: NumericError: non-finite values after input projection")
         assert len(err.splitlines()) == 1, err
+
+
+class TestInferCheckpointChecks:
+    """An infer command checks the head its checkpoint holds before any
+    features load, and exits 1 with one line."""
+
+    @pytest.mark.parametrize("argv, head, outputs, needle", [
+        (["spot", "infer"], "grounding", 18,
+         "error: DomainError: {ckpt} holds a grounding head with 2 outputs, not "
+         "spot_transformer or spot_netvlad with 18"),
+        (["spot", "infer"], "netvlad", 18,
+         "error: ShapeError: {ckpt} holds a netvlad head, which pools two halves and needs an "
+         "even --chunk, got 7"),
+        (["spot", "infer"], "transformer", 5,
+         "error: DomainError: {ckpt} holds a spot_transformer head with 5 outputs, not "
+         "spot_transformer or spot_netvlad with 18"),
+        (["ground", "infer"], "transformer", 18,
+         "error: DomainError: {ckpt} holds a spot_transformer head with 18 outputs, not "
+         "grounding with 2"),
+        (["ground", "infer"], "netvlad", 18,
+         "error: DomainError: {ckpt} holds a spot_netvlad head with 18 outputs, not "
+         "grounding with 2"),
+    ])
+    def test_wrong_head_exits_one_before_loading_features(
+            self, argv, head, outputs, needle, tmp_path, capsys, monkeypatch):
+        ckpt = TestNumericFailures._checkpoint(tmp_path / "m.sgckpt", head, outputs=outputs)
+        for name in ("load_dataset", "load_game"):
+            monkeypatch.setattr(f"spotground.cli.{name}", TestRejectedBeforeLoading.forbidden)
+        out = tmp_path / "out"
+        assert run([*argv, "--model", str(ckpt), "--data", str(tmp_path / "data"),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(needle.format(ckpt=ckpt)) and len(err.splitlines()) == 1, err
+        assert not out.exists()
 
 
 class TestMixedFeatureWidths:
@@ -468,6 +506,7 @@ class TestRejectedBeforeLoading:
             ("--jobs", ["--jobs", "0"]),
         ])
         calls = []  # --filter 0 still disables the filter
+        monkeypatch.setattr("spotground.cli._load_head", lambda path, *checks, **kw: path)
         monkeypatch.setattr("spotground.cli._map_games",
                             lambda fn, data, jobs, *args: calls.append(args) or [])
         assert run([*command, "--out", str(tmp_path / "out"), "--filter", "0"]) == 0

@@ -1,13 +1,18 @@
+import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import float_arrays
 from spotground.errors import ConsistencyError, NumericError, ShapeError
+from spotground import nn
 from spotground.nn import (
     AdamState,
     EncoderConfig,
+    Workspace,
     adam_step,
     bce_plus_l2,
     cross_entropy_soft,
@@ -19,6 +24,7 @@ from spotground.nn import (
     grounding_grad_check,
     init_encoder_params,
     positional_encoding,
+    softmax,
     spotting_grad_check,
 )
 from spotground.spotting import mixup
@@ -232,6 +238,125 @@ class TestBackward:
             encoder_backward({"x": None}, np.zeros(3))
 
 
+def _query_major_attention(q, k, v, num_heads, ws, attn, o):
+    """The reference: scaled dot-product attention with query-major scores,
+    (B, H, T_query, T_key), and a softmax over their last axis, as the
+    kernel computed it before it took the scores key-major."""
+    def split(x):
+        return nn._split_heads(x, num_heads)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scale = 1.0 / math.sqrt(q.shape[-1] // num_heads)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    weights = softmax(scores)
+    attn[...] = weights
+    B, H, T, dk = weights.shape[0], num_heads, q.shape[1], q.shape[-1] // num_heads
+    o[...] = (weights @ vh).transpose(0, 2, 1, 3).reshape(B, T, H * dk)
+
+
+def _query_major_attention_backward(q, k, v, attn, do, num_heads, ws, dq, dk, dv):
+    """The reference backward of `_query_major_attention`."""
+    def split(x):
+        return nn._split_heads(x, num_heads)
+
+    def merge(x):
+        B, H, T, dk = x.shape
+        return x.transpose(0, 2, 1, 3).reshape(B, T, H * dk)
+
+    qh, kh, vh, doh = split(q), split(k), split(v), split(do)
+    scale = 1.0 / math.sqrt(q.shape[-1] // num_heads)
+    weights = attn
+    dattn = doh @ vh.transpose(0, 1, 3, 2)
+    dvh = weights.transpose(0, 1, 3, 2) @ doh
+    dscores = weights * (dattn - nn._row_sum(dattn * weights))
+    dq[...] = merge((dscores @ kh) * scale)
+    dk[...] = merge((dscores.transpose(0, 1, 3, 2) @ qh) * scale)
+    dv[...] = merge(dvh)
+
+
+ORACLE = EncoderConfig(input_dim=8, output_dim=3, model_dim=16, num_layers=2, num_heads=2,
+                       hidden_dim=24, dropout_p=0.1, num_segments=2)
+
+
+def _train_pass(params, x, seed, workspace=None, config=ORACLE):
+    """Logits and grads of one dropout forward and backward."""
+    T = x.shape[1]
+    segments = (np.arange(T) >= T // 2).astype(np.int64)
+    logits, cache = encoder_forward_batch(params, config, x, segments, train_mode=True,
+                                          rng=np.random.default_rng(seed), workspace=workspace)
+    upstream = np.random.default_rng(seed + 1).normal(size=logits.shape).astype(x.dtype)
+    grads = encoder_backward(cache, upstream)
+    return logits.tobytes(), {k: g.tobytes() for k, g in grads.items()}
+
+
+class TestKeyMajorScores:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [7, 16, 60])
+    @pytest.mark.parametrize("heads", [1, 2, 4])  # heads 16, 8 and 4 wide
+    def test_logits_and_grads_are_bit_equal_to_the_query_major_reference(
+            self, heads, T, dtype, monkeypatch):
+        config = replace(ORACLE, num_heads=heads)
+        params = {k: v.astype(dtype)
+                  for k, v in init_encoder_params(config, np.random.default_rng(T)).items()}
+        x = np.random.default_rng(T + 1).normal(size=(1, T, config.input_dim)).astype(dtype)
+        got = _train_pass(params, x, T, config=config)
+        monkeypatch.setattr(nn, "_attention", _query_major_attention)
+        monkeypatch.setattr(nn, "_attention_backward", _query_major_attention_backward)
+        assert _train_pass(params, x, T, config=config) == got
+
+    def test_a_reused_workspace_gives_what_fresh_ones_give(self):
+        params = {k: v.astype(np.float32)
+                  for k, v in init_encoder_params(ORACLE, np.random.default_rng(0)).items()}
+        rng = np.random.default_rng(1)
+        ws = Workspace()
+        for seed, n in enumerate((6, 2, 6)):  # full, partial, full
+            x = rng.normal(size=(n, 10, ORACLE.input_dim)).astype(np.float32)
+            assert _train_pass(params, x, seed, ws) == _train_pass(params, x, seed)
+            h = embed_input(params, ORACLE, x)
+            segments = np.zeros(10, np.int64)
+            assert (encoder_forward_embedded(params, ORACLE, h, segments, ws).tobytes()
+                    == encoder_forward_embedded(params, ORACLE, h, segments).tobytes())
+
+    @staticmethod
+    def _peak_growth(call) -> int:
+        """Bytes allocated at the peak of call() above what was live before it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_a_warm_workspace_allocates_no_activation(self):
+        """A second call on one workspace allocates less than one (B, T,
+        model_dim) activation, in inference and in training."""
+        spot = EncoderConfig(input_dim=32, output_dim=18)
+        params = {k: v.astype(np.float32)
+                  for k, v in init_encoder_params(spot, np.random.default_rng(0)).items()}
+        h = np.random.default_rng(1).normal(size=(64, 7, spot.model_dim)).astype(np.float32)
+        ws = Workspace()
+        encoder_forward_embedded(params, spot, h, workspace=ws)
+        assert self._peak_growth(lambda: encoder_forward_embedded(params, spot, h,
+                                                                  workspace=ws)) < h.nbytes
+
+        ground = EncoderConfig(input_dim=32, output_dim=2, num_layers=4, num_segments=2)
+        params = {k: v.astype(np.float32)
+                  for k, v in init_encoder_params(ground, np.random.default_rng(2)).items()}
+        x = np.random.default_rng(3).normal(size=(8, 60, 32)).astype(np.float32)
+        segments = np.repeat([0, 1], 30)
+        rng = np.random.default_rng(4)
+
+        def step():
+            logits, cache = encoder_forward_batch(params, ground, x, segments, train_mode=True,
+                                                  rng=rng, workspace=ws)
+            encoder_backward(cache, np.ones_like(logits))
+
+        ws = Workspace()
+        step()
+        assert self._peak_growth(step) < 8 * 60 * ground.model_dim * 4
+
+
 class TestGradCheck:
     def test_quadratic_toy_loss_is_exact(self):
         params = {"w": np.array([1.0, -2.0, 0.5])}
@@ -300,6 +425,14 @@ class TestEdgeShapes:
             return loss, encoder_backward(cache, dlogits)
 
         assert grad_check(params, loss_fn, trials=50, rng=np.random.default_rng(5)) < 1e-5
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_segment_index_outside_the_table_is_a_shape_error(self, bad):
+        config = replace(ORACLE, dropout_p=0.0)
+        params = init_encoder_params(config, np.random.default_rng(6))
+        segments = np.array([0, 1, bad])
+        with pytest.raises(ShapeError, match=r"segments must lie in \[0, 2\)"):
+            encoder_forward_batch(params, config, np.zeros((1, 3, config.input_dim)), segments)
 
 
 class TestLosses:
