@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ShapeError, UnsupportedLayoutError
+from .jsonio import json_document, typed
 from .nn import EncoderConfig, encoder_param_shapes
 
 MAGIC = b"SGMODEL\x00"
@@ -54,7 +55,7 @@ def _config_to_dict(config) -> dict:
 
 def _config_from_dict(d):
     """A head config from its header dict: exactly the config's fields, each
-    an int (or, for a float field, an int or float) the config accepts."""
+    of its field's JSON type (see jsonio.typed) and a value the config accepts."""
     if not isinstance(d, dict):
         raise FormatError("checkpoint config must be a JSON object")
     d = dict(d)
@@ -71,9 +72,8 @@ def _config_from_dict(d):
     if set(d) != set(types):
         raise FormatError(f"{kind} fields {sorted(d)} are not {sorted(types)}")
     for name, value in d.items():
-        number = (int,) if types[name] == "int" else (int, float)
-        if isinstance(value, bool) or not isinstance(value, number):
-            raise FormatError(f"{kind} field {name!r} has bad value {value!r}")
+        d[name] = typed(value, {"int": int, "float": float}[types[name]], FormatError,
+                        f"{kind} field {name!r}")
     try:
         return cls(**d)
     except ShapeError as exc:
@@ -131,7 +131,7 @@ def save_model(path: str | Path, model: Model) -> None:
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return type(value) is int and value >= 0  # jsonio.typed's rule: a bool is not an int
 
 
 def _read_header(raw: bytes, path) -> tuple[dict, int]:
@@ -144,12 +144,7 @@ def _read_header(raw: bytes, path) -> tuple[dict, int]:
     data_start = _HEADER_START + header_len
     if data_start > len(raw):
         raise FormatError(f"{path} is truncated inside the header")
-    try:
-        header = json.loads(raw[_HEADER_START:data_start].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
-        raise FormatError(f"{path} has a malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path} header must be a JSON object")
+    header = json_document(raw[_HEADER_START:data_start], dict, FormatError, f"{path} header")
     version = header.get("version")
     if version != FORMAT_VERSION or not _is_count(version):
         raise FormatError(f"{path} has checkpoint version {version!r}, not {FORMAT_VERSION}")

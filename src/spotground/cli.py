@@ -58,6 +58,7 @@ from .grounding import (
     merge_nms,
     train_grounding,
 )
+from .jsonio import bare_name, json_document, objects, typed
 from .nn import (
     GROUND_GRADCHECK_CONFIG,
     SPOT_GRADCHECK_CONFIG,
@@ -139,55 +140,38 @@ def write_spot_predictions(out_dir: Path, game_id: str, preds: list[SpotPredicti
 
 
 def _read_prediction_doc(path: Path, key: str) -> tuple[str, list[dict]]:
-    """A prediction document's game id (its directory's name by default) and
-    the array of objects under key; a document of any other shape is a
-    ParseError."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
-        raise ParseError(f"malformed prediction JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path} must hold a JSON object")
-    game_id = doc.get("game_id", path.parent.name)
-    if not isinstance(game_id, str):
-        raise ParseError(f"{path}: game_id must be a string, got {game_id!r}")
-    return game_id, _objects(doc, key, path)
+    """A prediction document's game id and the array of objects under key;
+    a document of any other shape is a ParseError. A game id the document
+    states must be a bare name (it names a directory under --out); the
+    default is its directory's name."""
+    doc = json_document(path.read_bytes(), dict, ParseError, f"prediction JSON {path}")
+    game_id = path.parent.name
+    if "game_id" in doc:
+        where = f"{path}: game_id"
+        game_id = bare_name(typed(doc["game_id"], str, ParseError, where), ParseError, where)
+    return game_id, objects(doc.get(key), ParseError, f"{path}: {key!r}")
 
 
-def _objects(doc: dict, key: str, path: Path) -> list[dict]:
-    entries = doc.get(key)
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ParseError(f"{path}: {key!r} must be an array of objects")
-    return entries
-
-
-def _field(entry: dict, key: str, kind: type, path: Path):
-    """entry[key] if it is a kind (int, float or str); an int is also a
-    float, a bool is neither."""
-    value = entry.get(key)
-    if type(value) is kind:
-        return value
-    if kind is float and type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:  # an int too large for a float
-            pass
-    raise ParseError(f"{path}: prediction field {key!r} has bad value {value!r}")
+def _field_places(path: Path, *keys: str) -> dict[str, str]:
+    """key -> how an error names that prediction field of the document at
+    path; built once per document, not once per entry."""
+    return {key: f"{path}: prediction field {key!r}" for key in keys}
 
 
 def read_spot_predictions(path: Path, vocab) -> list[SpotPrediction]:
     game_id, entries = _read_prediction_doc(path, "predictions")
+    at = _field_places(path, "label", "half", "position_s", "confidence")
     preds = []
     for entry in entries:
-        label = _field(entry, "label", str, path)
+        label = typed(entry.get("label"), str, ParseError, at["label"])
         preds.append(
             SpotPrediction(
                 game_id,
-                _field(entry, "half", int, path),
-                _field(entry, "position_s", int, path),
+                typed(entry.get("half"), int, ParseError, at["half"]),
+                typed(entry.get("position_s"), int, ParseError, at["position_s"]),
                 label_index(vocab, label),
                 label,
-                _field(entry, "confidence", float, path),
+                typed(entry.get("confidence"), float, ParseError, at["confidence"]),
             )
         )
     return preds
@@ -218,6 +202,7 @@ def write_ground_predictions(
 
 def read_ground_predictions(path: Path):
     game_id, entries = _read_prediction_doc(path, "queries")
+    at = _field_places(path, "position_s", "confidence")
     results = []
     for entry in entries:
         q = entry.get("query")
@@ -227,9 +212,10 @@ def read_ground_predictions(path: Path):
         _, end = parse_game_time(q.get("end"))
         query = ReplayQuery(game_id, half, start, end)
         preds = [
-            GroundingPrediction(game_id, half, _field(p, "position_s", int, path),
-                                _field(p, "confidence", float, path))
-            for p in _objects(entry, "predictions", path)
+            GroundingPrediction(game_id, half,
+                                typed(p.get("position_s"), int, ParseError, at["position_s"]),
+                                typed(p.get("confidence"), float, ParseError, at["confidence"]))
+            for p in objects(entry.get("predictions"), ParseError, f"{path}: 'predictions'")
         ]
         results.append((query, preds))
     return results
@@ -319,12 +305,7 @@ def _read_splits(data: Path, path: str | None) -> dict[str, list[str]] | None:
     """The --splits file's game lists, each name a game directory under data."""
     if path is None:
         return None
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise UsageError(f"cannot parse splits file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"splits file {path} must hold a JSON object")
+    doc = json_document(Path(path).read_bytes(), dict, UsageError, f"splits file {path}")
     unknown = set(doc) - {"train", "valid", "test"}
     if unknown:
         raise UsageError(f"unknown split keys: {sorted(unknown)}")
@@ -658,8 +639,8 @@ ANALYZE_DEFAULTS = {"buckets": 10}
 
 
 def cmd_analyze_replays(args, cfg) -> list[Path]:
-    if args.svg is not None and (args.svg in ("", "..") or Path(args.svg).name != args.svg):
-        raise UsageError(f"--svg must be a bare file name, written under --out, got {args.svg!r}")
+    if args.svg is not None:
+        bare_name(args.svg, UsageError, "--svg")
     if args.svg in ("replay_stats.json", "manifest.json"):
         raise UsageError(f"--svg {args.svg!r} would overwrite the command's own output")
     replays = [rp for _, rps in _game_labels(Path(args.labels)).values() for rp in rps]
@@ -895,40 +876,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_value(key: str, value, expected: type):
-    """A config-file value checked against the type its key takes: bool is
-    not an int, an int is accepted (as a float) where a float is expected."""
-    if expected is float and isinstance(value, int) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError as exc:
-            raise UsageError(f"config key {key!r} must be finite, got an int too large "
-                             "for a float") from exc
-    if isinstance(value, expected) and (expected is bool or not isinstance(value, bool)):
-        return value
-    raise UsageError(
-        f"config key {key!r} must be {expected.__name__}, got {type(value).__name__} {value!r}"
-    )
-
-
 def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge defaults < JSON config file < explicit flags; reject unknown keys
     and values of the wrong type."""
     cfg = dict(defaults)
     if args.config:
         try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+            raw = Path(args.config).read_bytes()
+        except OSError as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
+        loaded = json_document(raw, dict, UsageError, f"config file {args.config}")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
             if defaults[key] is None and value is None:
                 continue  # keeps the computed default
-            cfg[key] = _config_value(key, value, _key_type(key, defaults[key]))
+            cfg[key] = typed(value, _key_type(key, defaults[key]), UsageError,
+                             f"config key {key!r}")
     for key in defaults:
         val = getattr(args, key)
         if val is not None:
@@ -986,10 +951,7 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except SpotGroundError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (SpotGroundError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,6 @@ zero-padded window extraction.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
+from .jsonio import json_document, objects
 from .npyio import read_npy_file
 from .vocab import DEFAULT_VOCAB
 
@@ -125,19 +125,8 @@ def parse_labels(
     both. Labels outside the given vocabulary are kept and logged as a
     warning; entries are never silently dropped.
     """
-    try:
-        doc = json.loads(stream)
-    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
-        raise ParseError(f"malformed label JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("label document must be a JSON object")
+    doc = json_document(stream, dict, ParseError, "label document")
     known = set(vocab if vocab is not None else DEFAULT_VOCAB)
-
-    def entries(key):
-        value = doc.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
-            raise ParseError(f"{key!r} must be an array of objects")
-        return value
 
     def check_label(label):
         if not isinstance(label, str) or not label:
@@ -146,7 +135,7 @@ def parse_labels(
             logger.warning("unknown label %r in %s", label, game_id or "<stream>")
 
     events: list[EventAnnotation] = []
-    for entry in entries("annotations"):
+    for entry in objects(doc.get("annotations", []), ParseError, "'annotations'"):
         if "gameTime" not in entry or "label" not in entry:
             raise ParseError(f"annotation entry missing gameTime/label: {entry!r}")
         half, secs = parse_game_time(entry["gameTime"])
@@ -154,7 +143,7 @@ def parse_labels(
         events.append(EventAnnotation(game_id, half, secs, entry["label"]))
 
     replays: list[ReplayAnnotation] = []
-    for entry in entries("replays"):
+    for entry in objects(doc.get("replays", []), ParseError, "'replays'"):
         for key in ("start", "end", "event", "label"):
             if key not in entry:
                 raise ParseError(f"replay entry missing {key!r}: {entry!r}")

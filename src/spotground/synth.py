@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import EventAnnotation, FeatureSequence, ReplayAnnotation
 from .errors import PlacementError, ShapeError
+from .jsonio import bare_name
 from .vocab import DEFAULT_VOCAB
 
 PATTERN_RADIUS_S = 2
@@ -55,6 +56,7 @@ class SynthConfig:
             raise ShapeError(
                 f"need feature_dim >= {directions_needed} for orthonormal directions"
             )
+        bare_name(self.game_prefix, ShapeError, "game_prefix")  # game ids name directories
         if self.replay_delay_min_s > self.replay_delay_max_s:
             raise ShapeError("replay delay min > max")
         if self.with_replays and self.replay_delay_min_s < 1:

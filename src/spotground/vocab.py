@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 from .errors import VocabularyError
+from .jsonio import json_document
 
 DEFAULT_VOCAB: tuple[str, ...] = (
     "Penalty",
@@ -38,13 +39,9 @@ NUM_OUTPUT_CLASSES = 18
 
 
 def load_vocab(path: str | Path) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            vocab = json.load(fh)
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise VocabularyError(f"cannot parse vocabulary {path}: {exc}") from exc
+    vocab = json_document(Path(path).read_bytes(), list, VocabularyError, f"vocabulary {path}")
     validate_vocab(vocab)
-    return list(vocab)
+    return vocab
 
 
 def save_vocab(path: str | Path, vocab: list[str] | tuple[str, ...]) -> None:

@@ -1,14 +1,21 @@
 import json
+import math
+import struct
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spotground.checkpoint import MAGIC
 from spotground.cli import (
+    BOUNDS,
+    CHOICES,
     COMMANDS,
     OPTIONAL_PATHS,
     POSITIONAL_PATHS,
+    _flag,
+    _key_type,
     read_ground_predictions,
     read_spot_predictions,
     run,
@@ -26,6 +33,17 @@ def _synth(out, seed=3, extra=()):
     code = run(["synth", "--out", str(out), "--seed", str(seed), *SYNTH_SMALL, *extra])
     assert code == 0
     return out
+
+
+def _command_argv(cmd, root: Path) -> list[str]:
+    """cmd's words and its required path arguments, each root / its name."""
+    argv = list(cmd.words)
+    for name in cmd.paths:
+        if name in POSITIONAL_PATHS:
+            argv.append(str(root / name))
+        elif name not in OPTIONAL_PATHS:
+            argv += [_flag(name), str(root / name)]
+    return argv
 
 
 def _tree_bytes(root: Path, skip={"manifest.json"}):
@@ -56,6 +74,19 @@ class TestSynthCommand:
         assert manifest["config"]["seed"] == 5
         assert manifest["config"]["duration"] == 200
         assert "wall_time_s" in manifest and "build" in manifest
+
+    @pytest.mark.parametrize("prefix", ["../esc", "a/b", "..", ""])
+    def test_prefix_must_be_a_bare_name(self, prefix, tmp_path, capsys):
+        """A game id names a directory under --out; nothing is written for a
+        prefix that would put one elsewhere, from a flag or a config file."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prefix": prefix}))
+        for extra in ([f"--prefix={prefix}"], ["--config", str(cfg)]):
+            code = run(["synth", "--out", str(tmp_path / "out" / "data"), *extra])
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith("error: usage:") and "prefix" in err, err
+            assert len(err.splitlines()) == 1, err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestConfigFile:
@@ -682,6 +713,134 @@ class TestConfigTypes:
             assert "JSON object" in capsys.readouterr().err
 
 
+# values of the wrong JSON type for a key of each type; None is a wrong type
+# too, except for a key whose default is computed
+WRONG_TYPES = {int: ["1", True, 1.5], float: ["0.5", True], str: [1, None], bool: [1, "true"]}
+
+
+def _past(bound, kind, direction):
+    """One step past bound towards direction (+1 or -1) for a key of kind."""
+    if kind is int:
+        return bound + direction
+    return math.nextafter(bound, direction * math.inf)
+
+
+def _rejected_values(cmd):
+    """(extra argv, needle) of every bad value the command table derives for
+    cmd: a wrong JSON type per key, NaN and +-inf per float key (from a flag
+    and from --config), an unknown choice, and one step past each bound.
+    A "config" entry in extra is a --config document."""
+    for key, default in cmd.defaults.items():
+        kind, flag = _key_type(key, default), _flag(key)
+        for value in WRONG_TYPES[kind]:
+            yield {"config": {key: value}}, repr(key)
+        if kind is float:
+            for value in (math.nan, math.inf, -math.inf):
+                yield {"flag": f"{flag}={value}"}, flag
+                yield {"config": {key: value}}, flag
+        if key in CHOICES:
+            yield {"config": {key: "bogus"}}, flag
+        if key in BOUNDS:
+            lo, hi = BOUNDS[key]
+            for bound, direction in ((lo, -1), (hi, 1)):
+                if bound is not None:
+                    value = _past(bound, kind, direction)
+                    yield {"flag": f"{flag}={value!r}"}, flag
+                    yield {"config": {key: value}}, flag
+
+
+def _accepted_bounds(cmd):
+    """(extra argv, key, value) for each bound of each of cmd's keys, which
+    the key accepts, from a flag and from --config."""
+    for key, default in cmd.defaults.items():
+        if key in BOUNDS:
+            kind = _key_type(key, default)
+            for bound in BOUNDS[key]:
+                if bound is not None:
+                    yield {"flag": f"{_flag(key)}={kind(bound)!r}"}, key, kind(bound)
+                    yield {"config": {key: kind(bound)}}, key, kind(bound)
+
+
+class TestGeneratedErrorContract:
+    """The error contract, with its cases generated from the command table:
+    each rejected value exits 2 with one stderr line naming its key, before
+    any data loads or --out exists; each bound is accepted."""
+
+    @staticmethod
+    def _argv(cmd, tmp_path, extra):
+        argv = _command_argv(cmd, tmp_path)
+        if "flag" in extra:
+            argv.append(extra["flag"])
+        if "config" in extra:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(extra["config"]))
+            argv += ["--config", str(config)]
+        return argv
+
+    @pytest.mark.parametrize("cmd", COMMANDS, ids=lambda c: " ".join(c.words))
+    def test_rejected_values(self, cmd, tmp_path, capsys, monkeypatch):
+        TestRejectedBeforeLoading._forbid_loading(monkeypatch)
+        cases = list(_rejected_values(cmd))
+        assert cases
+        for extra, needle in cases:
+            code = run(self._argv(cmd, tmp_path, extra))
+            err = capsys.readouterr().err
+            assert code == 2, (extra, err)
+            assert err.startswith("error: usage:") and needle in err, (extra, err)
+            assert len(err.splitlines()) == 1, (extra, err)
+            assert not (tmp_path / "out").exists(), extra
+
+    @pytest.mark.parametrize("cmd", [c for c in COMMANDS if set(c.defaults) & set(BOUNDS)],
+                             ids=lambda c: " ".join(c.words))
+    def test_bounds_are_accepted(self, cmd, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(f"spotground.cli.{cmd.body.__name__}",
+                            lambda args, cfg: seen.append(dict(cfg)) or
+                            ([] if "out" in cmd.paths else 0))
+        for extra, key, value in _accepted_bounds(cmd):
+            assert run(self._argv(cmd, tmp_path, extra)) == 0, extra
+            assert seen[-1][key] == value and type(seen[-1][key]) is type(value), extra
+
+
+def _deep_document_cases(tmp_path):
+    """(argv, exit code) of one command per JSON input, each input nested
+    100,000 deep; the other inputs are valid or absent."""
+    deep = "[" * 100_000 + "]" * 100_000
+    (tmp_path / "deep.json").write_text(deep)
+    header = deep.encode()
+    (tmp_path / "deep.sgckpt").write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+    for name, doc in (("labels", '{"annotations": []}'), ("deep_labels", deep)):
+        (tmp_path / name / "g").mkdir(parents=True)
+        (tmp_path / name / "g" / "labels.json").write_text(doc)
+    for name in ("spotting.json", "grounding.json"):
+        (tmp_path / "preds" / "g").mkdir(parents=True, exist_ok=True)
+        (tmp_path / "preds" / "g" / name).write_text(deep)
+    deep_json, out = str(tmp_path / "deep.json"), str(tmp_path / "out")
+    labels, preds = str(tmp_path / "labels"), str(tmp_path / "preds")
+    data = ["--data", str(tmp_path / "labels"), "--out", out]
+    return [
+        (["synth", "--out", out, "--config", deep_json], 2),
+        (["spot", "train", *data, "--splits", deep_json], 2),
+        (["spot", "train", *data, "--vocab", deep_json], 1),
+        (["eval", "spot", "--preds", preds, "--labels", str(tmp_path / "deep_labels"),
+          "--out", out], 1),
+        (["eval", "spot", "--preds", preds, "--labels", labels, "--out", out], 1),
+        (["eval", "ground", "--preds", preds, "--labels", labels, "--out", out], 1),
+        (["spot", "infer", "--model", str(tmp_path / "deep.sgckpt"), *data], 1),
+    ]
+
+
+def test_deeply_nested_documents_end_in_one_line(tmp_path, capsys):
+    """--config, --splits, --vocab, labels.json, spotting.json,
+    grounding.json and a checkpoint header."""
+    for argv, expected in _deep_document_cases(tmp_path):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == expected and "cannot parse" in err, (argv, err)
+        assert len(err.splitlines()) == 1, (argv, err)
+        assert not (tmp_path / "out").exists()
+
+
 class TestAnalyze:
     def test_replay_stats_and_svg(self, tmp_path):
         data = tmp_path / "data"
@@ -744,6 +903,20 @@ class TestGroundMerge:
             assert doc["game_id"] == "g1"
             # both sides merged: b's 10 s and a's 100 s lead, 105 s falls to NMS
             assert [p["position_s"] for p in doc["queries"][0]["predictions"]] == [10, 60, 100]
+
+    @pytest.mark.parametrize("game_id", ["../../escaped", "a\x00b", "..", "", "x/y", 7])
+    def test_stated_game_id_must_be_a_bare_name(self, game_id, tmp_path, capsys):
+        """It names the merged game's directory under --out."""
+        root = tmp_path / "one" / "two"
+        path = self._write(root, "g1", [(100, 0.9)])
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), game_id=game_id)))
+        out = root / "merged"
+        code = run(["ground", "merge", str(path), str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ParseError:") and "game_id" in err, err
+        assert len(err.splitlines()) == 1, err
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+            "one", "one/two", "one/two/g1", "one/two/g1/grounding.json"]
 
 
 class TestPredictionReaders:
@@ -813,12 +986,7 @@ class TestCommandTable:
         monkeypatch.setattr(f"spotground.cli.{cmd.body.__name__}",
                             lambda args, cfg: seen.append(dict(cfg)) or
                             ([] if "out" in cmd.paths else 0))
-        argv = list(cmd.words)
-        for name in cmd.paths:
-            if name in POSITIONAL_PATHS:
-                argv.append(str(tmp_path / name))
-            elif name not in OPTIONAL_PATHS:
-                argv += ["--" + name.replace("_", "-"), str(tmp_path / name)]
+        argv = _command_argv(cmd, tmp_path)
         config = tmp_path / "defaults.json"
         config.write_text(json.dumps(cmd.defaults))
         manifests = []
