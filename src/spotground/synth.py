@@ -101,13 +101,16 @@ def _place_events(rng, config: SynthConfig) -> np.ndarray:
 def synth_generate(
     config: SynthConfig,
     seed: int,
-    game_id: str | None = None,
-    half: int = 1,
+    index: int = 0,
     vocab: tuple[str, ...] | list[str] = DEFAULT_VOCAB,
 ) -> tuple[FeatureSequence, list[EventAnnotation], list[ReplayAnnotation]]:
-    """Generate one half. Labels are the first num_classes vocabulary names."""
-    game_id = game_id if game_id is not None else f"{config.game_prefix}_000"
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, half]))
+    """Generate half `index` of the dataset of this seed: half 1 + index % 2
+    of game index // 2. Its event times, classes, delays and noise are drawn
+    from seed + 1000 * index; the class directions come from seed itself.
+    Labels are the first num_classes vocabulary names."""
+    game_id = f"{config.game_prefix}_{index // 2:03d}"
+    half = 1 + index % 2
+    rng = np.random.default_rng(np.random.SeedSequence([seed + 1000 * index, 1, half]))
     directions = class_directions(config, seed)
     labels = list(vocab)[: config.num_classes]
 
@@ -168,16 +171,9 @@ def synth_dataset(config: SynthConfig, seed: int, vocab=DEFAULT_VOCAB):
     """Generate num_halves halves as (features, events, replays) triples.
 
     Halves are grouped two per game: half indices alternate 1, 2 and the
-    game counter advances every other half.
+    game counter advances every other half (see synth_generate).
     """
-    out = []
-    for i in range(config.num_halves):
-        game_id = f"{config.game_prefix}_{i // 2:03d}"
-        half = 1 + i % 2
-        out.append(
-            synth_generate(config, seed + 1000 * i, game_id=game_id, half=half, vocab=vocab)
-        )
-    return out
+    return [synth_generate(config, seed, i, vocab) for i in range(config.num_halves)]
 
 
 def write_synth_dataset(root: str | Path, config: SynthConfig, seed: int, vocab=DEFAULT_VOCAB):

@@ -80,6 +80,38 @@ def test_matched_filter_reconstruction():
         assert detected == truth
 
 
+def test_every_half_shares_the_class_directions():
+    """An event of a label projects to about 1 on that label's one direction
+    in every half, whichever game it is in."""
+    cfg = SynthConfig(duration_s=300, feature_dim=16, num_classes=2, events_per_class=3,
+                      noise_sigma=0.0, min_gap_s=25, num_halves=3, with_replays=True,
+                      replay_delay_min_s=12, replay_delay_max_s=12, replay_duration_s=6)
+    directions = class_directions(cfg, 8)
+    halves = synth_dataset(cfg, seed=8)
+    assert [(f.game_id, f.half) for f, _, _ in halves] == [
+        ("synth_000", 1), ("synth_000", 2), ("synth_001", 1)]
+    labels = ["Penalty", "Kick-off"]
+    for feats, events, replays in halves:
+        assert {ev.label for ev in events} == set(labels)
+        for ev in events:
+            c = labels.index(ev.label)
+            assert feats.data[ev.time_s] @ directions[c] == pytest.approx(1.0, abs=1e-5)
+        for rp in replays:  # the signature sits mid-clip on the paired direction
+            center = rp.replay_start_s + cfg.replay_duration_s // 2
+            signature = directions[cfg.num_classes + labels.index(rp.event_label)]
+            assert feats.data[center] @ signature == pytest.approx(1.0, abs=1e-5)
+
+
+def test_index_sets_the_game_half_and_draws():
+    """Half `index` of a dataset is synth_generate(config, seed, index)."""
+    cfg = SynthConfig(duration_s=200, feature_dim=8, num_classes=1, events_per_class=2,
+                      min_gap_s=15, num_halves=4, game_prefix="m")
+    for i, (feats, events, _) in enumerate(synth_dataset(cfg, seed=5)):
+        alone, alone_events, _ = synth_generate(cfg, 5, i)
+        assert (feats.game_id, feats.half) == (f"m_{i // 2:03d}", 1 + i % 2)
+        assert feats.data.tobytes() == alone.data.tobytes() and events == alone_events
+
+
 def test_placement_error_when_too_dense():
     cfg = SynthConfig(duration_s=50, num_classes=3, events_per_class=8, min_gap_s=21,
                       num_halves=1)
@@ -114,6 +146,6 @@ def test_config_validation():
         SynthConfig(with_replays=True, num_classes=5, feature_dim=8)
     for bad in ({"duration_s": -5}, {"num_halves": 0}, {"events_per_class": 0},
                 {"replay_duration_s": 0}, {"min_gap_s": -1}, {"edge_margin_s": -1},
-                {"noise_sigma": -1.0}):
+                {"noise_sigma": -1.0}, {"game_prefix": "../x"}, {"game_prefix": "a/b"}):
         with pytest.raises(ShapeError, match=next(iter(bad))):
             SynthConfig(**bad)
