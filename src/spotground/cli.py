@@ -139,17 +139,22 @@ def write_spot_predictions(out_dir: Path, game_id: str, preds: list[SpotPredicti
     return _write_json(out_dir / game_id / "spotting.json", doc)
 
 
-def _read_prediction_doc(path: Path, key: str) -> tuple[str, list[dict]]:
+def _read_prediction_doc(path: Path, key: str, game_id: str | None = None
+                         ) -> tuple[str, list[dict]]:
     """A prediction document's game id and the array of objects under key;
     a document of any other shape is a ParseError. A game id the document
     states must be a bare name (it names a directory under --out); the
-    default is its directory's name."""
+    default is its directory's name. A document looked up as game_id's
+    must not state another id."""
     doc = json_document(path.read_bytes(), dict, ParseError, f"prediction JSON {path}")
-    game_id = path.parent.name
+    stated = path.parent.name
     if "game_id" in doc:
         where = f"{path}: game_id"
-        game_id = bare_name(typed(doc["game_id"], str, ParseError, where), ParseError, where)
-    return game_id, objects(doc.get(key), ParseError, f"{path}: {key!r}")
+        stated = bare_name(typed(doc["game_id"], str, ParseError, where), ParseError, where)
+    if game_id is not None and stated != game_id:
+        raise ParseError(f"{path}: game_id {stated!r} differs from its directory's game "
+                         f"{game_id!r}")
+    return stated, objects(doc.get(key), ParseError, f"{path}: {key!r}")
 
 
 def _field_places(path: Path, *keys: str) -> dict[str, str]:
@@ -158,8 +163,8 @@ def _field_places(path: Path, *keys: str) -> dict[str, str]:
     return {key: f"{path}: prediction field {key!r}" for key in keys}
 
 
-def read_spot_predictions(path: Path, vocab) -> list[SpotPrediction]:
-    game_id, entries = _read_prediction_doc(path, "predictions")
+def read_spot_predictions(path: Path, vocab, game_id: str | None = None) -> list[SpotPrediction]:
+    game_id, entries = _read_prediction_doc(path, "predictions", game_id)
     at = _field_places(path, "label", "half", "position_s", "confidence")
     preds = []
     for entry in entries:
@@ -200,8 +205,8 @@ def write_ground_predictions(
     return _write_json(out_dir / game_id / "grounding.json", doc)
 
 
-def read_ground_predictions(path: Path):
-    game_id, entries = _read_prediction_doc(path, "queries")
+def read_ground_predictions(path: Path, game_id: str | None = None):
+    game_id, entries = _read_prediction_doc(path, "queries", game_id)
     at = _field_places(path, "position_s", "confidence")
     results = []
     for entry in entries:
@@ -514,7 +519,7 @@ def cmd_ground_fuse(args, cfg) -> list[Path]:
     n_queries = 0
     for game_id, (_, replays) in _game_labels(Path(args.labels), vocab).items():
         spot_path = spot_dir / game_id / "spotting.json"
-        spots = read_spot_predictions(spot_path, vocab) if spot_path.exists() else []
+        spots = read_spot_predictions(spot_path, vocab, game_id) if spot_path.exists() else []
         results = []
         for rp in replays:
             query = ReplayQuery(rp.game_id, rp.half, rp.replay_start_s, rp.replay_end_s)
@@ -539,7 +544,7 @@ def cmd_ground_merge(args, cfg) -> list[Path]:
     def read_side(path: Path) -> dict[str, list]:
         if path.is_dir():
             return {
-                p.parent.name: read_ground_predictions(p)
+                p.parent.name: read_ground_predictions(p, p.parent.name)
                 for p in sorted(path.glob("*/grounding.json"))
             }
         game_id, _ = _read_prediction_doc(path, "queries")
@@ -595,7 +600,7 @@ def cmd_eval_spot(args, cfg) -> list[Path]:
         all_gts.extend(events)
         spot_path = preds_dir / game_id / "spotting.json"
         if spot_path.exists():
-            all_preds.extend(read_spot_predictions(spot_path, vocab))
+            all_preds.extend(read_spot_predictions(spot_path, vocab, game_id))
     report = average_map(all_preds, all_gts, tolerances, vocab=vocab)
     out = Path(args.out)
     report_path = _write_json(out / "spot_eval.json", report.to_dict())
@@ -616,7 +621,7 @@ def cmd_eval_ground(args, cfg) -> list[Path]:
         if pred_path.exists():
             by_key = {
                 (q.half, q.start_s, q.end_s): preds
-                for q, preds in read_ground_predictions(pred_path)
+                for q, preds in read_ground_predictions(pred_path, game_id)
             }
         for rp in replays:
             gt_times.append(rp.event_time_s)

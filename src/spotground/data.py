@@ -22,6 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .jsonio import json_document, objects
+from .nn import Workspace
 from .npyio import read_npy_file
 from .vocab import DEFAULT_VOCAB
 
@@ -204,16 +205,25 @@ def combine_features(sources: list[FeatureSequence]) -> FeatureSequence:
     return FeatureSequence(first.game_id, first.half, combined, dims)
 
 
-def gather_windows(datas: list[np.ndarray], which, starts, length_s: int, dtype) -> np.ndarray:
+def gather_windows(datas: list[np.ndarray], which, starts, length_s: int, dtype,
+                   workspace: Workspace | None = None) -> np.ndarray:
     """(n, length_s, D) windows in dtype: window i is rows [starts[i],
     starts[i] + length_s) of datas[which[i]], zero-padded outside its
-    [0, T). Only the windows' own rows are copied."""
-    out = np.zeros((len(starts), length_s, datas[0].shape[1]), dtype=dtype)
+    [0, T). Only the windows' own rows are copied, into the workspace's
+    "batch" buffer if one is given."""
+    shape = (len(starts), length_s, datas[0].shape[1])
+    out = np.empty(shape, dtype) if workspace is None else workspace.array("batch", shape, dtype)
     for row, i, start in zip(out, which, starts):
         data = datas[i]
         lo, hi = max(start, 0), min(start + length_s, len(data))
-        if lo < hi:
-            row[lo - start : hi - start] = data[lo:hi]
+        if lo >= hi:  # no row of the window lies in [0, T)
+            row[:] = 0.0
+            continue
+        row[lo - start : hi - start] = data[lo:hi]
+        if lo > start:
+            row[: lo - start] = 0.0
+        if hi < start + length_s:
+            row[hi - start :] = 0.0
     return out
 
 

@@ -100,10 +100,19 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 class Workspace:
     """Named reusable buffers, one flat array per (name, dtype), grown to the
-    largest request so far; a smaller batch gets a leading slice."""
+    largest request so far; a smaller batch gets a leading slice. Also
+    keeps tables that depend only on their key, built once."""
 
     def __init__(self):
         self._flat: dict[tuple[str, np.dtype], np.ndarray] = {}
+        self._tables: dict[tuple, np.ndarray] = {}
+
+    def table(self, key: tuple, build) -> np.ndarray:
+        """The table for key: build() on the first request, the same array after."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build()
+        return table
 
     def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         key = (name, np.dtype(dtype))
@@ -350,7 +359,8 @@ def _encode(params, config, h, segments, train_mode, rng, ws, keep_layers=True):
         np.take(params["seg.emb"], seg, axis=0, out=x0, mode="clip")  # in range: checked
         np.add(h, x0, out=x0)
         h = x0
-    np.add(h, positional_encoding(T, dm).astype(dt, copy=False), out=x0)
+    pe = ws.table(("pe", T, dm, dt), lambda: positional_encoding(T, dm).astype(dt, copy=False))
+    np.add(h, pe, out=x0)
     h = x0
     if dropping:
         cache["drop0"] = _dropout(h, config.dropout_p, rng, ws, "drop0")
@@ -399,7 +409,10 @@ def _encode(params, config, h, segments, train_mode, rng, ws, keep_layers=True):
             layers.append(rec)
     cache["layers"] = layers
 
-    pooled = np.mean(h, axis=1, out=ws.array("pooled", (B, dm), dt))
+    # bit-equal to np.mean, which divides the same sum in float64 and rounds:
+    # for a quotient of float32 values that is the float32 quotient
+    pooled = np.sum(h, axis=1, out=ws.array("pooled", (B, dm), dt))
+    pooled /= T
     cache["pooled"] = pooled
     logits = np.matmul(pooled, params["out.w"],
                        out=ws.array("logits", (B, config.output_dim), dt))

@@ -4,6 +4,12 @@ A half is cut into fixed-length chunks; each chunk is classified into one
 of 17 event classes or background. Inference slides a window at 1 s
 stride, assigns probabilities to window centers and reduces the per-class
 score series with greedy temporal NMS.
+
+The NetVLAD head writes into an `nn.Workspace`, with the encoder's buffer
+lifetimes; its row norms and reductions are BLAS products, and its
+descriptor's L2 norm is folded into the output products, so the
+normalised (B, 2KD) descriptor is never formed. A training step also
+gathers and mixes up its batch in the workspace.
 """
 
 from __future__ import annotations
@@ -156,19 +162,26 @@ def make_chunks(
     return targets
 
 
-def mixup(xb: np.ndarray, yb: np.ndarray, alpha: float, rng: np.random.Generator):
+def mixup(xb: np.ndarray, yb: np.ndarray, alpha: float, rng: np.random.Generator,
+          workspace: Workspace | None = None):
     """Mix each sample of a batch with a partner drawn from the same batch.
 
     The rng draws the partner permutation, then one Beta(alpha, alpha)
     coefficient lam per sample; inputs and targets both become
-    lam * own + (1 - lam) * partner, so targets stay on the simplex.
+    lam * own + (1 - lam) * partner, so targets stay on the simplex. The
+    mixed inputs view the workspace.
     """
     if len(xb) != len(yb):
         raise ShapeError(f"mixup batch sizes differ: {len(xb)} inputs vs {len(yb)} targets")
+    ws = Workspace() if workspace is None else workspace
     partner = rng.permutation(len(xb))
     lam = rng.beta(alpha, alpha, size=(len(xb), 1)).astype(xb.dtype)
-    return (lam[:, :, None] * xb + (1.0 - lam[:, :, None]) * xb[partner],
-            lam * yb + (1.0 - lam) * yb[partner])
+    mixed = np.multiply(lam[:, :, None], xb, out=ws.array("mixup", xb.shape, xb.dtype))
+    other = np.take(xb, partner, axis=0, out=ws.array("mixup.partner", xb.shape, xb.dtype),
+                    mode="clip")  # a permutation: in range, and "clip" skips a buffered copy
+    other *= 1.0 - lam[:, :, None]
+    mixed += other
+    return mixed, lam * yb + (1.0 - lam) * yb[partner]
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +227,32 @@ def init_netvlad_params(config: NetVLADConfig, rng: np.random.Generator) -> dict
     return p
 
 
-def _safe_row_normalize(v: np.ndarray):
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return v / safe, norms
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products (..., 1) of the (..., D) rows of a and b, as batched
+    (1, D) @ (D, 1) BLAS products."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
 
 
-def _vlad_half_forward(params, prefix, xh):
+def _vlad_half_forward(params, prefix, xh, vlad, ws: Workspace):
+    """Writes one half's VLAD rows, sum_t assign[t, k] * (xh[t] - c[k]),
+    into vlad (B, K, D), which the caller then normalises in place."""
     logits = xh @ params[prefix + "assign_w"] + params[prefix + "assign_b"]
     assign = softmax(logits)  # (B, Th, K)
     mass = assign.sum(axis=1)  # (B, K)
-    centers = params[prefix + "centers"]
-    vlad = assign.transpose(0, 2, 1) @ xh - mass[:, :, None] * centers[None]
-    normed, norms = _safe_row_normalize(vlad)
-    rec = {"xh": xh, "assign": assign, "mass": mass, "norms": norms, "normed": normed}
-    return normed.reshape(xh.shape[0], -1), rec
+    np.matmul(assign.transpose(0, 2, 1), xh, out=vlad)
+    vlad -= np.multiply(mass[:, :, None], params[prefix + "centers"],
+                        out=ws.array("vlad.tmp", vlad.shape, vlad.dtype))
+    return {"xh": xh, "assign": assign, "mass": mass, "normed": vlad}
 
 
-def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray):
-    """Past/future VLAD descriptors, intra- then L2-normalized, to logits."""
+def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray,
+                          workspace: Workspace | None = None):
+    """Past/future VLAD descriptors, intra- then L2-normalized, to logits.
+
+    The descriptors are the (B, 2KD) rows of the (B, 2, K, D) intra-
+    normalised buffer; their L2 norm s is folded into the output product,
+    logits = (desc @ W) / s + b. Logits and cache view the workspace.
+    """
     x = np.asarray(x, dtype=params["vlad.out.w"].dtype)
     if x.ndim != 3:
         raise ShapeError(f"expected (B, L, D), got {x.shape}")
@@ -241,60 +261,89 @@ def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray):
         raise ShapeError(f"NetVLAD pooling needs an even chunk length, got L={L}")
     if D != config.input_dim:
         raise ShapeError(f"input dim {D} != configured {config.input_dim}")
-    half = L // 2
-    flat_p, rec_p = _vlad_half_forward(params, "vlad.past.", x[:, :half])
-    flat_f, rec_f = _vlad_half_forward(params, "vlad.future.", x[:, half:])
-    desc = np.concatenate([flat_p, flat_f], axis=1)  # (B, 2KD)
-    out_desc, desc_norms = _safe_row_normalize(desc)
-    logits = out_desc @ params["vlad.out.w"] + params["vlad.out.b"]
+    ws = Workspace() if workspace is None else workspace
+    dt, half = x.dtype, L // 2
+    vlad = ws.array("vlad", (B, 2, config.clusters, D), dt)
+    rec_p = _vlad_half_forward(params, "vlad.past.", x[:, :half], vlad[:, 0], ws)
+    rec_f = _vlad_half_forward(params, "vlad.future.", x[:, half:], vlad[:, 1], ws)
+    norms = np.sqrt(_row_dots(vlad, vlad))
+    vlad /= np.where(norms > 0.0, norms, 1.0)
+    desc = vlad.reshape(B, -1)
+    desc_norms = np.sqrt(_row_dots(desc, desc))
+    logits = np.matmul(desc, params["vlad.out.w"],
+                       out=ws.array("vlad.logits", (B, config.output_dim), dt))
+    logits /= np.where(desc_norms > 0.0, desc_norms, 1.0)
+    logits += params["vlad.out.b"]
     _check_finite(logits, "NetVLAD output projection")
     cache = {
         "params": params,
         "config": config,
+        "workspace": ws,
         "past": rec_p,
         "future": rec_f,
+        "vlad": vlad,
+        "norms": norms,
         "desc_norms": desc_norms,
-        "out_desc": out_desc,
     }
     return logits, cache
 
 
-def _l2_normalize_backward(dy, y, norms):
-    """dL/dv from dL/dy for the forward's rowwise y = v / ||v||, given its
-    output y and norms; zero rows (y = 0) pass zero gradient."""
-    dv = y * np.einsum("...d,...d->...", y, dy)[..., None]
-    np.subtract(dy, dv, out=dv)
-    dv /= np.where(norms > 0.0, norms, np.inf)
-    return dv
+def _l2_normalize_backward(dy, y, norms, tmp):
+    """dL/dv from dL/dy for the forward's rowwise y = v / ||v||, written
+    over dy: (dy - y <y, dy>) / ||v||. Zero rows (norms 0) pass zero
+    gradient; tmp is scratch of dy's shape."""
+    dy -= np.multiply(y, _row_dots(y, dy), out=tmp)
+    dy /= np.where(norms > 0.0, norms, np.inf)
+    return dy
 
 
-def _vlad_half_backward(params, prefix, rec, dflat, grads):
+def _vlad_half_backward(params, prefix, rec, dvlad, grad, ws: Workspace):
     xh, assign, mass = rec["xh"], rec["assign"], rec["mass"]
-    B = xh.shape[0]
-    K, D = params[prefix + "centers"].shape
-    dnormed = dflat.reshape(B, K, D)
-    dvlad = _l2_normalize_backward(dnormed, rec["normed"], rec["norms"])
-    centers = params[prefix + "centers"]
-    grads[prefix + "centers"] = -(mass[:, :, None] * dvlad).sum(axis=0)
-    dmass = -(dvlad * centers).sum(axis=-1)
-    dassign = xh @ dvlad.transpose(0, 2, 1) + dmass[:, None, :]
+    B, K, D = dvlad.shape
+    by_cluster = dvlad.transpose(1, 0, 2)  # (K, B, D)
+    dcenters = grad(prefix + "centers")
+    np.matmul(mass.T[:, None, :], by_cluster, out=dcenters[:, None, :])
+    np.negative(dcenters, out=dcenters)
+    center_dots = _row_dots(by_cluster, params[prefix + "centers"][:, None, :])  # -dmass
+    dassign = xh @ dvlad.transpose(0, 2, 1)
+    dassign -= center_dots[:, :, 0].T[:, None, :]
     dlogits = assign * (dassign - (dassign * assign).sum(axis=-1, keepdims=True))
-    grads[prefix + "assign_w"] = xh.reshape(-1, D).T @ dlogits.reshape(-1, K)
-    grads[prefix + "assign_b"] = dlogits.sum(axis=(0, 1))
+    # summed per-sample products: xh.reshape(-1, D) would copy the strided half
+    per_sample = np.matmul(dlogits.transpose(0, 2, 1), xh,
+                           out=ws.array("vlad.tmp", (B, K, D), xh.dtype))
+    np.sum(per_sample, axis=0, out=grad(prefix + "assign_w").T)
+    np.sum(dlogits, axis=(0, 1), out=grad(prefix + "assign_b"))
 
 
 def netvlad_backward(cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    params = cache["params"]
-    dlogits = np.asarray(dlogits, dtype=params["vlad.out.w"].dtype)
+    """Gradients of the cached forward, written into its workspace.
+
+    With out_desc = desc / s, d loss / d (desc @ W) is dz = dlogits / s. It
+    gives the output weight gradient and, times W.T, the descriptor
+    gradient with the descriptor L2 backward's 1 / s applied. That
+    backward's other term, desc * <out_desc, dlogits @ W.T> / s, is a
+    multiple of each unit or zero intra-normalised row of desc, which the
+    intra-normalisation backward projects out exactly; so it is not formed.
+    """
+    params, ws = cache["params"], cache["workspace"]
+    w = params["vlad.out.w"]
+    dlogits = np.asarray(dlogits, dtype=w.dtype)
+    vlad, desc_norms = cache["vlad"], cache["desc_norms"]
+    desc = vlad.reshape(len(vlad), -1)
     grads: dict[str, np.ndarray] = {}
-    out_desc = cache["out_desc"]
-    grads["vlad.out.w"] = out_desc.T @ dlogits
-    grads["vlad.out.b"] = dlogits.sum(axis=0)
-    ddesc = dlogits @ params["vlad.out.w"].T
-    ddesc = _l2_normalize_backward(ddesc, out_desc, cache["desc_norms"])
-    half = ddesc.shape[1] // 2
-    _vlad_half_backward(params, "vlad.past.", cache["past"], ddesc[:, :half], grads)
-    _vlad_half_backward(params, "vlad.future.", cache["future"], ddesc[:, half:], grads)
+
+    def grad(name):
+        grads[name] = ws.array("grad." + name, params[name].shape, w.dtype)
+        return grads[name]
+
+    dz = dlogits / np.where(desc_norms > 0.0, desc_norms, 1.0)
+    np.matmul(desc.T, dz, out=grad("vlad.out.w"))
+    np.sum(dlogits, axis=0, out=grad("vlad.out.b"))
+    ddesc = np.matmul(dz, w.T, out=ws.array("vlad.ddesc", desc.shape, w.dtype))
+    dvlad = _l2_normalize_backward(ddesc.reshape(vlad.shape), vlad, cache["norms"],
+                                   ws.array("vlad.tmp", vlad.shape, w.dtype))
+    _vlad_half_backward(params, "vlad.past.", cache["past"], dvlad[:, 0], grad, ws)
+    _vlad_half_backward(params, "vlad.future.", cache["future"], dvlad[:, 1], grad, ws)
     return grads
 
 
@@ -307,7 +356,7 @@ def _head_forward(model: Model, xb: np.ndarray, train_mode=False, rng=None, work
         return encoder_forward_batch(model.params, model.config, xb,
                                      train_mode=train_mode, rng=rng, workspace=workspace)
     if model.kind == KIND_SPOT_NETVLAD:
-        return netvlad_forward_batch(model.params, model.config, xb)
+        return netvlad_forward_batch(model.params, model.config, xb, workspace)
     raise ShapeError(f"unknown spotting head {model.kind!r}")
 
 
@@ -328,8 +377,8 @@ def default_spot_epochs(head: str) -> int:
 def _chunk_samples(halves, spec, vocab):
     """(which, starts, Y, windows) of the halves' chunks, tiled at stride L:
     chunk i is the L rows of halves[which[i]] from second starts[i], with
-    target Y[i]. windows(which, starts) gathers a batch of chunks in the
-    dtype of all the halves, not of the batch's own."""
+    target Y[i]. windows(which, starts, workspace=None) gathers a batch of
+    chunks in the dtype of all the halves, not of the batch's own."""
     if not halves:
         raise ParseError("empty dataset: no chunks to train on")
     L = spec.chunk_size_s
@@ -390,9 +439,9 @@ def train_spotting(
     ws = Workspace()
 
     def step(which, starts, yb):
-        xb = windows(which, starts)
+        xb = windows(which, starts, workspace=ws)
         if spec.mixup_alpha > 0.0:
-            xb, yb = mixup(xb, yb, spec.mixup_alpha, rng)
+            xb, yb = mixup(xb, yb, spec.mixup_alpha, rng, ws)
         logits, cache = _head_forward(model, xb, train_mode=True, rng=rng, workspace=ws)
         loss, dlogits = cross_entropy_soft(logits, yb)
         return loss, _head_backward(model, cache, dlogits)
@@ -485,7 +534,9 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int) -> 
         if embedded:  # its first step copies the strided windows into the workspace
             logits = encoder_forward_embedded(model.params, model.config, xb, workspace=ws)
         else:
-            logits, _ = _head_forward(model, np.ascontiguousarray(xb))
+            contiguous = ws.array("windows", xb.shape, xb.dtype)
+            np.copyto(contiguous, xb)
+            logits, _ = _head_forward(model, contiguous, workspace=ws)
         probs[lo : lo + logits.shape[0]] = softmax(logits)
     return probs
 

@@ -60,6 +60,6 @@ def validate_vocab(vocab) -> None:
 
 def label_index(vocab: list[str] | tuple[str, ...], label: str) -> int:
     try:
-        return list(vocab).index(label)
+        return vocab.index(label)
     except ValueError:
         raise VocabularyError(f"label {label!r} is not in the configured vocabulary") from None

@@ -208,6 +208,25 @@ class TestSpotPipeline:
         assert code == 1
         assert "even" in capsys.readouterr().err
 
+    def test_netvlad_train_and_infer_determinism(self, tmp_path):
+        data = _synth(tmp_path / "data")
+        trees = []
+        for name in ("t1", "t2"):
+            out = tmp_path / name
+            assert run(["spot", "train", "--data", str(data), "--out", str(out),
+                        "--head", "netvlad", "--chunk", "8", "--epochs", "2", "--batch", "8",
+                        "--clusters", "4", "--mixup", "0.2", "--seed", "5"]) == 0
+            trees.append(_tree_bytes(out))
+        assert trees[0] == trees[1] and "model.sgckpt" in trees[0]
+        preds = []
+        for name in ("i1", "i2"):
+            out = tmp_path / name
+            assert run(["spot", "infer", "--model", str(tmp_path / "t1" / "model.sgckpt"),
+                        "--data", str(data), "--out", str(out), "--chunk", "8",
+                        "--threshold", "0.0"]) == 0
+            preds.append(_tree_bytes(out))
+        assert preds[0] == preds[1] and list(preds[0]) == ["synth_000/spotting.json"]
+
 
 
 class TestGroundPipeline:
@@ -917,6 +936,75 @@ class TestGroundMerge:
         assert len(err.splitlines()) == 1, err
         assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
             "one", "one/two", "one/two/g1", "one/two/g1/grounding.json"]
+
+
+class TestStatedGameIdMismatch:
+    """A prediction document looked up by its game's directory must not
+    state another game id; it would be scored or merged as that game."""
+
+    @staticmethod
+    def _labels(root):
+        game = root / "labels" / "g1"
+        game.mkdir(parents=True)
+        game.joinpath("labels.json").write_text(json.dumps({
+            "annotations": [{"gameTime": "1 - 00:05", "label": "Goal"}],
+            "replays": [{"start": "1 - 02:00", "end": "1 - 02:10", "event": "1 - 01:55",
+                         "label": "Goal"}]}))
+        return root / "labels"
+
+    @staticmethod
+    def _doc(root, name, game_id):
+        path = root / "preds" / "g1" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if name == "spotting.json":
+            doc = {"game_id": game_id, "predictions": [SPOT_ENTRY]}
+        else:
+            doc = {"game_id": game_id, "queries": [
+                {"query": GROUND_QUERY, "predictions": [{"position_s": 115, "confidence": 1}]}]}
+        path.write_text(json.dumps(doc))
+        return root / "preds"
+
+    @staticmethod
+    def _rejected(argv, capsys):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ParseError:"), err
+        assert len(err.strip("\n").splitlines()) == 1, err
+        assert "'other'" in err and "'g1'" in err, err
+
+    def test_eval_spot(self, tmp_path, capsys):
+        labels = self._labels(tmp_path)
+        preds = self._doc(tmp_path, "spotting.json", "g1")
+        assert run(["eval", "spot", "--preds", str(preds), "--labels", str(labels),
+                    "--out", str(tmp_path / "ok")]) == 0
+        assert "Average-mAP: 1.0000" in capsys.readouterr().out
+        self._doc(tmp_path, "spotting.json", "other")
+        self._rejected(["eval", "spot", "--preds", str(preds), "--labels", str(labels),
+                        "--out", str(tmp_path / "out")], capsys)
+
+    def test_eval_ground(self, tmp_path, capsys):
+        labels = self._labels(tmp_path)
+        preds = self._doc(tmp_path, "grounding.json", "other")
+        self._rejected(["eval", "ground", "--preds", str(preds), "--labels", str(labels),
+                        "--out", str(tmp_path / "out")], capsys)
+
+    def test_ground_fuse(self, tmp_path, capsys):
+        labels = self._labels(tmp_path)
+        spots = self._doc(tmp_path, "spotting.json", "other")
+        self._rejected(["ground", "fuse", "--spot-preds", str(spots), "--labels", str(labels),
+                        "--out", str(tmp_path / "out")], capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_ground_merge_directory_side(self, tmp_path, capsys):
+        preds = self._doc(tmp_path, "grounding.json", "other")
+        single = preds / "g1" / "grounding.json"
+        self._rejected(["ground", "merge", str(preds), str(single),
+                        "--out", str(tmp_path / "out")], capsys)
+        assert not (tmp_path / "out").exists()
+        # a single-file side keeps the id it states
+        assert run(["ground", "merge", str(single), str(single),
+                    "--out", str(tmp_path / "merged")]) == 0
+        assert [p.name for p in (tmp_path / "merged").iterdir() if p.is_dir()] == ["other"]
 
 
 class TestPredictionReaders:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_features
+from spotground.nn import Workspace
 from spotground.npyio import write_npy
 from spotground.data import (
     FeatureSequence,
@@ -232,6 +233,16 @@ class TestExtractWindow:
         assert np.all(both[:2] == 0.0) and np.all(both[5:] == 0.0)
         for start in (-5, 50, 60):  # no row of the half inside the window
             assert np.all(self._window(feats.data, start, 5) == 0.0)
+
+    def test_a_reused_workspace_buffer_is_fully_rewritten(self):
+        datas = [make_features(T=50, D=4).data, make_features(T=3, D=4, seed=1).data]
+        which, starts = [0, 0, 1, 0, 0, 1, 0], [-2, 48, -2, -5, 50, 2, 20]
+        fresh = gather_windows(datas, which, starts, 5, np.float32)
+        ws = Workspace()
+        ws.array("batch", fresh.shape, np.float32)[:] = np.nan
+        got = gather_windows(datas, which, starts, 5, np.float32, ws)
+        assert np.shares_memory(got, ws.array("batch", fresh.shape, np.float32))
+        assert got.tobytes() == fresh.tobytes()
 
 
 def _game_files():

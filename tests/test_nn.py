@@ -57,6 +57,58 @@ class TestPositionalEncoding:
             positional_encoding(4, 3)
 
 
+class TestPooledMean:
+    """The encoder pools with a sum and a divide by the int T, bit-equal to
+    np.mean, which divides the same sum in float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sum_then_divide_is_bit_equal_to_mean(self, dtype):
+        rng = np.random.default_rng(0)
+        for shape in [(64, 7, 16), (8, 60, 16), (32, 7, 64), (5, 13, 3), (4, 1, 8)] * 100:
+            h = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+            pooled = np.sum(h, axis=1)
+            pooled /= shape[1]
+            assert pooled.tobytes() == np.mean(h, axis=1).tobytes()
+
+    @pytest.mark.parametrize("T", [1, 7, 60])
+    def test_the_encoder_pools_the_mean_of_its_last_layer(self, T):
+        params = {k: v.astype(np.float32)
+                  for k, v in init_encoder_params(SMALL, np.random.default_rng(T)).items()}
+        x = np.random.default_rng(T + 1).normal(size=(3, T, SMALL.input_dim)).astype(np.float32)
+        _, cache = encoder_forward_batch(params, SMALL, x)
+        last = SMALL.num_layers - 1
+        xhat, _ = cache["layers"][last]["ln2"]
+        h = xhat * params[f"layer{last}.ln2.g"]
+        h += params[f"layer{last}.ln2.b"]  # the last layer norm's output, as it is computed
+        assert cache["pooled"].tobytes() == np.mean(h, axis=1).tobytes()
+
+
+class TestWorkspaceTables:
+    def test_a_table_is_built_once_per_key(self):
+        ws, built = Workspace(), []
+
+        def build():
+            built.append(1)
+            return np.arange(3.0)
+
+        first = ws.table(("t", 3), build)
+        assert ws.table(("t", 3), build) is first and len(built) == 1
+        ws.table(("t", 4), build)
+        assert len(built) == 2
+
+    def test_the_positional_table_is_built_once_per_workspace(self, monkeypatch):
+        params = init_encoder_params(SMALL, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(2, 9, SMALL.input_dim))
+        fresh = encoder_forward_batch(params, SMALL, x)[0].tobytes()
+        built = []
+        monkeypatch.setattr(nn, "positional_encoding",
+                            lambda T, d: built.append((T, d)) or positional_encoding(T, d))
+        ws = Workspace()
+        for _ in range(3):
+            assert encoder_forward_batch(params, SMALL, x, workspace=ws)[0].tobytes() == fresh
+        assert built == [(9, SMALL.model_dim)]
+
+
 class TestForward:
     def test_zero_weights_zero_logits(self, rng):
         params = _zero_params(SMALL)

@@ -12,6 +12,8 @@ from spotground.grounding import train_grounding
 from spotground.nn import (
     AdamState,
     EncoderConfig,
+    Workspace,
+    cross_entropy_soft,
     encoder_forward_batch,
     grad_check,
     init_encoder_params,
@@ -159,6 +161,21 @@ class TestMixup:
         with pytest.raises(ShapeError):
             mixup(x, y[:2], 0.2, rng)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_reused_workspace_keeps_the_arithmetic(self, dtype):
+        """Bit-equal to lam * x + (1 - lam) * x[partner] from the same draws."""
+        ws = Workspace()
+        for seed, n in enumerate((6, 2, 6)):
+            x, y = self._batch(list(range(n)), seed)
+            x = x.astype(dtype)
+            xm, ym = mixup(x, y, 0.2, np.random.default_rng(seed), ws)
+            draws = np.random.default_rng(seed)
+            partner = draws.permutation(n)
+            lam = draws.beta(0.2, 0.2, size=(n, 1)).astype(dtype)
+            want = lam[:, :, None] * x + (1.0 - lam[:, :, None]) * x[partner]
+            assert xm.dtype == dtype and xm.tobytes() == want.tobytes()
+            assert ym.tobytes() == (lam * y + (1.0 - lam) * y[partner]).tobytes()
+
 
 class TestSpotForward:
     def test_zero_weights_uniform(self):
@@ -202,13 +219,16 @@ class TestNetVLAD:
         )
 
     def test_descriptor_unit_norm(self, rng):
+        """The logits are those of the unit-norm descriptor, which the
+        forward folds into the output product instead of forming."""
         config = NetVLADConfig(input_dim=6, clusters=4)
         params = init_netvlad_params(config, np.random.default_rng(4))
         x = rng.normal(size=(5, 10, 6))
-        _, cache = netvlad_forward_batch(params, config, x)
-        np.testing.assert_allclose(
-            np.linalg.norm(cache["out_desc"], axis=1), 1.0, atol=1e-10
-        )
+        logits, cache = netvlad_forward_batch(params, config, x)
+        out_desc = cache["vlad"].reshape(5, -1) / cache["desc_norms"]
+        np.testing.assert_allclose(np.linalg.norm(out_desc, axis=1), 1.0, atol=1e-10)
+        np.testing.assert_allclose(logits, out_desc @ params["vlad.out.w"] + params["vlad.out.b"],
+                                   rtol=1e-12, atol=1e-15)
 
     def test_odd_length_rejected(self, rng):
         config = NetVLADConfig(input_dim=4, clusters=2)
@@ -241,17 +261,23 @@ class TestNetVLAD:
         assert grad_check(params, loss_fn, trials=60, rng=np.random.default_rng(7)) < 1e-5
 
     def test_normalize_backward_from_the_cached_output(self, rng):
-        from spotground.spotting import _l2_normalize_backward, _safe_row_normalize
+        from spotground.spotting import _l2_normalize_backward
 
         v = rng.normal(size=(3, 4, 5))
         v[1, 2] = 0.0
         dy = rng.normal(size=v.shape)
-        y, norms = _safe_row_normalize(v)
-        got = _l2_normalize_backward(dy, y, norms)
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+        y = v / np.where(norms > 0.0, norms, 1.0)
+        got = _l2_normalize_backward(dy.copy(), y, norms, np.empty_like(dy))
         # d(v / |v|) = (dy - y (y . dy)) / |v|, and a zero row passes nothing
         want = (dy - y * (y * dy).sum(axis=-1, keepdims=True)) / np.maximum(norms, 1e-300)
         want[1, 2] = 0.0
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        # a multiple of a unit or zero row y, as the descriptor-level step's
+        # correction is, changes nothing: the step projects it out
+        shifted = _l2_normalize_backward(dy - y * rng.normal(size=(3, 1, 1)), y, norms,
+                                         np.empty_like(dy))
+        np.testing.assert_allclose(shifted, want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_step_stays_in_the_parameters_dtype(self, rng, dtype):
@@ -271,6 +297,131 @@ class TestNetVLAD:
         arrays = float_arrays([logits, cache, grads, params, state.m, state.v])
         assert len(arrays) > 30
         assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+
+
+def _reference_normalize(v):
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / np.where(norms > 0.0, norms, 1.0), norms
+
+
+def _reference_normalize_backward(dy, y, norms):
+    dv = y * np.einsum("...d,...d->...", y, dy)[..., None]
+    np.subtract(dy, dv, out=dv)
+    dv /= np.where(norms > 0.0, norms, np.inf)
+    return dv
+
+
+def _reference_netvlad(params, config, x, dlogits_of):
+    """The NetVLAD forward and backward as first written: each half's
+    normalised rows concatenated, the (B, 2KD) descriptor L2-normalised
+    before the output product, and broadcast-and-sum reductions. Returns
+    (logits, grads); dlogits_of(logits) gives d loss / d logits."""
+    x = np.asarray(x, dtype=params["vlad.out.w"].dtype)
+    half = x.shape[1] // 2
+    recs, flats = [], []
+    for prefix, xh in (("vlad.past.", x[:, :half]), ("vlad.future.", x[:, half:])):
+        assign = softmax(xh @ params[prefix + "assign_w"] + params[prefix + "assign_b"])
+        mass = assign.sum(axis=1)
+        vlad = assign.transpose(0, 2, 1) @ xh - mass[:, :, None] * params[prefix + "centers"][None]
+        normed, norms = _reference_normalize(vlad)
+        recs.append((prefix, xh, assign, mass, normed, norms))
+        flats.append(normed.reshape(len(x), -1))
+    out_desc, desc_norms = _reference_normalize(np.concatenate(flats, axis=1))
+    logits = out_desc @ params["vlad.out.w"] + params["vlad.out.b"]
+    dlogits = dlogits_of(logits)
+    grads = {"vlad.out.w": out_desc.T @ dlogits, "vlad.out.b": dlogits.sum(axis=0)}
+    ddesc = _reference_normalize_backward(dlogits @ params["vlad.out.w"].T, out_desc, desc_norms)
+    for j, (prefix, xh, assign, mass, normed, norms) in enumerate(recs):
+        B, K, D = normed.shape
+        dvlad = _reference_normalize_backward(
+            ddesc[:, j * K * D : (j + 1) * K * D].reshape(B, K, D), normed, norms)
+        centers = params[prefix + "centers"]
+        grads[prefix + "centers"] = -(mass[:, :, None] * dvlad).sum(axis=0)
+        dmass = -(dvlad * centers).sum(axis=-1)
+        dassign = xh @ dvlad.transpose(0, 2, 1) + dmass[:, None, :]
+        dl = assign * (dassign - (dassign * assign).sum(axis=-1, keepdims=True))
+        grads[prefix + "assign_w"] = xh.reshape(-1, D).T @ dl.reshape(-1, K)
+        grads[prefix + "assign_b"] = dl.sum(axis=(0, 1))
+    return logits, grads
+
+
+def _netvlad_case(dtype, B=6, L=8, D=40, K=3, seed=0):
+    """Parameters, input and targets; sample 0 and the centres are zero, so
+    sample 0 has zero VLAD rows and a zero descriptor."""
+    config = NetVLADConfig(input_dim=D, output_dim=18, clusters=K)
+    rng = np.random.default_rng(seed)
+    params = {k: v.astype(dtype) for k, v in init_netvlad_params(config, rng).items()}
+    params["vlad.out.b"][:] = rng.normal(size=18)
+    params["vlad.past.centers"][:] = params["vlad.future.centers"][:] = 0.0
+    x = rng.normal(size=(B, L, D)).astype(dtype)
+    x[0] = 0.0
+    return config, params, x, np.eye(18)[rng.integers(0, 18, B)]
+
+
+def _netvlad_step(params, config, x, targets, workspace=None):
+    logits, cache = netvlad_forward_batch(params, config, x, workspace)
+    _, dlogits = cross_entropy_soft(logits, targets)
+    return logits, netvlad_backward(cache, dlogits)
+
+
+def _max_rel_diff(got, want) -> float:
+    """Largest |got - want| over the largest |want| (itself if want is 0)."""
+    want = np.asarray(want, dtype=np.float64)
+    diff = float(np.abs(np.asarray(got, dtype=np.float64) - want).max())
+    scale = float(np.abs(want).max())
+    return diff / scale if scale else diff
+
+
+class TestNetVLADAgainstReference:
+    """The workspace forward and backward against the pre-workspace code."""
+
+    @pytest.mark.parametrize("shape", [dict(), dict(B=1, L=2, D=5, K=1),  # B=1: all zero
+                                       dict(B=2, L=2, D=5, K=1), dict(B=9, L=12, K=4)])
+    def test_float64_logits_and_grads_match(self, shape):
+        config, params, x, targets = _netvlad_case(np.float64, **shape)
+        logits, grads = _netvlad_step(params, config, x, targets)
+        want_logits, want = _reference_netvlad(
+            params, config, x, lambda lg: cross_entropy_soft(lg, targets)[1])
+        assert _max_rel_diff(logits, want_logits) < 1e-12
+        assert sorted(grads) == sorted(want)
+        for name in want:
+            assert grads[name].shape == want[name].shape, name
+            assert _max_rel_diff(grads[name], want[name]) < 1e-12, name
+        # the zero sample: logits are the bias, and its VLAD rows pass nothing
+        np.testing.assert_array_equal(logits[0], params["vlad.out.b"])
+
+    def test_float32_difference_is_pinned(self):
+        config, params, x, targets = _netvlad_case(np.float32, B=32, D=256, K=4)
+        logits, grads = _netvlad_step(params, config, x, targets)
+        want_logits, want = _reference_netvlad(
+            params, config, x, lambda lg: cross_entropy_soft(lg, targets)[1])
+        assert _max_rel_diff(logits, want_logits) < 2e-6
+        for name in want:
+            assert grads[name].dtype == np.float32
+            assert _max_rel_diff(grads[name], want[name]) < 5e-6, name
+
+    def test_a_reused_workspace_gives_what_fresh_ones_give(self):
+        ws = Workspace()
+        for seed, B in enumerate((6, 2, 6)):  # full, partial, full
+            config, params, x, targets = _netvlad_case(np.float32, B=B, seed=seed)
+            logits, grads = _netvlad_step(params, config, x, targets, ws)
+            fresh_logits, fresh = _netvlad_step(params, config, x, targets)
+            assert logits.tobytes() == fresh_logits.tobytes()
+            assert {k: v.tobytes() for k, v in grads.items()} == {
+                k: v.tobytes() for k, v in fresh.items()}
+
+    def test_a_warm_step_allocates_less_than_one_descriptor(self):
+        config, params, x, targets = _netvlad_case(np.float32, B=16, L=8, D=512, K=4)
+        ws = Workspace()
+        _netvlad_step(params, config, x, targets, ws)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _netvlad_step(params, config, x, targets, ws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 * 4 * 512 * 4, peak  # one (B, 2KD) float32 descriptor
 
 
 def _brute_force_nms(preds, window_s):
