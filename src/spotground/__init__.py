@@ -22,8 +22,7 @@ from .evaluation import (  # noqa: F401
     EvalReport,
     ReplayStats,
     average_map,
-    average_precision_at_tol,
-    replay_average_ap,
+    replay_ap_report,
     replay_stats,
 )
 from .grounding import (  # noqa: F401

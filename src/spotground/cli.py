@@ -60,8 +60,6 @@ from .grounding import (
 )
 from .jsonio import bare_name, json_document, objects, typed
 from .nn import (
-    GROUND_GRADCHECK_CONFIG,
-    SPOT_GRADCHECK_CONFIG,
     EncoderConfig,
     Workspace,
     grounding_grad_check,
@@ -307,7 +305,8 @@ HEAD_ONLY_KEYS = {
 
 
 def _read_splits(data: Path, path: str | None) -> dict[str, list[str]] | None:
-    """The --splits file's game lists, each name a game directory under data."""
+    """The --splits file's game lists, each name a game directory under data
+    named once across all splits."""
     if path is None:
         return None
     doc = json_document(Path(path).read_bytes(), dict, UsageError, f"splits file {path}")
@@ -315,12 +314,16 @@ def _read_splits(data: Path, path: str | None) -> dict[str, list[str]] | None:
     if unknown:
         raise UsageError(f"unknown split keys: {sorted(unknown)}")
     games = {g.name for g in game_dirs(data)}
+    named: set[str] = set()
     for split, names in doc.items():
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise UsageError(f"split {split!r} must be a list of game directory names")
         for name in names:
             if name not in games:
                 raise UsageError(f"split references unknown game {name!r}")
+            if name in named:
+                raise UsageError(f"split {split!r} names game {name!r} a second time")
+            named.add(name)
     return doc
 
 
@@ -599,8 +602,7 @@ def cmd_eval_spot(args, cfg) -> list[Path]:
     for game_id, (events, _) in _game_labels(Path(args.labels), vocab).items():
         all_gts.extend(events)
         spot_path = preds_dir / game_id / "spotting.json"
-        if spot_path.exists():
-            all_preds.extend(read_spot_predictions(spot_path, vocab, game_id))
+        all_preds.extend(read_spot_predictions(spot_path, vocab, game_id))
     report = average_map(all_preds, all_gts, tolerances, vocab=vocab)
     out = Path(args.out)
     report_path = _write_json(out / "spot_eval.json", report.to_dict())
@@ -617,12 +619,10 @@ def cmd_eval_ground(args, cfg) -> list[Path]:
     preds_per_query, gt_times = [], []
     for game_id, (_, replays) in _game_labels(Path(args.labels)).items():
         pred_path = preds_dir / game_id / "grounding.json"
-        by_key = {}
-        if pred_path.exists():
-            by_key = {
-                (q.half, q.start_s, q.end_s): preds
-                for q, preds in read_ground_predictions(pred_path, game_id)
-            }
+        by_key = {
+            (q.half, q.start_s, q.end_s): preds
+            for q, preds in read_ground_predictions(pred_path, game_id)
+        }
         for rp in replays:
             gt_times.append(rp.event_time_s)
             preds_per_query.append(
@@ -668,10 +668,9 @@ GRADCHECK_DEFAULTS = {"trials": 100, "h": 1e-5, "seed": 0}
 
 def cmd_gradcheck(args, cfg) -> int:
     """The exit code: 0 if both heads pass the gate, 1 if not."""
-    spot_err = _checked(spotting_grad_check, config=SPOT_GRADCHECK_CONFIG,
-                        trials=cfg["trials"], h=cfg["h"], seed=cfg["seed"])
-    ground_err = _checked(grounding_grad_check, config=GROUND_GRADCHECK_CONFIG,
-                          trials=cfg["trials"], h=cfg["h"], seed=cfg["seed"])
+    spot_err = _checked(spotting_grad_check, trials=cfg["trials"], h=cfg["h"], seed=cfg["seed"])
+    ground_err = _checked(grounding_grad_check, trials=cfg["trials"], h=cfg["h"],
+                          seed=cfg["seed"])
     ok = spot_err < GRADCHECK_GATE and ground_err < GRADCHECK_GATE  # NaN fails
     print(f"spotting head max relative error:  {spot_err:.3e}")
     print(f"grounding head max relative error: {ground_err:.3e}")
@@ -812,7 +811,8 @@ COMMANDS = (
     Command(("analyze", "replays"), "replay interval histogram and label counts",
             cmd_analyze_replays, ANALYZE_DEFAULTS, ("labels", "out", "svg"),
             {"buckets": "histogram bucket width in seconds"}),
-    Command(("gradcheck",), "verify analytic gradients of both heads", cmd_gradcheck,
+    Command(("gradcheck",), "verify analytic gradients of the transformer spotting head "
+            "and the grounding head", cmd_gradcheck,
             GRADCHECK_DEFAULTS, (), {
                 "trials": "probed coordinates per head, >= 1",
                 "h": "finite-difference step, > 0",

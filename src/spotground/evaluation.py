@@ -15,7 +15,6 @@ import numpy as np
 
 from .data import EventAnnotation, ReplayAnnotation
 from .errors import ShapeError
-from .grounding import GroundingPrediction
 from .spotting import SpotPrediction
 
 DEFAULT_TOLERANCES: tuple[int, ...] = tuple(range(5, 61, 5))
@@ -79,17 +78,6 @@ def _class_entries(preds, gts, label):
         if g.label == label:
             gts_by_group.setdefault((g.game_id, g.half), []).append(g.time_s)
     return entries, gts_by_group, sum(len(times) for times in gts_by_group.values())
-
-
-def average_precision_at_tol(
-    preds: list[SpotPrediction],
-    gts: list[EventAnnotation],
-    label: str,
-    tolerance_s: int,
-) -> float:
-    """AP for one class at one tolerance. No ground truths means AP 0."""
-    entries, gts_by_group, n_gt = _class_entries(preds, gts, label)
-    return _ap_from_flags(_match_flags(entries, gts_by_group, tolerance_s), n_gt)
 
 
 @dataclass
@@ -170,21 +158,13 @@ def average_map(
     return EvalReport(per_class, map_per_tol, avg, counts, tuple(tolerances))
 
 
-def replay_average_ap(
-    preds_per_query: list[list[GroundingPrediction]],
-    gt_times: list[int],
-    tolerances: tuple[int, ...] | list[int] = DEFAULT_TOLERANCES,
-) -> float:
-    """Pooled single-class AP over replay queries, averaged over tolerances.
+def replay_ap_report(preds_per_query, gt_times, tolerances=DEFAULT_TOLERANCES) -> dict:
+    """Pooled single-class AP over replay queries, per tolerance and
+    averaged over tolerances ("average_ap").
 
     Each query's ground-truth event can only be matched by that query's
     own predictions.
     """
-    report = replay_ap_report(preds_per_query, gt_times, tolerances)
-    return report["average_ap"]
-
-
-def replay_ap_report(preds_per_query, gt_times, tolerances=DEFAULT_TOLERANCES) -> dict:
     if len(preds_per_query) != len(gt_times):
         raise ShapeError("one ground-truth event per query is required")
     if not tolerances:

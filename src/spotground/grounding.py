@@ -41,7 +41,7 @@ NEGATIVES_PER_REPLAY = 4
 SAMPLING_MARGIN_S = 2
 # segment id of each row of a pair sequence: 0 for the candidate chunk, 1 for the replay clip
 _SEGMENTS = np.repeat(np.arange(2, dtype=np.int64), CANDIDATE_CHUNK_S)
-DEFAULT_FUSION_LABELS = frozenset({"Foul", "Goal", "Shots-off target"})
+FUSION_LABELS = frozenset({"Foul", "Goal", "Shots-off target"})
 
 
 @dataclass(frozen=True)
@@ -253,11 +253,10 @@ def fuse_with_spotting(
     S: float = 0.02,
     beta1: float = 1.25,
     beta2: float = 0.8,
-    allowed_labels: frozenset[str] | set[str] = DEFAULT_FUSION_LABELS,
 ) -> list[GroundingPrediction]:
     """Turn nearby spotting output into grounding predictions.
 
-    Keep spots with an allowed label and confidence above S that fall in
+    Keep spots with a FUSION_LABELS label and confidence above S that fall in
     [T - W, T]; the nearest and second-nearest to T (ties to the earlier
     timestamp) are emitted with confidences beta1 * conf and beta2 * conf,
     clamped to [0, 1].
@@ -266,7 +265,7 @@ def fuse_with_spotting(
     eligible = [
         p
         for p in spot_preds
-        if p.label in allowed_labels and p.confidence > S and T - W <= p.time_s <= T
+        if p.label in FUSION_LABELS and p.confidence > S and T - W <= p.time_s <= T
     ]
     eligible.sort(key=lambda p: (abs(T - p.time_s), p.time_s, -p.confidence, p.class_index))
     out = []

@@ -39,7 +39,7 @@ workspace makes a fresh one, so grad_check runs the code training runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -725,10 +725,8 @@ def _head_grad_check(config, trials, h, seed, T, segments, draw_loss) -> float:
     The rng draws the parameters, then the (GRADCHECK_BATCH, T) input,
     then, through draw_loss(rng, config), the head's targets; draw_loss
     returns the loss, a function of the outputs giving (loss, d loss / d
-    outputs). The config runs without dropout.
+    outputs). The forward runs in eval mode, without dropout.
     """
-    if config.dropout_p:
-        config = replace(config, dropout_p=0.0)
     rng = np.random.default_rng(seed)
     params = init_encoder_params(config, rng)
     x = rng.normal(size=(GRADCHECK_BATCH, T, config.input_dim))
@@ -744,13 +742,8 @@ def _head_grad_check(config, trials, h, seed, T, segments, draw_loss) -> float:
     return grad_check(params, loss_fn, trials=trials, h=h, rng=rng)
 
 
-def spotting_grad_check(
-    config: EncoderConfig | None = None,
-    trials: int = 100,
-    h: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Finite-difference check of the spotting head under cross-entropy."""
+def spotting_grad_check(trials: int = 100, h: float = 1e-5, seed: int = 0) -> float:
+    """Finite-difference check of the SPOT_GRADCHECK_CONFIG head under cross-entropy."""
 
     def draw_loss(rng, config):
         targets = np.zeros((GRADCHECK_BATCH, config.output_dim))
@@ -758,17 +751,12 @@ def spotting_grad_check(
         targets[np.arange(GRADCHECK_BATCH), classes] = 1.0
         return lambda logits: cross_entropy_soft(logits, targets)
 
-    return _head_grad_check(config or SPOT_GRADCHECK_CONFIG, trials, h, seed,
-                            SPOT_GRADCHECK_T, None, draw_loss)
+    return _head_grad_check(SPOT_GRADCHECK_CONFIG, trials, h, seed, SPOT_GRADCHECK_T, None,
+                            draw_loss)
 
 
-def grounding_grad_check(
-    config: EncoderConfig | None = None,
-    trials: int = 100,
-    h: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Finite-difference check of the grounding head under BCE + L2."""
+def grounding_grad_check(trials: int = 100, h: float = 1e-5, seed: int = 0) -> float:
+    """Finite-difference check of the GROUND_GRADCHECK_CONFIG head under BCE + L2."""
     segments = np.zeros((GRADCHECK_BATCH, GROUND_GRADCHECK_T), dtype=np.int64)
     segments[:, GROUND_GRADCHECK_T // 2 :] = 1
 
@@ -777,5 +765,5 @@ def grounding_grad_check(
         offsets = rng.random(GRADCHECK_BATCH)
         return lambda outputs: bce_plus_l2(outputs, labels, offsets)
 
-    return _head_grad_check(config or GROUND_GRADCHECK_CONFIG, trials, h, seed,
-                            GROUND_GRADCHECK_T, segments, draw_loss)
+    return _head_grad_check(GROUND_GRADCHECK_CONFIG, trials, h, seed, GROUND_GRADCHECK_T,
+                            segments, draw_loss)

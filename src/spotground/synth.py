@@ -102,17 +102,16 @@ def synth_generate(
     config: SynthConfig,
     seed: int,
     index: int = 0,
-    vocab: tuple[str, ...] | list[str] = DEFAULT_VOCAB,
 ) -> tuple[FeatureSequence, list[EventAnnotation], list[ReplayAnnotation]]:
     """Generate half `index` of the dataset of this seed: half 1 + index % 2
     of game index // 2. Its event times, classes, delays and noise are drawn
     from seed + 1000 * index; the class directions come from seed itself.
-    Labels are the first num_classes vocabulary names."""
+    Labels are the first num_classes names of DEFAULT_VOCAB."""
     game_id = f"{config.game_prefix}_{index // 2:03d}"
     half = 1 + index % 2
     rng = np.random.default_rng(np.random.SeedSequence([seed + 1000 * index, 1, half]))
     directions = class_directions(config, seed)
-    labels = list(vocab)[: config.num_classes]
+    labels = DEFAULT_VOCAB[: config.num_classes]
 
     T, D = config.duration_s, config.feature_dim
     data = (
@@ -167,16 +166,16 @@ def synth_generate(
     return features, events, replays
 
 
-def synth_dataset(config: SynthConfig, seed: int, vocab=DEFAULT_VOCAB):
+def synth_dataset(config: SynthConfig, seed: int):
     """Generate num_halves halves as (features, events, replays) triples.
 
     Halves are grouped two per game: half indices alternate 1, 2 and the
     game counter advances every other half (see synth_generate).
     """
-    return [synth_generate(config, seed, i, vocab) for i in range(config.num_halves)]
+    return [synth_generate(config, seed, i) for i in range(config.num_halves)]
 
 
-def write_synth_dataset(root: str | Path, config: SynthConfig, seed: int, vocab=DEFAULT_VOCAB):
+def write_synth_dataset(root: str | Path, config: SynthConfig, seed: int):
     """Write a synthetic dataset in the on-disk layout the loaders expect."""
     from .data import format_game_time
     from .npyio import write_npy_file
@@ -186,7 +185,7 @@ def write_synth_dataset(root: str | Path, config: SynthConfig, seed: int, vocab=
     root.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     docs: dict[Path, dict] = {}
-    for features, events, replays in synth_dataset(config, seed, vocab=vocab):
+    for features, events, replays in synth_dataset(config, seed):
         game_dir = root / features.game_id
         game_dir.mkdir(exist_ok=True)
         npy_path = game_dir / f"{features.half}_synthetic.npy"

@@ -16,11 +16,7 @@ import pytest
 from conftest import make_event
 from spotground.cli import run
 from spotground.data import GameHalf
-from spotground.evaluation import (
-    average_precision_at_tol,
-    replay_average_ap,
-    replay_stats,
-)
+from spotground.evaluation import average_map, replay_ap_report, replay_stats
 from spotground.grounding import (
     GroundingPrediction,
     ReplayQuery,
@@ -52,8 +48,8 @@ def _report(line: str) -> None:
 
 def test_c1_gradient_fidelity():
     t0 = time.time()
-    spot_err = spotting_grad_check(SPOT_GRADCHECK_CONFIG, trials=100, h=1e-5, seed=0)
-    ground_err = grounding_grad_check(GROUND_GRADCHECK_CONFIG, trials=100, h=1e-5, seed=0)
+    spot_err = spotting_grad_check(trials=100, h=1e-5, seed=0)
+    ground_err = grounding_grad_check(trials=100, h=1e-5, seed=0)
     elapsed = time.time() - t0
     ok = spot_err < 1e-5 and ground_err < 1e-5 and elapsed < 60.0
     _report(
@@ -95,8 +91,9 @@ def test_c2_nms_oracles():
 
 
 def test_c3_metric_oracle():
-    assert average_precision_at_tol([_pred(50, 0.9)], [make_event(52)], "Goal", 5) == 1.0
-    assert average_precision_at_tol([_pred(50, 0.9)], [make_event(52)], "Goal", 1) == 0.0
+    # through average_map, the function `eval spot` runs: one class, one tolerance
+    assert average_map([_pred(50, 0.9)], [make_event(52)], [5]).average_map == 1.0
+    assert average_map([_pred(50, 0.9)], [make_event(52)], [1]).average_map == 0.0
     rng = np.random.default_rng(99)
     for _ in range(1000):
         preds = [
@@ -110,7 +107,7 @@ def test_c3_metric_oracle():
             for _ in range(int(rng.integers(0, 6)))
         ]
         tol = int(rng.integers(1, 15))
-        got = average_precision_at_tol(preds, gts, "Goal", tol)
+        got = average_map(preds, gts, [tol]).average_map
         assert got == pytest.approx(oracle_ap(preds, gts, tol), abs=1e-12)
     _report("C3 metric oracle equivalence (1000 instances + hand cases): PASS")
 
@@ -128,7 +125,7 @@ def test_c4_fusion_oracle():
             for lb in (labels[int(rng.integers(0, 4))]
                        for _ in range(int(rng.integers(0, 12))))
         ]
-        got = fuse_with_spotting(spots, T, 42, 0.02, 1.25, 0.8, allowed)
+        got = fuse_with_spotting(spots, T, 42, 0.02, 1.25, 0.8)
         assert [(p.time_s, p.confidence) for p in got] == _fuse_oracle(
             spots, T, 42, 0.02, 1.25, 0.8, allowed
         )
@@ -186,7 +183,8 @@ def test_c6_synthetic_grounding_learnability():
             preds = filter_predictions(preds, rp.replay_end_s, 120)
             preds_per_query.append(preds)
             gt_times.append(rp.event_time_s)
-    score = replay_average_ap(preds_per_query, gt_times)
+    # through replay_ap_report, the function `eval ground` runs
+    score = replay_ap_report(preds_per_query, gt_times)["average_ap"]
     elapsed = time.time() - t0
     ok = score >= 0.85 and elapsed <= 600.0
     _report(

@@ -669,6 +669,9 @@ class TestRejectedBeforeLoading:
             ("list of game directory names", '{"train": [1]}', []),
             ("unknown game 'nope'", '{"train": ["g1"], "test": ["nope"]}', []),
             ("unknown split keys", '{"bogus": ["g1"]}', []),
+            ("'train' names game 'g1' a second time", '{"train": ["g1", "g1"]}', []),
+            ("'valid' names game 'g1' a second time", '{"train": ["g1"], "valid": ["g1"]}',
+             []),
             ("JSON object", '["g1"]', []),
             ("cannot parse", '{"train": ["g1"]', []),
             ("cannot parse", '\xff{}', []),  # not UTF-8 once written as latin-1
@@ -1005,6 +1008,26 @@ class TestStatedGameIdMismatch:
         assert run(["ground", "merge", str(single), str(single),
                     "--out", str(tmp_path / "merged")]) == 0
         assert [p.name for p in (tmp_path / "merged").iterdir() if p.is_dir()] == ["other"]
+
+
+class TestMissingPredictionFile:
+    """A labelled game with no prediction document is an error, not a game
+    scored as having no predictions."""
+
+    @pytest.mark.parametrize("command, name", [("spot", "spotting.json"),
+                                               ("ground", "grounding.json")])
+    def test_eval_exits_one_with_one_line(self, command, name, tmp_path, capsys):
+        labels = TestStatedGameIdMismatch._labels(tmp_path)
+        preds = TestStatedGameIdMismatch._doc(tmp_path, name, "g1")
+        argv = ["eval", command, "--preds", str(preds), "--labels", str(labels)]
+        assert run([*argv, "--out", str(tmp_path / "ok")]) == 0
+        (preds / "g1" / name).unlink()
+        code = run([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: FileNotFoundError:"), err
+        assert len(err.strip("\n").splitlines()) == 1, err
+        assert str(preds / "g1" / name) in err, err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPredictionReaders:

@@ -6,9 +6,8 @@ from spotground.data import ReplayAnnotation
 from spotground.errors import ShapeError
 from spotground.evaluation import (
     average_map,
-    average_precision_at_tol,
     interval_histogram_svg,
-    replay_average_ap,
+    replay_ap_report,
     replay_stats,
 )
 from spotground.grounding import GroundingPrediction
@@ -60,14 +59,17 @@ def oracle_ap(preds, gts, tolerance_s):
 
 
 class TestAveragePrecision:
+    """One class's AP at one tolerance, read from average_map, the function
+    `eval spot` runs."""
+
     def test_single_match_within_tolerance(self):
-        assert average_precision_at_tol([_pred(50, 0.9)], [make_event(52)], "Goal", 5) == 1.0
+        assert average_map([_pred(50, 0.9)], [make_event(52)], [5]).average_map == 1.0
 
     def test_single_match_outside_tolerance(self):
-        assert average_precision_at_tol([_pred(50, 0.9)], [make_event(52)], "Goal", 1) == 0.0
+        assert average_map([_pred(50, 0.9)], [make_event(52)], [1]).average_map == 0.0
 
     def test_no_ground_truth_with_predictions_is_zero(self):
-        assert average_precision_at_tol([_pred(10, 0.5)], [], "Goal", 5) == 0.0
+        assert average_map([_pred(10, 0.5)], [], [5]).average_map == 0.0
 
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(1000):
@@ -81,35 +83,34 @@ class TestAveragePrecision:
             gts = [make_event(int(rng.integers(0, 40)),
                               game_id=("a" if rng.integers(0, 2) else "b"))
                    for _ in range(n_gt)]
-            got = average_precision_at_tol(preds, gts, "Goal", tol)
+            got = average_map(preds, gts, [tol]).average_map
             assert got == pytest.approx(oracle_ap(preds, gts, tol), abs=1e-12)
 
     def test_one_to_one_matching_bounds_tp(self, rng):
         preds = [_pred(20, 0.9), _pred(21, 0.8), _pred(22, 0.7)]
         gts = [make_event(20)]
         # only one of three near predictions can match the single GT
-        ap = average_precision_at_tol(preds, gts, "Goal", 10)
+        ap = average_map(preds, gts, [10]).average_map
         assert ap == 1.0  # the top-ranked one matches; later FPs do not lower it
 
     def test_monotone_in_tolerance(self, rng):
         preds = [_pred(int(t), float(c) / 100.0)
                  for t, c in zip(rng.integers(0, 100, 20), rng.integers(1, 100, 20))]
         gts = [make_event(int(t)) for t in rng.integers(0, 100, 8)]
-        aps = [average_precision_at_tol(preds, gts, "Goal", tol)
-               for tol in (1, 3, 5, 10, 20, 40)]
+        aps = [average_map(preds, gts, [tol]).average_map for tol in (1, 3, 5, 10, 20, 40)]
         assert all(b >= a - 1e-12 for a, b in zip(aps, aps[1:]))
 
     def test_rank_invariance_under_monotone_confidence_transform(self, rng):
         preds = [_pred(int(t), float(c) / 100.0)
                  for t, c in zip(rng.integers(0, 100, 15), rng.integers(1, 100, 15))]
         gts = [make_event(int(t)) for t in rng.integers(0, 100, 6)]
-        base = average_precision_at_tol(preds, gts, "Goal", 10)
+        base = average_map(preds, gts, [10]).average_map
         squeezed = [
             SpotPrediction(p.game_id, p.half, p.time_s, p.class_index, p.label,
                            p.confidence**2)
             for p in preds
         ]
-        assert average_precision_at_tol(squeezed, gts, "Goal", 10) == pytest.approx(base)
+        assert average_map(squeezed, gts, [10]).average_map == pytest.approx(base)
 
 
 class TestAverageMap:
@@ -161,21 +162,24 @@ class TestAverageMap:
             np.mean([report.map_per_tolerance[t] for t in report.tolerances])
         )
         for label, rows in report.per_class_ap.items():
+            label_preds = [p for p in preds if p.label == label]
+            label_gts = [g for g in gts if g.label == label]
             for tol, ap in rows:
-                assert ap == pytest.approx(
-                    average_precision_at_tol(preds, gts, label, tol)
-                )
+                assert ap == pytest.approx(oracle_ap(label_preds, label_gts, tol), abs=1e-12)
 
 
 class TestReplayAverageAp:
+    """Replay average-AP, read from replay_ap_report, the function `eval
+    ground` runs."""
+
     def test_perfect_top_predictions(self):
         preds_per_query = [[GroundingPrediction("g", 1, 100, 0.9)],
                            [GroundingPrediction("g", 1, 300, 0.8)]]
-        assert replay_average_ap(preds_per_query, [102, 298]) == 1.0
+        assert replay_ap_report(preds_per_query, [102, 298])["average_ap"] == 1.0
 
     def test_all_beyond_max_tolerance(self):
         preds_per_query = [[GroundingPrediction("g", 1, 100, 0.9)]]
-        assert replay_average_ap(preds_per_query, [400]) == 0.0
+        assert replay_ap_report(preds_per_query, [400])["average_ap"] == 0.0
 
     def test_two_query_hand_enumeration(self):
         # q0: TP at conf .9; q1: FP at conf .8 then TP at conf .6
@@ -183,7 +187,7 @@ class TestReplayAverageAp:
             [GroundingPrediction("g", 1, 100, 0.9)],
             [GroundingPrediction("g", 1, 350, 0.8), GroundingPrediction("g", 1, 201, 0.6)],
         ]
-        got = replay_average_ap(preds_per_query, [100, 200], tolerances=[5])
+        got = replay_ap_report(preds_per_query, [100, 200], tolerances=[5])["average_ap"]
         # ranks: .9 TP (p=1, r=.5), .8 FP, .6 TP (p=2/3, r=1)
         assert got == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
 
@@ -193,13 +197,13 @@ class TestReplayAverageAp:
             [GroundingPrediction("g", 1, 100, 0.5)],
             [GroundingPrediction("g", 1, 100, 0.9)],
         ]
-        got = replay_average_ap(preds_per_query, [100, 500], tolerances=[5])
+        got = replay_ap_report(preds_per_query, [100, 500], tolerances=[5])["average_ap"]
         # rank 1 (q1) is an FP: its own GT is at 500
         assert got == pytest.approx(0.5 * 0.5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            replay_average_ap([[]], [1, 2])
+            replay_ap_report([[]], [1, 2])
 
 
 def _replay(end, event, label="Foul", game="g", half=1):

@@ -446,7 +446,7 @@ class TestFusion:
                       labels[int(rng.integers(0, 4))])
                 for _ in range(int(rng.integers(0, 12)))
             ]
-            got = fuse_with_spotting(spots, T, 42, 0.02, 1.25, 0.8, allowed)
+            got = fuse_with_spotting(spots, T, 42, 0.02, 1.25, 0.8)
             assert [(p.time_s, p.confidence) for p in got] == _fuse_oracle(
                 spots, T, 42, 0.02, 1.25, 0.8, allowed
             )

@@ -110,3 +110,53 @@ def test_jsonio_imports_no_traced_module():
     tree = ast.parse((SRC / "jsonio.py").read_text(encoding="utf-8"))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert imported <= {"__future__", "errors"}
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every identifier node reads, as a bare name or an attribute."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def _unreferenced(sources: dict[str, str]) -> dict[str, list[str]]:
+    """module -> its top-level functions, classes and constants that no
+    other top-level statement of any module reads. __init__.py only
+    re-exports, so its reads do not count."""
+    statements = {name: ast.parse(text).body for name, text in sources.items()}
+    reads = [(name, i, _names_read(stmt)) for name, body in statements.items()
+             if name != "__init__.py" for i, stmt in enumerate(body)]
+    found = {}
+    for name, body in statements.items():
+        for i, stmt in enumerate(body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for symbol in defined:
+                read_elsewhere = any(symbol in names for module, j, names in reads
+                                     if (module, j) != (name, i))
+                if not read_elsewhere and not symbol.startswith("__"):
+                    found.setdefault(name, []).append(symbol)
+    return found
+
+
+def test_no_test_only_api():
+    """Every top-level function, class and constant of the package is read
+    by package code other than its own definition: a name that only tests
+    reach lets a test pass on code that no command runs."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) > 5
+    assert _unreferenced(sources) == {}
+    assert _unreferenced({
+        "a.py": "K = 1\ndef f(n):\n    return f(n - 1) if n else K\n",
+        "b.py": "from .a import f\n",
+        "__init__.py": "from .a import f\nf(2)\n",
+    }) == {"a.py": ["f"]}
