@@ -46,7 +46,6 @@ from .nn import (  # noqa: F401
 )
 from .npyio import parse_npy, write_npy  # noqa: F401
 from .spotting import (  # noqa: F401
-    DatasetSplits,
     NetVLADConfig,
     SpotPrediction,
     TrainSpec,

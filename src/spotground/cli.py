@@ -13,7 +13,6 @@ with a single machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import subprocess
 import sys
@@ -36,6 +35,7 @@ from .checkpoint import (
 from .data import (
     GameHalf,
     format_game_time,
+    check_feature_widths,
     game_dirs,
     load_dataset,
     load_game,
@@ -58,7 +58,7 @@ from .grounding import (
     merge_nms,
     train_grounding,
 )
-from .jsonio import bare_name, json_document, objects, typed
+from .jsonio import bare_name, json_document, objects, typed, write_json
 from .nn import (
     EncoderConfig,
     Workspace,
@@ -66,7 +66,6 @@ from .nn import (
     spotting_grad_check,
 )
 from .spotting import (
-    DatasetSplits,
     NetVLADConfig,
     SpotPrediction,
     TrainSpec,
@@ -99,12 +98,6 @@ def _build_id() -> str:
     return f"spotground-{__version__}"
 
 
-def _write_json(path: Path, doc, sort_keys: bool = True) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
-    return path
-
-
 def _load_vocab_arg(path: str | None) -> list[str]:
     return load_vocab(path) if path else list(DEFAULT_VOCAB)
 
@@ -134,7 +127,7 @@ def write_spot_predictions(out_dir: Path, game_id: str, preds: list[SpotPredicti
             for p in preds
         ],
     }
-    return _write_json(out_dir / game_id / "spotting.json", doc)
+    return write_json(out_dir / game_id / "spotting.json", doc)
 
 
 def _read_prediction_doc(path: Path, key: str, game_id: str | None = None
@@ -200,7 +193,7 @@ def write_ground_predictions(
             for q, preds in results
         ],
     }
-    return _write_json(out_dir / game_id / "grounding.json", doc)
+    return write_json(out_dir / game_id / "grounding.json", doc)
 
 
 def read_ground_predictions(path: Path, game_id: str | None = None):
@@ -215,8 +208,7 @@ def read_ground_predictions(path: Path, game_id: str | None = None):
         _, end = parse_game_time(q.get("end"))
         query = ReplayQuery(game_id, half, start, end)
         preds = [
-            GroundingPrediction(game_id, half,
-                                typed(p.get("position_s"), int, ParseError, at["position_s"]),
+            GroundingPrediction(typed(p.get("position_s"), int, ParseError, at["position_s"]),
                                 typed(p.get("confidence"), float, ParseError, at["confidence"]))
             for p in objects(entry.get("predictions"), ParseError, f"{path}: 'predictions'")
         ]
@@ -327,24 +319,28 @@ def _read_splits(data: Path, path: str | None) -> dict[str, list[str]] | None:
     return doc
 
 
-def _split_halves(halves: list[GameHalf], splits: dict[str, list[str]] | None) -> DatasetSplits:
+def _split_halves(halves: list[GameHalf], splits: dict[str, list[str]] | None,
+                  mode: str) -> tuple[list[GameHalf], list[GameHalf]]:
+    """The (train, valid) halves; ultra mode pools train, valid and test."""
     if splits is None:
-        return DatasetSplits(train=halves)
+        return halves, []
     by_game: dict[str, list[GameHalf]] = {}
     for gh in halves:
         by_game.setdefault(gh.features.game_id, []).append(gh)
 
-    def take(split):
-        return [gh for name in splits.get(split, []) for gh in by_game[name]]
+    def take(*names):
+        return [gh for split in names for name in splits.get(split, []) for gh in by_game[name]]
 
-    return DatasetSplits(train=take("train"), valid=take("valid"), test=take("test"))
+    if mode == "ultra":
+        return take("train", "valid", "test"), []
+    return take("train"), take("valid")
 
 
 def _write_trained(out: Path, model, what: str) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.sgckpt"
     save_model(ckpt, model)
-    history_path = _write_json(out / "history.json", model.history, sort_keys=False)
+    history_path = write_json(out / "history.json", model.history, sort_keys=False)
     print(f"trained {what}: {len(model.history)} epochs, "
           f"final train loss {model.history[-1]['train_loss']:.4f}")
     print(f"checkpoint: {ckpt}")
@@ -360,9 +356,8 @@ def cmd_spot_train(args, cfg) -> list[Path]:
         raise UsageError(
             f"the netvlad head pools two halves and needs an even --chunk, got {cfg['chunk']}"
         )
-    spec = _checked(TrainSpec, mode=cfg["mode"], lr=cfg["lr"], epochs=cfg["epochs"],
-                    batch_size=cfg["batch"], chunk_size_s=cfg["chunk"],
-                    mixup_alpha=cfg["mixup"], seed=cfg["seed"])
+    spec = _checked(TrainSpec, lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch"],
+                    seed=cfg["seed"])
     for head, keys in HEAD_ONLY_KEYS.items():
         for key in keys:
             if head != cfg["head"] and cfg[key] != SPOT_TRAIN_DEFAULTS[key]:
@@ -382,7 +377,8 @@ def cmd_spot_train(args, cfg) -> list[Path]:
         raise UsageError("regular mode needs --splits with a valid set")
     halves = load_dataset(args.data, vocab=vocab)
     config = replace(config, input_dim=halves[0].features.dim)
-    model = train_spotting(_split_halves(halves, splits), spec, config, vocab=vocab)
+    train, valid = _split_halves(halves, splits, cfg["mode"])
+    model = train_spotting(train, valid, spec, config, cfg["chunk"], cfg["mixup"], vocab)
     return _write_trained(Path(args.out), model, f"{cfg['head']} head")
 
 
@@ -430,6 +426,7 @@ def cmd_spot_infer(args, cfg) -> list[Path]:
     if model.kind == KIND_SPOT_NETVLAD and cfg["chunk"] % 2 != 0:
         raise ShapeError(f"{args.model} holds a netvlad head, which pools two halves and "
                          f"needs an even --chunk, got {cfg['chunk']}")
+    check_feature_widths(args.data, model.config.input_dim, args.model)
     vocab = _load_vocab_arg(args.vocab)
     out = Path(args.out)
     results = _map_games(_spot_infer_game, Path(args.data), cfg["jobs"], model, vocab,
@@ -460,8 +457,8 @@ def cmd_ground_train(args, cfg) -> list[Path]:
         raise UsageError(
             f"grounding trains on every half (ultra mode only), got --mode {cfg['mode']}"
         )
-    spec = _checked(TrainSpec, mode=cfg["mode"], lr=cfg["lr"], epochs=cfg["epochs"],
-                    batch_size=cfg["batch"], mixup_alpha=0.0, seed=cfg["seed"])
+    spec = _checked(TrainSpec, lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch"],
+                    seed=cfg["seed"])
     # checked before any data loads; the input width comes from the data
     config = _checked(EncoderConfig, input_dim=1, output_dim=2, model_dim=cfg["model_dim"],
                       num_layers=cfg["layers"], num_heads=cfg["heads"],
@@ -497,6 +494,7 @@ def _ground_infer_game(task):
 
 def cmd_ground_infer(args, cfg) -> list[Path]:
     model = _load_head(args.model, (KIND_GROUNDING,), 2)
+    check_feature_widths(args.data, model.config.input_dim, args.model)
     out = Path(args.out)
     results = _map_games(_ground_infer_game, Path(args.data), cfg["jobs"], model,
                          cfg["stride"], cfg["filter"])
@@ -522,7 +520,8 @@ def cmd_ground_fuse(args, cfg) -> list[Path]:
     n_queries = 0
     for game_id, (_, replays) in _game_labels(Path(args.labels), vocab).items():
         spot_path = spot_dir / game_id / "spotting.json"
-        spots = read_spot_predictions(spot_path, vocab, game_id) if spot_path.exists() else []
+        spots = (read_spot_predictions(spot_path, vocab, game_id)
+                 if replays or spot_path.exists() else [])  # a game without replays needs none
         results = []
         for rp in replays:
             query = ReplayQuery(rp.game_id, rp.half, rp.replay_start_s, rp.replay_end_s)
@@ -605,7 +604,7 @@ def cmd_eval_spot(args, cfg) -> list[Path]:
         all_preds.extend(read_spot_predictions(spot_path, vocab, game_id))
     report = average_map(all_preds, all_gts, tolerances, vocab=vocab)
     out = Path(args.out)
-    report_path = _write_json(out / "spot_eval.json", report.to_dict())
+    report_path = write_json(out / "spot_eval.json", report.to_dict())
     csv_path = out / "spot_eval.csv"
     csv_path.write_text(report.to_csv(), encoding="utf-8")
     print(f"Average-mAP: {report.average_map:.4f} "
@@ -635,7 +634,7 @@ def cmd_eval_ground(args, cfg) -> list[Path]:
         "num_queries": report["num_queries"],
         "num_predictions": report["num_predictions"],
     }
-    report_path = _write_json(Path(args.out) / "ground_eval.json", doc)
+    report_path = write_json(Path(args.out) / "ground_eval.json", doc)
     print(f"average-AP: {report['average_ap']:.4f} over {report['num_queries']} queries")
     return [report_path]
 
@@ -651,7 +650,7 @@ def cmd_analyze_replays(args, cfg) -> list[Path]:
     replays = [rp for _, rps in _game_labels(Path(args.labels)).values() for rp in rps]
     stats = replay_stats(replays, bucket_s=cfg["buckets"])
     out = Path(args.out)
-    written = [_write_json(out / "replay_stats.json", asdict(stats))]
+    written = [write_json(out / "replay_stats.json", asdict(stats))]
     if args.svg:
         svg_path = out / args.svg
         svg_path.write_text(interval_histogram_svg(stats), encoding="utf-8")
@@ -725,6 +724,7 @@ CHOICES = {"mode": ("regular", "ultra"), "head": ("transformer", "netvlad")}
 BOUNDS = {
     "seed": (0, None),
     "chunk": (1, None),
+    "mixup": (0, None),
     "nms": (0, None),
     "threshold": (0, 1),
     "jobs": (1, None),
@@ -768,7 +768,7 @@ COMMANDS = (
                        "spot infer --nms sets the one inference uses",
                 "lr": "> 0; default 5e-4 transformer, 1e-4 netvlad",
                 "epochs": "default 50 transformer, 40 netvlad",
-                "mixup": "mixup Beta parameter, >= 0; 0 disables it",
+                "mixup": "mixup Beta parameter; 0 disables it",
                 "clusters": "netvlad clusters per temporal half",
             }),
     Command(("spot", "infer"), "slide a trained head over games", cmd_spot_infer,
@@ -941,7 +941,7 @@ def _run_command(cmd: Command, args: argparse.Namespace) -> int:
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": sorted(str(Path(p).relative_to(out)) for p in result),
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     return 0
 
 

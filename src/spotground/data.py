@@ -23,7 +23,7 @@ from .errors import (
 )
 from .jsonio import json_document, objects
 from .nn import Workspace
-from .npyio import read_npy_file
+from .npyio import read_npy_file, read_npy_shape
 from .vocab import DEFAULT_VOCAB
 
 logger = logging.getLogger(__name__)
@@ -41,7 +41,6 @@ class FeatureSequence:
     game_id: str
     half: int
     data: np.ndarray
-    source_dims: tuple[int, ...]
 
     def __post_init__(self):
         if self.half not in (1, 2):
@@ -50,11 +49,6 @@ class FeatureSequence:
             raise ShapeError(f"feature matrix must be T x D with T,D >= 1, got {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ShapeError("feature matrix contains non-finite values")
-        if sum(self.source_dims) != self.data.shape[1]:
-            raise ShapeError(
-                f"source_dims {self.source_dims} sum to {sum(self.source_dims)}, "
-                f"but D = {self.data.shape[1]}"
-            )
 
     @property
     def duration_s(self) -> int:
@@ -200,9 +194,7 @@ def combine_features(sources: list[FeatureSequence]) -> FeatureSequence:
         logger.warning(
             "combine_features: %d zero-norm frame(s) left as zero vectors", zero_frames
         )
-    combined = np.concatenate(blocks, axis=1)
-    dims = tuple(d for src in sources for d in src.source_dims)
-    return FeatureSequence(first.game_id, first.half, combined, dims)
+    return FeatureSequence(first.game_id, first.half, np.concatenate(blocks, axis=1))
 
 
 def gather_windows(datas: list[np.ndarray], which, starts, length_s: int, dtype,
@@ -242,12 +234,7 @@ def load_game_half(game_dir: str | Path, game_id: str, half: int) -> FeatureSequ
     paths = sorted(game_dir.glob(f"{half}_*.npy"))
     if not paths:
         raise ParseError(f"no feature files matching '{half}_*.npy' in {game_dir}")
-    sources = []
-    for path in paths:
-        matrix = read_npy_file(path)
-        sources.append(
-            FeatureSequence(game_id, half, matrix, (matrix.shape[1],))
-        )
+    sources = [FeatureSequence(game_id, half, read_npy_file(path)) for path in paths]
     return combine_features(sources)
 
 
@@ -302,6 +289,18 @@ def game_dirs(root: str | Path) -> list[Path]:
     if not dirs:
         raise ParseError(f"no game directories with feature files under {root}")
     return dirs
+
+
+def check_feature_widths(root: str | Path, width: int, reader: str) -> None:
+    """Every half under root (see game_dirs) is width features wide, as the
+    NPY headers of its "<half>_<source>.npy" files declare: no payload is
+    read. A mismatch raises ShapeError naming the half and the reader."""
+    for game_dir in game_dirs(root):
+        for half in (1, 2):
+            found = sum(read_npy_shape(path)[1] for path in game_dir.glob(f"{half}_*.npy"))
+            if found and found != width:
+                raise ShapeError(f"{game_dir.name} half {half} has {found} feature columns, "
+                                 f"but {reader} reads {width}")
 
 
 def load_dataset(root: str | Path, vocab=None) -> list[GameHalf]:

@@ -46,8 +46,6 @@ FUSION_LABELS = frozenset({"Foul", "Goal", "Shots-off target"})
 
 @dataclass(frozen=True)
 class GroundingPrediction:
-    game_id: str
-    half: int
     time_s: int
     confidence: float
 
@@ -126,19 +124,19 @@ def sample_grounding_pairs(
     return pairs
 
 
-def _pair_sequences(datas, which, starts, intervals: np.ndarray, dtype) -> np.ndarray:
+def _pair_sequences(datas, which, starts, intervals: np.ndarray, dtype, workspace) -> np.ndarray:
     """(n, 2 * chunk_s, D) candidate-then-replay sequences in dtype.
 
     Sequence i is rows [starts[i], starts[i] + chunk_s) of datas[which[i]],
     then the chunk_s rows from its replay's start intervals[which[i], 0],
     zeroed at or past the replay's end intervals[which[i], 1]. Both windows
-    are zero-padded outside the half.
+    are zero-padded outside the half. They view the workspace, if given.
     """
     chunk_s = CANDIDATE_CHUNK_S
     replay_start, replay_end = intervals[which].T
     # 2n windows, each candidate followed by its replay's clip
     windows = np.stack([starts, replay_start], axis=1).ravel()
-    X = gather_windows(datas, np.repeat(which, 2), windows, chunk_s, dtype)
+    X = gather_windows(datas, np.repeat(which, 2), windows, chunk_s, dtype, workspace)
     X = X.reshape(len(which), 2 * chunk_s, -1)
     X[:, chunk_s:][np.arange(chunk_s) >= (replay_end - replay_start)[:, None]] = 0
     return X
@@ -185,7 +183,7 @@ def train_grounding(
         return which, starts, labels, offsets
 
     def step(which, starts, labels, offsets):
-        xb = _pair_sequences(datas, which, starts, intervals, dtype)
+        xb = _pair_sequences(datas, which, starts, intervals, dtype, ws)
         out, cache = encoder_forward_batch(
             model.params, config, xb, segments=_SEGMENTS, train_mode=True, rng=rng, workspace=ws
         )
@@ -220,7 +218,7 @@ def infer_grounding(
     if not starts:
         return []
     X = _pair_sequences([features.data], [0] * len(starts), starts,
-                        np.array([[query.start_s, query.end_s]]), features.data.dtype)
+                        np.array([[query.start_s, query.end_s]]), features.data.dtype, workspace)
     h = embed_input(model.params, model.config, X, workspace)
     out = encoder_forward_embedded(model.params, model.config, h, segments=_SEGMENTS,
                                    workspace=workspace)
@@ -229,7 +227,7 @@ def infer_grounding(
     preds = []
     for cs, prob, off in zip(starts, probs, offsets):
         t = int(round(cs + CANDIDATE_CHUNK_S * float(off)))
-        preds.append(GroundingPrediction(query.game_id, query.half, t, float(prob)))
+        preds.append(GroundingPrediction(t, float(prob)))
     return preds
 
 
@@ -271,7 +269,7 @@ def fuse_with_spotting(
     out = []
     for p, beta in zip(eligible[:2], (beta1, beta2)):
         conf = min(max(beta * p.confidence, 0.0), 1.0)
-        out.append(GroundingPrediction(p.game_id, p.half, p.time_s, conf))
+        out.append(GroundingPrediction(p.time_s, conf))
     return out
 
 
@@ -294,5 +292,5 @@ def merge_nms(
     pool: list[GroundingPrediction] = []
     for preds in (preds_a, preds_b):
         for p, conf in zip(preds, minmax_normalize([p.confidence for p in preds])):
-            pool.append(GroundingPrediction(p.game_id, p.half, p.time_s, conf))
+            pool.append(GroundingPrediction(p.time_s, conf))
     return sorted(_greedy_nms(pool, window_s), key=lambda p: p.time_s)

@@ -1,14 +1,16 @@
-"""Readers for outside JSON documents and for names that become paths.
+"""JSON documents in and out, and names that become paths.
 
 Every JSON document the package reads is decoded by `json_document`, and
 its values are checked by `objects` and `typed`; a value that becomes one
 path component is checked by `bare_name`. Each raises the caller's error
-class, so every input keeps its own error and exit code.
+class, so every input keeps its own error and exit code. Every JSON file
+the package writes is written by `write_json`.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 
 
 def json_document(raw: bytes | str, kind: type, error: type[Exception], where: str):
@@ -51,3 +53,12 @@ def bare_name(name: str, error: type[Exception], where: str) -> str:
     if name in ("", ".", "..") or "/" in name or "\x00" in name:
         raise error(f"{where} must be a bare name, not a path, got {name!r}")
     return name
+
+
+def write_json(path: str | pathlib.Path, doc, sort_keys: bool = True) -> pathlib.Path:
+    """Write doc to path as UTF-8 JSON, indented by 2 and ending in a
+    newline, creating parent directories; returns the path."""
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
+    return path

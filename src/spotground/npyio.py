@@ -20,14 +20,9 @@ VERSION = (1, 0)
 _HEADER_ALIGN = 64
 
 
-def parse_npy(stream: bytes) -> np.ndarray:
-    """Decode an NPY v1.0 byte stream into a (T, D) float32 matrix.
-
-    Raises FormatError for bad magic/version/header syntax,
-    UnsupportedLayoutError for any dtype other than '<f4', Fortran order
-    or non-2-D shapes, and TruncationError when the payload size does not
-    match the declared shape.
-    """
+def _parse_header(stream: bytes) -> tuple[tuple[int, int], int]:
+    """The (rows, cols) shape and the payload offset that the header of an
+    NPY v1.0 stream declares, with parse_npy's header errors."""
     if len(stream) < 10 or stream[:6] != MAGIC:
         raise FormatError("not an NPY stream (bad magic)")
     major, minor = stream[6], stream[7]
@@ -57,8 +52,18 @@ def parse_npy(stream: bytes) -> np.ndarray:
         or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
     ):
         raise UnsupportedLayoutError(f"shape {shape!r} is not a 2-D shape")
+    return shape, header_end
 
-    rows, cols = shape
+
+def parse_npy(stream: bytes) -> np.ndarray:
+    """Decode an NPY v1.0 byte stream into a (T, D) float32 matrix.
+
+    Raises FormatError for bad magic/version/header syntax,
+    UnsupportedLayoutError for any dtype other than '<f4', Fortran order
+    or non-2-D shapes, and TruncationError when the payload size does not
+    match the declared shape.
+    """
+    (rows, cols), header_end = _parse_header(stream)
     payload = stream[header_end:]
     expected = rows * cols * 4
     if len(payload) != expected:
@@ -92,6 +97,13 @@ def write_npy(matrix: np.ndarray) -> bytes:
 def read_npy_file(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return parse_npy(fh.read())
+
+
+def read_npy_shape(path) -> tuple[int, int]:
+    """The (rows, cols) shape the NPY file's header declares, with
+    parse_npy's header checks; the payload is neither read nor checked."""
+    with open(path, "rb") as fh:  # magic, version, length and the longest v1.0 header
+        return _parse_header(fh.read(10 + 0xFFFF))[0]
 
 
 def write_npy_file(path, matrix: np.ndarray) -> None:

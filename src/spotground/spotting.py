@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import copy
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -67,24 +67,17 @@ class SpotPrediction:
 
 @dataclass(frozen=True)
 class TrainSpec:
-    mode: str = "ultra"  # "regular" keeps the best-validation checkpoint
     lr: float = 5e-4
     epochs: int = 50
     batch_size: int = 32
-    chunk_size_s: int = 7
-    mixup_alpha: float = 0.2  # 0 disables mixup
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("regular", "ultra"):
-            raise ShapeError(f"mode must be regular or ultra, got {self.mode!r}")
-        for name in ("epochs", "batch_size", "chunk_size_s"):
+        for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.lr > 0.0:
             raise ShapeError(f"lr must be > 0, got {self.lr}")
-        if not self.mixup_alpha >= 0.0:
-            raise ShapeError(f"mixup_alpha must be >= 0, got {self.mixup_alpha}")
 
 
 def fit(model: Model, spec: TrainSpec, rng: np.random.Generator, epoch_data, batch_step,
@@ -126,16 +119,6 @@ def training_model(kind: str, config, vocab, params: dict[str, np.ndarray]) -> M
     float32, the dtype every training step then runs in."""
     params = {name: p.astype(np.float32) for name, p in params.items()}
     return Model(kind=kind, config=config, vocab=list(vocab), params=params)
-
-
-@dataclass
-class DatasetSplits:
-    train: list[GameHalf]
-    valid: list[GameHalf] = field(default_factory=list)
-    test: list[GameHalf] = field(default_factory=list)
-
-    def pooled(self) -> list[GameHalf]:
-        return list(self.train) + list(self.valid) + list(self.test)
 
 
 def make_chunks(
@@ -242,7 +225,7 @@ def _vlad_half_forward(params, prefix, xh, vlad, ws: Workspace):
     np.matmul(assign.transpose(0, 2, 1), xh, out=vlad)
     vlad -= np.multiply(mass[:, :, None], params[prefix + "centers"],
                         out=ws.array("vlad.tmp", vlad.shape, vlad.dtype))
-    return {"xh": xh, "assign": assign, "mass": mass, "normed": vlad}
+    return {"xh": xh, "assign": assign, "mass": mass}
 
 
 def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray,
@@ -277,7 +260,6 @@ def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray,
     _check_finite(logits, "NetVLAD output projection")
     cache = {
         "params": params,
-        "config": config,
         "workspace": ws,
         "past": rec_p,
         "future": rec_f,
@@ -351,7 +333,7 @@ def netvlad_backward(cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
 # training
 
 
-def _head_forward(model: Model, xb: np.ndarray, train_mode=False, rng=None, workspace=None):
+def _head_forward(model: Model, xb: np.ndarray, workspace: Workspace, train_mode=False, rng=None):
     if model.kind == KIND_SPOT_TRANSFORMER:
         return encoder_forward_batch(model.params, model.config, xb,
                                      train_mode=train_mode, rng=rng, workspace=workspace)
@@ -374,14 +356,14 @@ def default_spot_epochs(head: str) -> int:
     return 50 if head == "transformer" else 40
 
 
-def _chunk_samples(halves, spec, vocab):
-    """(which, starts, Y, windows) of the halves' chunks, tiled at stride L:
-    chunk i is the L rows of halves[which[i]] from second starts[i], with
-    target Y[i]. windows(which, starts, workspace=None) gathers a batch of
-    chunks in the dtype of all the halves, not of the batch's own."""
+def _chunk_samples(halves, chunk_size_s, vocab):
+    """(which, starts, Y, windows) of the halves' chunks, tiled at stride
+    L = chunk_size_s: chunk i is the L rows of halves[which[i]] from
+    second starts[i], with target Y[i]. A batch gathered by
+    windows(which, starts, workspace=None) has the dtype of all the halves."""
     if not halves:
         raise ParseError("empty dataset: no chunks to train on")
-    L = spec.chunk_size_s
+    L = chunk_size_s
     Y = np.concatenate([make_chunks(gh.features, gh.events, L, vocab) for gh in halves])
     starts = [np.arange(0, gh.features.duration_s, L) for gh in halves]
     which = np.repeat(np.arange(len(halves)), [len(s) for s in starts])
@@ -391,37 +373,39 @@ def _chunk_samples(halves, spec, vocab):
     return which, np.concatenate(starts), Y, windows
 
 
-def _eval_loss(model, which, starts, Y, windows, batch_size):
+def _eval_loss(model, which, starts, Y, windows, batch_size, workspace: Workspace):
+    """Mean loss over the chunks, each batch gathered and run in the workspace."""
     total = 0.0
     for lo in range(0, len(Y), batch_size):
-        xb = windows(which[lo : lo + batch_size], starts[lo : lo + batch_size])
-        logits, _ = _head_forward(model, xb)
+        xb = windows(which[lo : lo + batch_size], starts[lo : lo + batch_size],
+                     workspace=workspace)
+        logits, _ = _head_forward(model, xb, workspace)
         loss, _ = cross_entropy_soft(logits, Y[lo : lo + batch_size])
         total += loss * len(xb)
     return total / len(Y)
 
 
 def train_spotting(
-    splits: DatasetSplits,
+    train: list[GameHalf],
+    valid: list[GameHalf],
     spec: TrainSpec,
     config: EncoderConfig | NetVLADConfig,
+    chunk_size_s: int,
+    mixup_alpha: float,
     vocab=DEFAULT_VOCAB,
 ) -> Model:
-    """Train a spotting head: NetVLAD for a NetVLADConfig, the transformer
-    for an EncoderConfig. Deterministic for a given (spec.seed, config).
+    """Train a spotting head on the train halves' chunks: NetVLAD for a
+    NetVLADConfig, the transformer for an EncoderConfig. Deterministic for
+    a given (spec.seed, config).
 
-    Regular mode trains on the train split and returns the parameters with
-    the best validation loss; ultra mode pools every split and returns the
-    final epoch.
+    With valid halves, each epoch records their loss and the parameters
+    with the best one are returned; with none, the final epoch's. A
+    mixup_alpha of 0 disables mixup.
     """
-    halves = splits.pooled() if spec.mode == "ultra" else list(splits.train)
-    if not halves:
-        raise ParseError("empty dataset")
-    if spec.mode == "regular" and not splits.valid:
-        raise ParseError("regular mode needs a validation split")
-
-    which, starts, Y, windows = _chunk_samples(halves, spec, vocab)
-    input_dim = halves[0].features.dim
+    if not mixup_alpha >= 0.0:
+        raise ShapeError(f"mixup_alpha must be >= 0, got {mixup_alpha}")
+    which, starts, Y, windows = _chunk_samples(train, chunk_size_s, vocab)
+    input_dim = train[0].features.dim
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
     if isinstance(config, NetVLADConfig):
         params = init_netvlad_params(config, rng)
@@ -440,19 +424,19 @@ def train_spotting(
 
     def step(which, starts, yb):
         xb = windows(which, starts, workspace=ws)
-        if spec.mixup_alpha > 0.0:
-            xb, yb = mixup(xb, yb, spec.mixup_alpha, rng, ws)
-        logits, cache = _head_forward(model, xb, train_mode=True, rng=rng, workspace=ws)
+        if mixup_alpha > 0.0:
+            xb, yb = mixup(xb, yb, mixup_alpha, rng, ws)
+        logits, cache = _head_forward(model, xb, ws, train_mode=True, rng=rng)
         loss, dlogits = cross_entropy_soft(logits, yb)
         return loss, _head_backward(model, cache, dlogits)
 
     best: dict = {}
     keep_best = None
-    if spec.mode == "regular":
-        valid = _chunk_samples(splits.valid, spec, vocab)
+    if valid:
+        valid_chunks = _chunk_samples(valid, chunk_size_s, vocab)
 
         def keep_best(record):
-            record["valid_loss"] = vloss = _eval_loss(model, *valid, spec.batch_size)
+            record["valid_loss"] = vloss = _eval_loss(model, *valid_chunks, spec.batch_size, ws)
             if not best or vloss < best["loss"]:
                 best.update(loss=vloss, params=copy.deepcopy(model.params))
 
@@ -536,7 +520,7 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int) -> 
         else:
             contiguous = ws.array("windows", xb.shape, xb.dtype)
             np.copyto(contiguous, xb)
-            logits, _ = _head_forward(model, contiguous, workspace=ws)
+            logits, _ = _head_forward(model, contiguous, ws)
         probs[lo : lo + logits.shape[0]] = softmax(logits)
     return probs
 

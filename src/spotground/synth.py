@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EventAnnotation, FeatureSequence, ReplayAnnotation
+from .data import EventAnnotation, FeatureSequence, ReplayAnnotation, format_game_time
 from .errors import PlacementError, ShapeError
-from .jsonio import bare_name
+from .jsonio import bare_name, write_json
+from .npyio import write_npy_file
 from .vocab import DEFAULT_VOCAB
 
 PATTERN_RADIUS_S = 2
@@ -162,7 +163,7 @@ def synth_generate(
                 ReplayAnnotation(game_id, half, start, end, int(t), labels[int(c)])
             )
 
-    features = FeatureSequence(game_id, half, data.astype(np.float32), (D,))
+    features = FeatureSequence(game_id, half, data.astype(np.float32))
     return features, events, replays
 
 
@@ -177,10 +178,6 @@ def synth_dataset(config: SynthConfig, seed: int):
 
 def write_synth_dataset(root: str | Path, config: SynthConfig, seed: int):
     """Write a synthetic dataset in the on-disk layout the loaders expect."""
-    from .data import format_game_time
-    from .npyio import write_npy_file
-    import json
-
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -206,6 +203,5 @@ def write_synth_dataset(root: str | Path, config: SynthConfig, seed: int):
                 }
             )
     for path, doc in docs.items():
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        written.append(path)
+        written.append(write_json(path, doc))
     return written

@@ -7,11 +7,10 @@ background class and never appears in annotation files.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .errors import VocabularyError
-from .jsonio import json_document
+from .jsonio import json_document, write_json
 
 DEFAULT_VOCAB: tuple[str, ...] = (
     "Penalty",
@@ -46,7 +45,7 @@ def load_vocab(path: str | Path) -> list[str]:
 
 def save_vocab(path: str | Path, vocab: list[str] | tuple[str, ...]) -> None:
     validate_vocab(vocab)
-    Path(path).write_text(json.dumps(list(vocab), indent=2) + "\n", encoding="utf-8")
+    write_json(path, list(vocab))
 
 
 def validate_vocab(vocab) -> None:

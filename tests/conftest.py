@@ -14,7 +14,7 @@ def rng():
 def make_features(T=100, D=8, game_id="g0", half=1, seed=0, data=None):
     if data is None:
         data = np.random.default_rng(seed).normal(size=(T, D)).astype(np.float32)
-    return FeatureSequence(game_id, half, data, (data.shape[1],))
+    return FeatureSequence(game_id, half, data)
 
 
 def padded_window(data, start, length):

@@ -76,7 +76,7 @@ def test_c2_nms_oracles():
     for _ in range(1000):
         def side(n):
             return [
-                GroundingPrediction("g", 1, int(rng.integers(0, 200)),
+                GroundingPrediction(int(rng.integers(0, 200)),
                                     float(rng.integers(0, 100)) / 100.0)
                 for _ in range(n)
             ]
@@ -170,8 +170,7 @@ def test_c6_synthetic_grounding_learnability():
     halves = [GameHalf(f, e, r) for f, e, r in synth_dataset(cfg, seed=21)]
     n_replays = sum(len(gh.replays) for gh in halves)
     assert n_replays == 100
-    spec = TrainSpec(mode="ultra", lr=2e-4, epochs=15, batch_size=32, mixup_alpha=0.0,
-                     seed=5)
+    spec = TrainSpec(lr=2e-4, epochs=15, batch_size=32, seed=5)
     config = EncoderConfig(input_dim=32, output_dim=2, model_dim=64, num_layers=4,
                            num_heads=4, hidden_dim=256, dropout_p=0.0, num_segments=2)
     model = train_grounding(halves, spec, config=config)

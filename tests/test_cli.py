@@ -2,6 +2,7 @@ import json
 import math
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -174,6 +175,40 @@ class TestSpotPipeline:
             ckpts.append((out / "model.sgckpt").read_bytes())
         assert ckpts[0] == ckpts[1]
 
+    @staticmethod
+    def _split_run(tmp_path, name, splits, *flags):
+        """spot train on a two-game dataset, with a --splits file holding
+        splits if it is not None; returns the run's output directory."""
+        data = tmp_path / "data"
+        if not data.exists():
+            _synth(data, extra=("--halves", "4"))  # synth_000 and synth_001
+        argv = ["spot", "train", "--data", str(data), "--out", str(tmp_path / name),
+                *TRAIN_FAST, *flags]
+        if splits is not None:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(splits))
+            argv += ["--splits", str(path)]
+        assert run(argv) == 0
+        return tmp_path / name
+
+    def test_regular_mode_splits_record_valid_loss(self, tmp_path):
+        out = self._split_run(tmp_path, "regular",
+                              {"train": ["synth_000"], "valid": ["synth_001"]},
+                              "--mode", "regular")
+        history = json.loads((out / "history.json").read_text())
+        assert len(history) == 3
+        assert all(math.isfinite(h["valid_loss"]) for h in history), history
+
+    def test_ultra_mode_splits_pool_every_listed_game(self, tmp_path):
+        """Every game listed under train, in directory order, trains the
+        same model as a run without --splits."""
+        pooled = self._split_run(tmp_path, "pooled", {"train": ["synth_000", "synth_001"]},
+                                 "--mode", "ultra")
+        plain = self._split_run(tmp_path, "plain", None, "--mode", "ultra")
+        assert _tree_bytes(pooled) == _tree_bytes(plain)
+        history = json.loads((pooled / "history.json").read_text())
+        assert all("valid_loss" not in h for h in history)
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         data = tmp_path / "data"
         assert run(["synth", "--out", str(data), "--seed", "4", *GROUND_SYNTH,
@@ -315,8 +350,8 @@ class TestNumericFailures:
             assert err.startswith(needle) and len(err.splitlines()) == 1, err
 
     @staticmethod
-    def _checkpoint(path, head, name=None, value=None, outputs=18):
-        """A fresh checkpoint for 16-wide features of a "netvlad",
+    def _checkpoint(path, head, name=None, value=None, outputs=18, input_dim=16):
+        """A fresh checkpoint for input_dim-wide features of a "netvlad",
         "transformer" or "grounding" head, with one value of tensor name, if
         given, set to value."""
         import numpy as np
@@ -328,12 +363,12 @@ class TestNumericFailures:
 
         rng = np.random.default_rng(0)
         if head == "netvlad":
-            config = NetVLADConfig(input_dim=16, clusters=2)
+            config = NetVLADConfig(input_dim=input_dim, clusters=2)
             model = Model(KIND_SPOT_NETVLAD, config, list(DEFAULT_VOCAB),
                           init_netvlad_params(config, rng))
         else:
             grounding = head == "grounding"
-            config = EncoderConfig(input_dim=16, output_dim=2 if grounding else outputs,
+            config = EncoderConfig(input_dim=input_dim, output_dim=2 if grounding else outputs,
                                    model_dim=8, num_layers=1, num_heads=2, hidden_dim=8,
                                    num_segments=2 if grounding else 0)
             model = Model(KIND_GROUNDING if grounding else KIND_SPOT_TRANSFORMER, config,
@@ -410,6 +445,31 @@ class TestInferCheckpointChecks:
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(needle.format(ckpt=ckpt)) and len(err.splitlines()) == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, head", [("spot", "transformer"),
+                                               ("ground", "grounding")])
+    def test_feature_width_is_read_from_the_npy_headers(self, command, head, tmp_path, capsys,
+                                                         monkeypatch):
+        """A half whose NPY headers declare another width than the
+        checkpoint's exits 1 naming the game, the half and both widths,
+        before any features load: the cut payload is never read."""
+        import numpy as np
+
+        from spotground.npyio import write_npy
+
+        ckpt = TestNumericFailures._checkpoint(tmp_path / "m.sgckpt", head, input_dim=32)
+        game = tmp_path / "data" / "g"
+        game.mkdir(parents=True)
+        (game / "1_a.npy").write_bytes(write_npy(np.zeros((10, 40), np.float32))[:-8])
+        for name in ("load_dataset", "load_game"):
+            monkeypatch.setattr(f"spotground.cli.{name}", TestRejectedBeforeLoading.forbidden)
+        out = tmp_path / "out"
+        assert run([command, "infer", "--model", str(ckpt), "--data", str(tmp_path / "data"),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ShapeError: g half 1 has 40 feature columns, but {ckpt} "
+                              f"reads 32") and len(err.splitlines()) == 1, err
         assert not out.exists()
 
 
@@ -556,11 +616,13 @@ class TestRejectedBeforeLoading:
             ("--jobs", ["--jobs", "0"]),
         ])
         calls = []  # --filter 0 still disables the filter
-        monkeypatch.setattr("spotground.cli._load_head", lambda path, *checks, **kw: path)
+        model = SimpleNamespace(config=SimpleNamespace(input_dim=16))
+        monkeypatch.setattr("spotground.cli._load_head", lambda path, *checks, **kw: model)
+        monkeypatch.setattr("spotground.cli.check_feature_widths", lambda *args: None)
         monkeypatch.setattr("spotground.cli._map_games",
                             lambda fn, data, jobs, *args: calls.append(args) or [])
         assert run([*command, "--out", str(tmp_path / "out"), "--filter", "0"]) == 0
-        assert calls == [(str(tmp_path / "m.sgckpt"), 5, 0)]
+        assert calls == [(model, 5, 0)]
 
     @pytest.mark.parametrize("argv, needle", [
         (["ground", "train", "--data", "{tmp}", "--offset-weight", "-1"], "--offset-weight"),
@@ -1028,6 +1090,24 @@ class TestMissingPredictionFile:
         assert len(err.strip("\n").splitlines()) == 1, err
         assert str(preds / "g1" / name) in err, err
         assert not (tmp_path / "out").exists()
+
+    def test_fuse_needs_one_for_a_game_with_replays(self, tmp_path, capsys):
+        labels = TestStatedGameIdMismatch._labels(tmp_path)
+        spots = TestStatedGameIdMismatch._doc(tmp_path, "spotting.json", "g1")
+        argv = ["ground", "fuse", "--spot-preds", str(spots), "--labels", str(labels)]
+        assert run([*argv, "--out", str(tmp_path / "ok")]) == 0
+        (spots / "g1" / "spotting.json").unlink()
+        code = run([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: FileNotFoundError:"), err
+        assert len(err.strip("\n").splitlines()) == 1, err
+        assert str(spots / "g1" / "spotting.json") in err, err
+        assert not (tmp_path / "out").exists()
+        # a game without replays needs none
+        (labels / "g1" / "labels.json").write_text(json.dumps(
+            {"annotations": [{"gameTime": "1 - 00:05", "label": "Goal"}]}))
+        assert run([*argv, "--out", str(tmp_path / "no_replays")]) == 0
+        assert "fused spotting into 0 replay queries" in capsys.readouterr().out
 
 
 class TestPredictionReaders:

@@ -173,19 +173,19 @@ class TestReplayAverageAp:
     ground` runs."""
 
     def test_perfect_top_predictions(self):
-        preds_per_query = [[GroundingPrediction("g", 1, 100, 0.9)],
-                           [GroundingPrediction("g", 1, 300, 0.8)]]
+        preds_per_query = [[GroundingPrediction(100, 0.9)],
+                           [GroundingPrediction(300, 0.8)]]
         assert replay_ap_report(preds_per_query, [102, 298])["average_ap"] == 1.0
 
     def test_all_beyond_max_tolerance(self):
-        preds_per_query = [[GroundingPrediction("g", 1, 100, 0.9)]]
+        preds_per_query = [[GroundingPrediction(100, 0.9)]]
         assert replay_ap_report(preds_per_query, [400])["average_ap"] == 0.0
 
     def test_two_query_hand_enumeration(self):
         # q0: TP at conf .9; q1: FP at conf .8 then TP at conf .6
         preds_per_query = [
-            [GroundingPrediction("g", 1, 100, 0.9)],
-            [GroundingPrediction("g", 1, 350, 0.8), GroundingPrediction("g", 1, 201, 0.6)],
+            [GroundingPrediction(100, 0.9)],
+            [GroundingPrediction(350, 0.8), GroundingPrediction(201, 0.6)],
         ]
         got = replay_ap_report(preds_per_query, [100, 200], tolerances=[5])["average_ap"]
         # ranks: .9 TP (p=1, r=.5), .8 FP, .6 TP (p=2/3, r=1)
@@ -194,8 +194,8 @@ class TestReplayAverageAp:
     def test_queries_cannot_share_ground_truth(self):
         # both queries predict near q0's event; only q0's prediction may match
         preds_per_query = [
-            [GroundingPrediction("g", 1, 100, 0.5)],
-            [GroundingPrediction("g", 1, 100, 0.9)],
+            [GroundingPrediction(100, 0.5)],
+            [GroundingPrediction(100, 0.9)],
         ]
         got = replay_ap_report(preds_per_query, [100, 500], tolerances=[5])["average_ap"]
         # rank 1 (q1) is an FP: its own GT is at 500

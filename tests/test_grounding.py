@@ -22,6 +22,7 @@ from spotground.grounding import (
 from spotground.nn import (
     GROUND_GRADCHECK_CONFIG,
     EncoderConfig,
+    Workspace,
     bce_plus_l2,
     encoder_forward_batch,
     init_encoder_params,
@@ -66,7 +67,7 @@ class TestSampling:
             assert 0.0 <= off <= 1.0 and cs + off * 30 == 160
         # the candidate row at the offset is the event row
         X = _pair_sequences([feats.data], [0] * 4, [cs for cs, _ in positives],
-                            np.array([[200, 210]]), feats.data.dtype)
+                            np.array([[200, 210]]), feats.data.dtype, None)
         for x, (cs, _) in zip(X, positives):
             np.testing.assert_array_equal(x[160 - cs], feats.data[160])
             np.testing.assert_array_equal(x, _want_pair(feats.data, cs, 200, 210))
@@ -77,7 +78,8 @@ class TestSampling:
         pairs = sample_grounding_pairs(_replay(start=200, end=210, event=80), feats, rng)
         positives = [(cs, off) for cs, label, off in pairs if label == 1]
         assert positives == [(80, 0.0)] * 4
-        X = _pair_sequences([feats.data], [0], [80], np.array([[200, 210]]), feats.data.dtype)
+        X = _pair_sequences([feats.data], [0], [80], np.array([[200, 210]]), feats.data.dtype,
+                            None)
         np.testing.assert_array_equal(X[0, 0], feats.data[80])
         np.testing.assert_array_equal(X[0], _want_pair(feats.data, 80, 200, 210))
 
@@ -112,7 +114,7 @@ class TestSampling:
     def test_replay_clip_truncated_to_30s(self):
         feats = make_features(T=400, D=8)
         X = _pair_sequences([feats.data], [0, 0], [100, 150], np.array([[200, 280]]),
-                            feats.data.dtype)
+                            feats.data.dtype, None)
         assert X.shape == (2, 60, 8)
         np.testing.assert_array_equal(X[:, :30], [feats.data[100:130], feats.data[150:180]])
         np.testing.assert_array_equal(X[:, 30:], [feats.data[200:230]] * 2)
@@ -128,11 +130,25 @@ class TestSampling:
         # past their half's end
         which = [0, 2, 1, 0, 2, 0, 1, 2, 0, 3]
         starts = [0, 0, 7, 120, 65, 131, 149, 89, 150, 40]
-        X = _pair_sequences([datas[h] for h in halves], which, starts, intervals, dtype)
+        X = _pair_sequences([datas[h] for h in halves], which, starts, intervals, dtype, None)
         want = np.stack([_want_pair(datas[halves[r]], cs, *intervals[r])
                          for r, cs in zip(which, starts)])
         assert X.dtype == want.dtype == dtype
         np.testing.assert_array_equal(X, want)
+
+    def test_pair_sequences_in_a_reused_workspace(self):
+        """Gathered into a workspace whose "batch" buffer holds NaN from an
+        earlier use, the sequences view that buffer and match a fresh gather."""
+        rng = np.random.default_rng(5)
+        datas = [rng.normal(size=(120, 4)).astype(np.float32)]
+        intervals = np.array([(100, 112)])
+        which, starts = [0, 0, 0], [95, 10, 60]
+        fresh = _pair_sequences(datas, which, starts, intervals, np.float32, None)
+        ws = Workspace()
+        ws.array("batch", (2 * len(starts), 30, 4), np.float32)[:] = np.nan
+        got = _pair_sequences(datas, which, starts, intervals, np.float32, ws)
+        assert np.shares_memory(got, ws.array("batch", (2 * len(starts), 30, 4), np.float32))
+        assert got.tobytes() == fresh.tobytes()
 
     def test_training_epoch_matches_stacked_windows(self, monkeypatch):
         """The first epoch, gathered by the training step as one shuffled
@@ -163,7 +179,7 @@ class TestSampling:
 
         monkeypatch.setattr(grounding, "fit", first_batch)
         monkeypatch.setattr(grounding, "encoder_forward_batch", forward)
-        spec = TrainSpec(mode="ultra", epochs=1, mixup_alpha=0.0, seed=3)
+        spec = TrainSpec(epochs=1, seed=3)
         train_grounding(halves, spec, config=_config())
         X, perm = seen["x"], seen["perm"]
         _, _, labels, offsets = seen["data"]
@@ -249,8 +265,7 @@ def _grounding_halves(seed=21, n_halves=4, sigma=0.0):
 def trained_grounding():
     """One noiseless training run shared by the behavioural tests."""
     halves = _grounding_halves()
-    spec = TrainSpec(mode="ultra", lr=5e-4, epochs=20, batch_size=16,
-                     mixup_alpha=0.0, seed=2)
+    spec = TrainSpec(lr=5e-4, epochs=20, batch_size=16, seed=2)
     model = train_grounding(halves, spec, config=_config())
     return halves, model
 
@@ -273,7 +288,7 @@ class TestTrainGrounding:
                 X.append(_pair_sequences([gh.features.data], [0] * len(pairs),
                                          [cs for cs, _, _ in pairs],
                                          np.array([[rp.replay_start_s, rp.replay_end_s]]),
-                                         gh.features.data.dtype))
+                                         gh.features.data.dtype, None))
                 labels.extend(label for _, label, _ in pairs)
         X, labels = np.concatenate(X), np.array(labels)
         seg = np.repeat([[0] * 30 + [1] * 30], len(X), axis=0)  # candidate, replay
@@ -296,8 +311,7 @@ class TestTrainGrounding:
         from spotground.checkpoint import save_model
 
         halves = _grounding_halves(n_halves=2)
-        spec = TrainSpec(mode="ultra", lr=2e-4, epochs=2, batch_size=16,
-                         mixup_alpha=0.0, seed=9)
+        spec = TrainSpec(lr=2e-4, epochs=2, batch_size=16, seed=9)
         config = _config(dropout_p=0.1)
         paths = []
         for name in ("a", "b"):
@@ -326,7 +340,7 @@ class TestTrainingMemory:
         halves = [GameHalf(f, e, r) for f, e, r in synth_dataset(cfg, seed=3)]
         replays = sum(len(gh.replays) for gh in halves)
         assert replays == 128
-        spec = TrainSpec(mode="ultra", lr=1e-3, epochs=1, batch_size=8, seed=1)
+        spec = TrainSpec(lr=1e-3, epochs=1, batch_size=8, seed=1)
         config = EncoderConfig(input_dim=256, output_dim=2, model_dim=16, num_layers=1,
                                num_heads=2, hidden_dim=32, dropout_p=0.1, num_segments=2)
         tracemalloc.start()
@@ -364,12 +378,12 @@ class TestInferGrounding:
 
 class TestFilter:
     def test_threshold_100(self):
-        preds = [GroundingPrediction("g", 1, t, 0.5) for t in (90, 150, 210)]
+        preds = [GroundingPrediction(t, 0.5) for t in (90, 150, 210)]
         kept = filter_predictions(preds, 200, 100)
         assert [p.time_s for p in kept] == [150]
 
     def test_threshold_120_keeps_90(self):
-        preds = [GroundingPrediction("g", 1, t, 0.5) for t in (90, 150, 210)]
+        preds = [GroundingPrediction(t, 0.5) for t in (90, 150, 210)]
         kept = filter_predictions(preds, 200, 120)
         assert [p.time_s for p in kept] == [90, 150]
 
@@ -377,7 +391,7 @@ class TestFilter:
         assert filter_predictions([], 100, 100) == []
 
     def test_subset_and_idempotent(self, rng):
-        preds = [GroundingPrediction("g", 1, int(t), 0.5)
+        preds = [GroundingPrediction(int(t), 0.5)
                  for t in rng.integers(0, 400, 60)]
         once = filter_predictions(preds, 250, 100)
         assert set(p.time_s for p in once) <= set(p.time_s for p in preds)
@@ -490,8 +504,8 @@ class TestMergeNms:
         assert minmax_normalize([]) == []
 
     def test_close_pair_keeps_higher(self):
-        a = [GroundingPrediction("g", 1, 100, 0.9), GroundingPrediction("g", 1, 50, 0.2)]
-        b = [GroundingPrediction("g", 1, 110, 0.6), GroundingPrediction("g", 1, 40, 0.1)]
+        a = [GroundingPrediction(100, 0.9), GroundingPrediction(50, 0.2)]
+        b = [GroundingPrediction(110, 0.6), GroundingPrediction(40, 0.1)]
         out = merge_nms(a, b, 25)
         # after per-source normalization the two sources' tops are both 1.0;
         # 100 vs 110 are within 25 so one survives
@@ -500,10 +514,10 @@ class TestMergeNms:
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(1000):
-            a = [GroundingPrediction("g", 1, int(rng.integers(0, 200)),
+            a = [GroundingPrediction(int(rng.integers(0, 200)),
                                      float(rng.integers(0, 100)) / 100.0)
                  for _ in range(int(rng.integers(0, 25)))]
-            b = [GroundingPrediction("g", 1, int(rng.integers(0, 200)),
+            b = [GroundingPrediction(int(rng.integers(0, 200)),
                                      float(rng.integers(0, 100)) / 100.0)
                  for _ in range(int(rng.integers(0, 25)))]
             window = int(rng.integers(1, 40))
@@ -511,7 +525,7 @@ class TestMergeNms:
             assert got == pytest.approx(_merge_oracle(a, b, window))
 
     def test_survivor_gaps(self, rng):
-        a = [GroundingPrediction("g", 1, int(t), float(c) / 100.0)
+        a = [GroundingPrediction(int(t), float(c) / 100.0)
              for t, c in zip(rng.integers(0, 300, 30), rng.integers(0, 100, 30))]
         out = merge_nms(a, [], 25)
         times = sorted(p.time_s for p in out)

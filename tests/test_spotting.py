@@ -20,11 +20,11 @@ from spotground.nn import (
     softmax,
 )
 from spotground.spotting import (
-    DatasetSplits,
     NetVLADConfig,
     SpotPrediction,
     TrainSpec,
     _chunk_samples,
+    _eval_loss,
     default_spot_epochs,
     default_spot_lr,
     fit,
@@ -38,6 +38,7 @@ from spotground.spotting import (
     select_predictions,
     spot_game,
     train_spotting,
+    training_model,
 )
 from spotground.synth import SynthConfig, synth_dataset
 from spotground.vocab import BACKGROUND_INDEX, DEFAULT_VOCAB
@@ -57,8 +58,7 @@ class TestMakeChunks:
     def test_tiling_count_and_padding(self):
         feats = make_features(T=100, D=4)
         assert make_chunks(feats, [], 7).shape == (15, 18)
-        which, starts, _, windows = _chunk_samples([GameHalf(feats)], TrainSpec(chunk_size_s=7),
-                                                   DEFAULT_VOCAB)
+        which, starts, _, windows = _chunk_samples([GameHalf(feats)], 7, DEFAULT_VOCAB)
         X = windows(which, starts)
         assert X.shape == (15, 7, 4)
         assert np.all(X[-1, 2:] == 0.0)  # rows 100..104 padded
@@ -78,8 +78,7 @@ class TestMakeChunks:
 
     def test_partition_property(self):
         feats = make_features(T=101, D=3)
-        which, starts, Y, windows = _chunk_samples([GameHalf(feats)], TrainSpec(chunk_size_s=7),
-                                                   DEFAULT_VOCAB)
+        which, starts, Y, windows = _chunk_samples([GameHalf(feats)], 7, DEFAULT_VOCAB)
         X = windows(which, starts)
         assert len(X) == len(Y) == len(range(0, 105, 7))
         np.testing.assert_array_equal(X.reshape(-1, 3)[:101], feats.data)
@@ -97,8 +96,7 @@ class TestMakeChunks:
                                          data=rng.normal(size=(T, 5)).astype(dtype)),
                            [make_event(int(T * 0.6), "Goal", game_id=f"g{i}")])
                   for i, (T, dtype) in enumerate(zip(lengths, dtypes))]
-        which, starts, Y, windows = _chunk_samples(halves, TrainSpec(chunk_size_s=L),
-                                                   DEFAULT_VOCAB)
+        which, starts, Y, windows = _chunk_samples(halves, L, DEFAULT_VOCAB)
         want_x = np.stack([padded_window(gh.features.data, start, L)
                            for gh in halves for start in range(0, gh.features.duration_s, L)])
         want_y = np.concatenate([make_chunks(gh.features, gh.events, L) for gh in halves])
@@ -199,11 +197,11 @@ class TestNetVLAD:
         params = init_netvlad_params(config, np.random.default_rng(2))
         x = rng.normal(size=(3, 8, 5))
         _, cache = netvlad_forward_batch(params, config, x)
-        for half_key, rows in (("past", x[:, :4]), ("future", x[:, 4:])):
+        for i, (half_key, rows) in enumerate((("past", x[:, :4]), ("future", x[:, 4:]))):
             centers = params[f"vlad.{half_key}.centers"]
             expected = rows.mean(axis=1) - centers[0]  # assignments are all 1 for k=1
             expected /= np.linalg.norm(expected, axis=1, keepdims=True)
-            got = cache[half_key]["normed"][:, 0, :]
+            got = cache["vlad"][:, i, 0, :]
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_identical_frames_symmetric_descriptors(self, rng):
@@ -214,9 +212,7 @@ class TestNetVLAD:
         frame = rng.normal(size=4)
         x = np.tile(frame, (1, 6, 1))
         _, cache = netvlad_forward_batch(params, config, x)
-        np.testing.assert_allclose(
-            cache["past"]["normed"], cache["future"]["normed"], atol=1e-12
-        )
+        np.testing.assert_allclose(cache["vlad"][:, 0], cache["vlad"][:, 1], atol=1e-12)
 
     def test_descriptor_unit_norm(self, rng):
         """The logits are those of the unit-norm descriptor, which the
@@ -512,11 +508,10 @@ def _tiny_halves(seed=11, sigma=0.0, halves=2):
 def trained_two_class():
     """Noiseless two-class training shared by the behavioural tests."""
     halves = _tiny_halves(seed=13)
-    spec = TrainSpec(mode="ultra", lr=1e-3, epochs=25, batch_size=8, chunk_size_s=7,
-                     mixup_alpha=0.0, seed=4)
+    spec = TrainSpec(lr=1e-3, epochs=25, batch_size=8, seed=4)
     config = EncoderConfig(input_dim=16, output_dim=18, model_dim=16, num_layers=1,
                            num_heads=2, hidden_dim=32, dropout_p=0.0)
-    model = train_spotting(DatasetSplits(train=halves), spec, config=config)
+    model = train_spotting(halves, [], spec, config, chunk_size_s=7, mixup_alpha=0.0)
     return halves, spec, model
 
 
@@ -526,8 +521,6 @@ class TestTraining:
         assert default_spot_epochs("transformer") == 50
         assert default_spot_lr("netvlad") == 1e-4
         assert default_spot_epochs("netvlad") == 40
-        spec = TrainSpec()
-        assert (spec.chunk_size_s, spec.mixup_alpha) == (7, 0.2)
 
     def test_loss_decreases(self, trained_two_class):
         _, _, model = trained_two_class
@@ -535,8 +528,8 @@ class TestTraining:
         assert losses[9] < losses[0]
 
     def test_event_chunk_argmax_recovers_planted_class(self, trained_two_class):
-        halves, spec, model = trained_two_class
-        which, starts, Y, windows = _chunk_samples(halves, spec, DEFAULT_VOCAB)
+        halves, _, model = trained_two_class
+        which, starts, Y, windows = _chunk_samples(halves, 7, DEFAULT_VOCAB)
         events = Y[:, BACKGROUND_INDEX] != 1.0
         assert events.sum() >= 10
         logits, _ = encoder_forward_batch(model.params, model.config,
@@ -553,10 +546,9 @@ class TestTraining:
 
     def test_netvlad_loss_decreases(self):
         halves = _tiny_halves()
-        spec = TrainSpec(mode="ultra", lr=1e-3, epochs=8, batch_size=8, chunk_size_s=8,
-                         mixup_alpha=0.0, seed=2)
+        spec = TrainSpec(lr=1e-3, epochs=8, batch_size=8, seed=2)
         config = NetVLADConfig(input_dim=16, clusters=4)
-        model = train_spotting(DatasetSplits(train=halves), spec, config)
+        model = train_spotting(halves, [], spec, config, chunk_size_s=8, mixup_alpha=0.0)
         assert model.kind == KIND_SPOT_NETVLAD
         assert {a.dtype for a in float_arrays(model.params)} == {np.dtype(np.float32)}
         assert model.history[-1]["train_loss"] < model.history[0]["train_loss"]
@@ -565,13 +557,12 @@ class TestTraining:
         from spotground.checkpoint import save_model
 
         halves = _tiny_halves()
-        spec = TrainSpec(mode="ultra", lr=1e-3, epochs=3, batch_size=8, chunk_size_s=7,
-                         mixup_alpha=0.2, seed=7)
+        spec = TrainSpec(lr=1e-3, epochs=3, batch_size=8, seed=7)
         config = EncoderConfig(input_dim=16, output_dim=18, model_dim=16, num_layers=1,
                                num_heads=2, hidden_dim=32, dropout_p=0.1)
         paths = []
         for name in ("a", "b"):
-            model = train_spotting(DatasetSplits(train=halves), spec, config=config)
+            model = train_spotting(halves, [], spec, config, chunk_size_s=7, mixup_alpha=0.2)
             path = tmp_path / f"{name}.sgckpt"
             save_model(path, model)
             paths.append(path)
@@ -579,40 +570,58 @@ class TestTraining:
 
     def test_regular_mode_selects_best_validation(self):
         halves = _tiny_halves(halves=2)
-        splits = DatasetSplits(train=[halves[0]], valid=[halves[1]])
-        spec = TrainSpec(mode="regular", lr=1e-3, epochs=5, batch_size=8, chunk_size_s=7,
-                         mixup_alpha=0.0, seed=1)
+        spec = TrainSpec(lr=1e-3, epochs=5, batch_size=8, seed=1)
         config = EncoderConfig(input_dim=16, output_dim=18, model_dim=16, num_layers=1,
                                num_heads=2, hidden_dim=32, dropout_p=0.0)
-        model = train_spotting(splits, spec, config=config)
+        model = train_spotting([halves[0]], [halves[1]], spec, config, chunk_size_s=7,
+                               mixup_alpha=0.0)
         assert "valid_loss" in model.history[0]
         # returned parameters are the snapshot with the lowest validation loss
-        from spotground.spotting import _eval_loss
-
-        valid = _chunk_samples(splits.valid, spec, DEFAULT_VOCAB)
-        returned_loss = _eval_loss(model, *valid, spec.batch_size)
+        valid = _chunk_samples([halves[1]], 7, DEFAULT_VOCAB)
+        returned_loss = _eval_loss(model, *valid, spec.batch_size, Workspace())
         assert returned_loss == pytest.approx(
             min(h["valid_loss"] for h in model.history), abs=1e-12
         )
 
     def test_spec_rejects_non_positive_lr_and_negative_mixup(self):
         for bad in ({"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")},
-                    {"mixup_alpha": -0.1}, {"epochs": 0}, {"batch_size": 0}):
+                    {"epochs": 0}, {"batch_size": 0}):
             with pytest.raises(ShapeError, match=next(iter(bad))):
                 TrainSpec(**bad)
-        assert TrainSpec(mixup_alpha=0.0).mixup_alpha == 0.0
-
-    def test_regular_mode_requires_valid_split(self):
-        halves = _tiny_halves()
-        spec = TrainSpec(mode="regular", epochs=1)
-        with pytest.raises(ParseError):
-            train_spotting(DatasetSplits(train=halves), spec,
-                           EncoderConfig(input_dim=16, output_dim=18))
+        for mixup_alpha in (-0.1, float("nan")):  # rejected before any chunk is cut
+            with pytest.raises(ShapeError, match="mixup_alpha"):
+                train_spotting([], [], TrainSpec(epochs=1), NetVLADConfig(input_dim=16),
+                               chunk_size_s=8, mixup_alpha=mixup_alpha)
 
     def test_empty_dataset(self):
         spec = TrainSpec(epochs=1)
         with pytest.raises(ParseError):
-            train_spotting(DatasetSplits(train=[]), spec, NetVLADConfig(input_dim=16))
+            train_spotting([], [], spec, NetVLADConfig(input_dim=16), chunk_size_s=8,
+                           mixup_alpha=0.0)
+
+    def test_eval_loss_reuses_the_workspace(self):
+        """A second validation pass in one workspace gathers and runs every
+        batch in the buffers of the first: it allocates less than one
+        gathered batch."""
+        cfg = SynthConfig(duration_s=200, feature_dim=256, num_classes=2, events_per_class=3,
+                          min_gap_s=25, num_halves=2)
+        halves = [GameHalf(f, e, r) for f, e, r in synth_dataset(cfg, seed=5)]
+        config = EncoderConfig(input_dim=256, output_dim=18, model_dim=16, num_layers=1,
+                               num_heads=2, hidden_dim=32, dropout_p=0.0)
+        model = training_model(KIND_SPOT_TRANSFORMER, config, DEFAULT_VOCAB,
+                               init_encoder_params(config, np.random.default_rng(0)))
+        samples = _chunk_samples(halves, 7, DEFAULT_VOCAB)
+        batch_size, ws = 16, Workspace()
+        first = _eval_loss(model, *samples, batch_size, ws)
+        tracemalloc.start()
+        try:
+            second = _eval_loss(model, *samples, batch_size, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert second == first
+        batch_bytes = batch_size * 7 * 256 * np.dtype(np.float32).itemsize
+        assert peak < batch_bytes, (peak, batch_bytes)
 
 
 class TestTrainingMemory:
@@ -629,7 +638,7 @@ class TestTrainingMemory:
 
     @pytest.mark.parametrize("head", ["transformer", "netvlad", "grounding"])
     def test_training_peak_is_below_half_the_loaded_features(self, halves, head):
-        spec = TrainSpec(mode="ultra", lr=1e-3, epochs=1, batch_size=8, chunk_size_s=8, seed=1)
+        spec = TrainSpec(lr=1e-3, epochs=1, batch_size=8, seed=1)
         small = dict(model_dim=16, num_layers=1, num_heads=2, hidden_dim=32, dropout_p=0.1)
         tracemalloc.start()
         try:
@@ -637,11 +646,11 @@ class TestTrainingMemory:
                 train_grounding(halves, spec, config=EncoderConfig(
                     input_dim=256, output_dim=2, num_segments=2, **small))
             elif head == "netvlad":
-                train_spotting(DatasetSplits(train=halves), spec,
-                               NetVLADConfig(input_dim=256, clusters=4))
+                train_spotting(halves, [], spec, NetVLADConfig(input_dim=256, clusters=4),
+                               chunk_size_s=8, mixup_alpha=0.2)
             else:
-                train_spotting(DatasetSplits(train=halves), spec,
-                               config=EncoderConfig(input_dim=256, output_dim=18, **small))
+                config = EncoderConfig(input_dim=256, output_dim=18, **small)
+                train_spotting(halves, [], spec, config, chunk_size_s=8, mixup_alpha=0.2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -686,11 +695,10 @@ class TestSpotGame:
                           events_per_class=4, noise_sigma=0.0, min_gap_s=30,
                           num_halves=2)
         halves = [GameHalf(f, e, r) for f, e, r in synth_dataset(cfg, seed=13)]
-        spec = TrainSpec(mode="ultra", lr=1e-3, epochs=20, batch_size=8, chunk_size_s=7,
-                         mixup_alpha=0.0, seed=4)
+        spec = TrainSpec(lr=1e-3, epochs=20, batch_size=8, seed=4)
         config = EncoderConfig(input_dim=16, output_dim=18, model_dim=16, num_layers=1,
                                num_heads=2, hidden_dim=32, dropout_p=0.0)
-        model = train_spotting(DatasetSplits(train=halves), spec, config=config)
+        model = train_spotting(halves, [], spec, config, chunk_size_s=7, mixup_alpha=0.0)
         for gh in halves:
             preds = spot_game(model, gh.features, 7, 20, threshold=0.05)
             assert len(preds) == len(gh.events)
