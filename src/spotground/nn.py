@@ -98,6 +98,11 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e
 
 
+# elements per block of an element-wise chain run a block at a time, so
+# that each block's arrays stay in cache between the chain's passes
+CACHE_BLOCK = 65536
+
+
 class Workspace:
     """Named reusable buffers, one flat array per (name, dtype), grown to the
     largest request so far; a smaller batch gets a leading slice. Also
@@ -620,41 +625,47 @@ def adam_step(
 
     The element-wise arithmetic is the per-tensor update's, in the same
     order, so the result does not depend on how the parameters are laid
-    out. A non-finite gradient raises before anything is updated.
+    out; it runs over blocks of CACHE_BLOCK elements, which stay in cache
+    between its passes. A non-finite gradient raises before anything is
+    updated: it makes the sum of squares non-finite, and only then is
+    each element checked.
     """
     if len(params) != len(state.views) or any(
         params.get(n) is not view for n, view in zip(state.names, state.views)
     ):
         raise ConsistencyError("parameters no longer view the optimizer's buffer")
-    g, s = state.g, state.scratch
+    g = state.g
     np.concatenate([grads[n].reshape(-1) for n in state.names], out=g)
-    if not np.isfinite(g).all():
-        ends = np.cumsum([view.size for view in state.views])
-        first = np.flatnonzero(~np.isfinite(g))[0]
-        bad = state.names[int(np.searchsorted(ends, first, side="right"))]
-        raise NumericError(f"non-finite gradient for {bad}")
-    with np.errstate(over="ignore"):
-        norm = math.sqrt(float(g @ g))
-    if math.isinf(norm):  # every element is finite, so only the sum of squares overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = math.sqrt(float(g @ g))  # not finite if any element is NaN or +-inf
+    if not math.isfinite(norm):
+        if not np.isfinite(g).all():
+            ends = np.cumsum([view.size for view in state.views])
+            first = np.flatnonzero(~np.isfinite(g))[0]
+            bad = state.names[int(np.searchsorted(ends, first, side="right"))]
+            raise NumericError(f"non-finite gradient for {bad}")
+        # every element is finite, so only the sum of squares overflowed
         norm = float(np.linalg.norm(g.astype(np.float64)))
 
     b1, b2 = ADAM_BETAS
     state.step += 1
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    m, v = state.m, state.v
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=s)
-    v *= b2
-    np.multiply(g, 1.0 - b2, out=s)
-    v += np.multiply(s, g, out=s)
-    np.divide(v, c2, out=s)  # s: the denominator sqrt(v / c2) + eps
-    np.sqrt(s, out=s)
-    s += ADAM_EPS
-    np.divide(m, c1, out=g)  # g: the update lr * (m / c1) / s
-    g *= lr
-    g /= s
-    state.flat -= g
+    for lo in range(0, g.size, CACHE_BLOCK):
+        flat, m, v, gb, s = (a[lo : lo + CACHE_BLOCK]
+                             for a in (state.flat, state.m, state.v, g, state.scratch))
+        m *= b1
+        m += np.multiply(gb, 1.0 - b1, out=s)
+        v *= b2
+        np.multiply(gb, 1.0 - b2, out=s)
+        v += np.multiply(s, gb, out=s)
+        np.divide(v, c2, out=s)  # s: the denominator sqrt(v / c2) + eps
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        np.divide(m, c1, out=gb)  # gb: the update lr * (m / c1) / s
+        gb *= lr
+        gb /= s
+        flat -= gb
     return norm
 
 

@@ -6,10 +6,13 @@ stride, assigns probabilities to window centers and reduces the per-class
 score series with greedy temporal NMS.
 
 The NetVLAD head writes into an `nn.Workspace`, with the encoder's buffer
-lifetimes; its row norms and reductions are BLAS products, and its
-descriptor's L2 norm is folded into the output products, so the
-normalised (B, 2KD) descriptor is never formed. A training step also
-gathers and mixes up its batch in the workspace.
+lifetimes; its row norms and reductions are BLAS products. Both of its
+normalisations are folded into per-row scalars: the forward scales each
+raw row's output product by its inverse norm, and the backward hands the
+centre, mass and assignment gradients the row gradient as two terms,
+g - alpha v, so neither the normalised rows nor their gradient is ever
+formed. A training step also gathers and mixes up its batch in the
+workspace.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import bisect
 import copy
 import logging
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -26,6 +30,7 @@ from .checkpoint import KIND_SPOT_NETVLAD, KIND_SPOT_TRANSFORMER, Model
 from .data import EventAnnotation, FeatureSequence, GameHalf, gather_windows
 from .errors import ParseError, ShapeError
 from .nn import (
+    CACHE_BLOCK,
     AdamState,
     _check_finite,
     _glorot,
@@ -152,18 +157,26 @@ def mixup(xb: np.ndarray, yb: np.ndarray, alpha: float, rng: np.random.Generator
     The rng draws the partner permutation, then one Beta(alpha, alpha)
     coefficient lam per sample; inputs and targets both become
     lam * own + (1 - lam) * partner, so targets stay on the simplex. The
-    mixed inputs view the workspace.
+    inputs are mixed a block of samples at a time, CACHE_BLOCK elements or
+    one sample, so each block's passes run in cache. The mixed inputs view
+    the workspace.
     """
     if len(xb) != len(yb):
         raise ShapeError(f"mixup batch sizes differ: {len(xb)} inputs vs {len(yb)} targets")
     ws = Workspace() if workspace is None else workspace
     partner = rng.permutation(len(xb))
     lam = rng.beta(alpha, alpha, size=(len(xb), 1)).astype(xb.dtype)
-    mixed = np.multiply(lam[:, :, None], xb, out=ws.array("mixup", xb.shape, xb.dtype))
-    other = np.take(xb, partner, axis=0, out=ws.array("mixup.partner", xb.shape, xb.dtype),
-                    mode="clip")  # a permutation: in range, and "clip" skips a buffered copy
-    other *= 1.0 - lam[:, :, None]
-    mixed += other
+    own, other = lam[:, :, None], 1.0 - lam[:, :, None]
+    mixed = ws.array("mixup", xb.shape, xb.dtype)
+    step = max(1, CACHE_BLOCK // math.prod(xb.shape[1:]))
+    scratch = ws.array("mixup.partner", (min(step, len(xb)), *xb.shape[1:]), xb.dtype)
+    for lo in range(0, len(xb), step):
+        hi = min(lo + step, len(xb))
+        np.multiply(own[lo:hi], xb[lo:hi], out=mixed[lo:hi])
+        part = np.take(xb, partner[lo:hi], axis=0, out=scratch[: hi - lo],
+                       mode="clip")  # a permutation: in range, and "clip" skips a buffered copy
+        part *= other[lo:hi]
+        mixed[lo:hi] += part
     return mixed, lam * yb + (1.0 - lam) * yb[partner]
 
 
@@ -217,8 +230,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _vlad_half_forward(params, prefix, xh, vlad, ws: Workspace):
-    """Writes one half's VLAD rows, sum_t assign[t, k] * (xh[t] - c[k]),
-    into vlad (B, K, D), which the caller then normalises in place."""
+    """Writes one half's raw VLAD rows, sum_t assign[t, k] * (xh[t] - c[k]),
+    into vlad (B, K, D)."""
     logits = xh @ params[prefix + "assign_w"] + params[prefix + "assign_b"]
     assign = softmax(logits)  # (B, Th, K)
     mass = assign.sum(axis=1)  # (B, K)
@@ -232,9 +245,13 @@ def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray,
                           workspace: Workspace | None = None):
     """Past/future VLAD descriptors, intra- then L2-normalized, to logits.
 
-    The descriptors are the (B, 2KD) rows of the (B, 2, K, D) intra-
-    normalised buffer; their L2 norm s is folded into the output product,
-    logits = (desc @ W) / s + b. Logits and cache view the workspace.
+    Neither normalisation is applied to the rows. The 2K raw rows v_k
+    (both halves' clusters, in descriptor order) meet their blocks W_k of
+    the output weight in one batched product P_k = v_k @ W_k, and with n_k
+    = ||v_k|| and s = sqrt(number of non-zero rows), the descriptor's norm
+    once every row is unit or zero, logits = (sum_k P_k / n_k) / s + b.
+    A zero row has inverse norm 0 and adds nothing. Logits and cache view
+    the workspace.
     """
     x = np.asarray(x, dtype=params["vlad.out.w"].dtype)
     if x.ndim != 3:
@@ -245,17 +262,20 @@ def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray,
     if D != config.input_dim:
         raise ShapeError(f"input dim {D} != configured {config.input_dim}")
     ws = Workspace() if workspace is None else workspace
-    dt, half = x.dtype, L // 2
+    dt, half, R, O = x.dtype, L // 2, 2 * config.clusters, config.output_dim
     vlad = ws.array("vlad", (B, 2, config.clusters, D), dt)
     rec_p = _vlad_half_forward(params, "vlad.past.", x[:, :half], vlad[:, 0], ws)
     rec_f = _vlad_half_forward(params, "vlad.future.", x[:, half:], vlad[:, 1], ws)
-    norms = np.sqrt(_row_dots(vlad, vlad))
-    vlad /= np.where(norms > 0.0, norms, 1.0)
-    desc = vlad.reshape(B, -1)
-    desc_norms = np.sqrt(_row_dots(desc, desc))
-    logits = np.matmul(desc, params["vlad.out.w"],
-                       out=ws.array("vlad.logits", (B, config.output_dim), dt))
-    logits /= np.where(desc_norms > 0.0, desc_norms, 1.0)
+    rows = vlad.reshape(B, R, D)
+    norms = np.sqrt(_row_dots(rows, rows))[..., 0]  # (B, 2K)
+    inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    products = np.matmul(rows.transpose(1, 0, 2), params["vlad.out.w"].reshape(R, D, O),
+                         out=ws.array("vlad.products", (R, B, O), dt))
+    logits = np.matmul(inv_norms[:, None, :], products.transpose(1, 0, 2),
+                       out=ws.array("vlad.logits", (B, 1, O), dt))[:, 0]
+    # s, or 1 for a zero descriptor, whose sum is 0 already
+    scale = np.maximum(np.sqrt(np.count_nonzero(inv_norms, axis=1, keepdims=True), dtype=dt), 1.0)
+    logits /= scale
     logits += params["vlad.out.b"]
     _check_finite(logits, "NetVLAD output projection")
     cache = {
@@ -264,68 +284,91 @@ def netvlad_forward_batch(params, config: NetVLADConfig, x: np.ndarray,
         "past": rec_p,
         "future": rec_f,
         "vlad": vlad,
-        "norms": norms,
-        "desc_norms": desc_norms,
+        "inv_norms": inv_norms,
+        "products": products,
+        "scale": scale,
     }
     return logits, cache
 
 
-def _l2_normalize_backward(dy, y, norms, tmp):
-    """dL/dv from dL/dy for the forward's rowwise y = v / ||v||, written
-    over dy: (dy - y <y, dy>) / ||v||. Zero rows (norms 0) pass zero
-    gradient; tmp is scratch of dy's shape."""
-    dy -= np.multiply(y, _row_dots(y, dy), out=tmp)
-    dy /= np.where(norms > 0.0, norms, np.inf)
-    return dy
+def _row_backward(products, inv_norms, dz, w, ws: Workspace):
+    """The intra-normalisation backward, folded into per-row terms.
+
+    For row k with y_k = v_k / n_k and upstream dy_k = dz @ W_k.T, d loss /
+    d v_k = (dy_k - y_k <y_k, dy_k>) / n_k = g_k - alpha_k v_k, where u_k =
+    dz / n_k, g_k = u_k @ W_k.T and alpha_k = (P_k . dz) / n_k^3. Returns
+    u (2K, B, O), g (B, 2K, D) and alpha (2K, B); a zero row gets all
+    three zero. Neither dy nor d loss / d v is formed.
+    """
+    (R, B, O), D = products.shape, w.shape[1]
+    inv = inv_norms.T  # (2K, B)
+    u = np.multiply(inv[:, :, None], dz, out=ws.array("vlad.u", (R, B, O), dz.dtype))
+    g = ws.array("vlad.g", (B, R, D), dz.dtype)
+    np.matmul(u, w.transpose(0, 2, 1), out=g.transpose(1, 0, 2))
+    alpha = np.sum(products * u, axis=-1)
+    alpha *= inv
+    alpha *= inv
+    return u, g, alpha
 
 
-def _vlad_half_backward(params, prefix, rec, dvlad, grad, ws: Workspace):
+def _vlad_half_backward(params, prefix, rec, v, g, alpha, u, w, grad, ws: Workspace):
+    """Gradients of one half's parameters from its rows' terms: v and g
+    (B, K, D), alpha (K, B), u (K, B, O) and its blocks w (K, D, O) of the
+    output weight. Each consumer of d loss / d v = g - alpha v is linear
+    in it, so takes g and alpha v apart."""
     xh, assign, mass = rec["xh"], rec["assign"], rec["mass"]
-    B, K, D = dvlad.shape
-    by_cluster = dvlad.transpose(1, 0, 2)  # (K, B, D)
+    K, D = v.shape[1:]
+    centers = params[prefix + "centers"]
+    by_cluster = v.transpose(1, 0, 2)  # (K, B, D)
+    # - sum_b mass_bk dv_bk = sum_b mass_bk alpha_bk v_bk - W_k sum_b mass_bk u_bk
     dcenters = grad(prefix + "centers")
-    np.matmul(mass.T[:, None, :], by_cluster, out=dcenters[:, None, :])
-    np.negative(dcenters, out=dcenters)
-    center_dots = _row_dots(by_cluster, params[prefix + "centers"][:, None, :])  # -dmass
-    dassign = xh @ dvlad.transpose(0, 2, 1)
-    dassign -= center_dots[:, :, 0].T[:, None, :]
+    np.matmul((mass.T * alpha)[:, None, :], by_cluster, out=dcenters[:, None, :])
+    dcenters -= (w @ np.matmul(mass.T[:, None, :], u).transpose(0, 2, 1))[..., 0]
+    # dmass_bk = - <dv_bk, c_k> = alpha_bk <v_bk, c_k> - (c_k W_k) . u_bk
+    dmass = alpha * _row_dots(by_cluster, centers[:, None, :])[..., 0]
+    dmass -= np.matmul(u, np.matmul(centers[:, None, :], w).transpose(0, 2, 1))[..., 0]
+    dassign = xh @ g.transpose(0, 2, 1)  # (B, Th, K)
+    dassign -= alpha.T[:, None, :] * (xh @ v.transpose(0, 2, 1))
+    dassign += dmass.T[:, None, :]
     dlogits = assign * (dassign - (dassign * assign).sum(axis=-1, keepdims=True))
-    # summed per-sample products: xh.reshape(-1, D) would copy the strided half
-    per_sample = np.matmul(dlogits.transpose(0, 2, 1), xh,
-                           out=ws.array("vlad.tmp", (B, K, D), xh.dtype))
-    np.sum(per_sample, axis=0, out=grad(prefix + "assign_w").T)
+    # summed per-frame (D, B) @ (B, K) products: xh.reshape(-1, D) would
+    # copy the strided half
+    per_frame = np.matmul(xh.transpose(1, 2, 0), dlogits.transpose(1, 0, 2),
+                          out=ws.array("vlad.per_frame", (xh.shape[1], D, K), xh.dtype))
+    np.sum(per_frame, axis=0, out=grad(prefix + "assign_w"))
     np.sum(dlogits, axis=(0, 1), out=grad(prefix + "assign_b"))
 
 
 def netvlad_backward(cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the cached forward, written into its workspace.
 
-    With out_desc = desc / s, d loss / d (desc @ W) is dz = dlogits / s. It
-    gives the output weight gradient and, times W.T, the descriptor
-    gradient with the descriptor L2 backward's 1 / s applied. That
-    backward's other term, desc * <out_desc, dlogits @ W.T> / s, is a
-    multiple of each unit or zero intra-normalised row of desc, which the
-    intra-normalisation backward projects out exactly; so it is not formed.
+    With dz = dlogits / s, the output weight's block k gets v_k.T @ (dz /
+    n_k), and the rows' gradient is left as `_row_backward`'s terms. The
+    descriptor-level L2 backward keeps only its 1 / s: its other term is a
+    multiple of each unit or zero row y_k, which the intra-normalisation
+    backward projects out exactly.
     """
     params, ws = cache["params"], cache["workspace"]
     w = params["vlad.out.w"]
     dlogits = np.asarray(dlogits, dtype=w.dtype)
-    vlad, desc_norms = cache["vlad"], cache["desc_norms"]
-    desc = vlad.reshape(len(vlad), -1)
+    vlad = cache["vlad"]
+    B, _, K, D = vlad.shape
+    blocks = w.reshape(2 * K, D, -1)
     grads: dict[str, np.ndarray] = {}
 
     def grad(name):
         grads[name] = ws.array("grad." + name, params[name].shape, w.dtype)
         return grads[name]
 
-    dz = dlogits / np.where(desc_norms > 0.0, desc_norms, 1.0)
-    np.matmul(desc.T, dz, out=grad("vlad.out.w"))
+    u, g, alpha = _row_backward(cache["products"], cache["inv_norms"],
+                                dlogits / cache["scale"], blocks, ws)
+    np.matmul(vlad.reshape(B, 2 * K, D).transpose(1, 2, 0), u,
+              out=grad("vlad.out.w").reshape(blocks.shape))
     np.sum(dlogits, axis=0, out=grad("vlad.out.b"))
-    ddesc = np.matmul(dz, w.T, out=ws.array("vlad.ddesc", desc.shape, w.dtype))
-    dvlad = _l2_normalize_backward(ddesc.reshape(vlad.shape), vlad, cache["norms"],
-                                   ws.array("vlad.tmp", vlad.shape, w.dtype))
-    _vlad_half_backward(params, "vlad.past.", cache["past"], dvlad[:, 0], grad, ws)
-    _vlad_half_backward(params, "vlad.future.", cache["future"], dvlad[:, 1], grad, ws)
+    for i, half in enumerate(("past", "future")):
+        k = slice(i * K, (i + 1) * K)
+        _vlad_half_backward(params, f"vlad.{half}.", cache[half], vlad[:, i],
+                            g[:, k], alpha[k], u[k], blocks[k], grad, ws)
     return grads
 
 
@@ -489,8 +532,9 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int) -> 
     The window centred on second t starts at second t - chunk // 2 and has
     zero rows outside the half. The transformer's input projection acts on
     each row alone, so its windows slide over the half's rows embedded
-    once; a zero pad row embeds to in.b * sqrt(model_dim). Every batch
-    reuses one workspace.
+    once; a zero pad row embeds to in.b * sqrt(model_dim). NetVLAD gathers
+    each batch's windows from the half itself, with no padded copy of it.
+    Every batch reuses one workspace.
     """
     if chunk_size_s < 1:
         raise ShapeError("chunk size must be >= 1")
@@ -507,21 +551,19 @@ def score_series(model: Model, features: FeatureSequence, chunk_size_s: int) -> 
             hi = min(lo + SCORE_BATCH, T)
             padded[left + lo : left + hi] = embed_input(model.params, model.config,
                                                         data[lo:hi], ws)
-    else:
-        padded = np.zeros((T + chunk_size_s - 1, D), dtype=data.dtype)
-        padded[left : left + T] = data
-    windows = np.lib.stride_tricks.sliding_window_view(padded, chunk_size_s, axis=0)
-    windows = windows.transpose(0, 2, 1)  # (T, chunk, width)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, chunk_size_s, axis=0)
+        windows = windows.transpose(0, 2, 1)  # (T, chunk, model_dim)
     probs = np.empty((T, NUM_OUTPUT_CLASSES))
     for lo in range(0, T, SCORE_BATCH):
-        xb = windows[lo : lo + SCORE_BATCH]
+        hi = min(lo + SCORE_BATCH, T)
         if embedded:  # its first step copies the strided windows into the workspace
-            logits = encoder_forward_embedded(model.params, model.config, xb, workspace=ws)
+            logits = encoder_forward_embedded(model.params, model.config, windows[lo:hi],
+                                              workspace=ws)
         else:
-            contiguous = ws.array("windows", xb.shape, xb.dtype)
-            np.copyto(contiguous, xb)
-            logits, _ = _head_forward(model, contiguous, ws)
-        probs[lo : lo + logits.shape[0]] = softmax(logits)
+            xb = gather_windows([data], [0] * (hi - lo), range(lo - left, hi - left),
+                                chunk_size_s, data.dtype, ws)
+            logits, _ = _head_forward(model, xb, ws)
+        probs[lo:hi] = softmax(logits)
     return probs
 
 

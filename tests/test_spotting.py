@@ -25,6 +25,7 @@ from spotground.spotting import (
     TrainSpec,
     _chunk_samples,
     _eval_loss,
+    _row_backward,
     default_spot_epochs,
     default_spot_lr,
     fit,
@@ -127,8 +128,8 @@ class _FixedDraws:
 
 class TestMixup:
     @staticmethod
-    def _batch(classes, seed=0):
-        x = np.random.default_rng(seed).normal(size=(len(classes), 7, 4))
+    def _batch(classes, seed=0, width=4):
+        x = np.random.default_rng(seed).normal(size=(len(classes), 7, width))
         y = np.zeros((len(classes), 18))
         y[np.arange(len(classes)), classes] = 1.0
         return x, y
@@ -160,11 +161,12 @@ class TestMixup:
             mixup(x, y[:2], 0.2, rng)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_reused_workspace_keeps_the_arithmetic(self, dtype):
+    @pytest.mark.parametrize("width", [4, 4096])  # 4096: a block holds two samples
+    def test_a_reused_workspace_keeps_the_arithmetic(self, dtype, width):
         """Bit-equal to lam * x + (1 - lam) * x[partner] from the same draws."""
         ws = Workspace()
-        for seed, n in enumerate((6, 2, 6)):
-            x, y = self._batch(list(range(n)), seed)
+        for seed, n in enumerate((6, 2, 6, 5)):
+            x, y = self._batch(list(range(n)), seed, width)
             x = x.astype(dtype)
             xm, ym = mixup(x, y, 0.2, np.random.default_rng(seed), ws)
             draws = np.random.default_rng(seed)
@@ -201,7 +203,7 @@ class TestNetVLAD:
             centers = params[f"vlad.{half_key}.centers"]
             expected = rows.mean(axis=1) - centers[0]  # assignments are all 1 for k=1
             expected /= np.linalg.norm(expected, axis=1, keepdims=True)
-            got = cache["vlad"][:, i, 0, :]
+            got = _normalised_rows(cache)[:, i, 0, :]
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_identical_frames_symmetric_descriptors(self, rng):
@@ -221,7 +223,7 @@ class TestNetVLAD:
         params = init_netvlad_params(config, np.random.default_rng(4))
         x = rng.normal(size=(5, 10, 6))
         logits, cache = netvlad_forward_batch(params, config, x)
-        out_desc = cache["vlad"].reshape(5, -1) / cache["desc_norms"]
+        out_desc = _normalised_rows(cache).reshape(5, -1) / cache["scale"]
         np.testing.assert_allclose(np.linalg.norm(out_desc, axis=1), 1.0, atol=1e-10)
         np.testing.assert_allclose(logits, out_desc @ params["vlad.out.w"] + params["vlad.out.b"],
                                    rtol=1e-12, atol=1e-15)
@@ -257,23 +259,23 @@ class TestNetVLAD:
         assert grad_check(params, loss_fn, trials=60, rng=np.random.default_rng(7)) < 1e-5
 
     def test_normalize_backward_from_the_cached_output(self, rng):
-        from spotground.spotting import _l2_normalize_backward
-
-        v = rng.normal(size=(3, 4, 5))
-        v[1, 2] = 0.0
-        dy = rng.normal(size=v.shape)
+        """The folded row terms give d(v / |v|): g - alpha v = (dy - y <y, dy>)
+        / |v| with dy = dz W_k.T, and a zero row passes nothing."""
+        config, params, x, _ = _netvlad_case(np.float64, zero_row=True)
+        _, cache = netvlad_forward_batch(params, config, x)
+        B, R, D = len(x), 2 * config.clusters, config.input_dim
+        w = params["vlad.out.w"].reshape(R, D, -1)
+        dz = rng.normal(size=(B, config.output_dim))
+        _, g, alpha = _row_backward(cache["products"], cache["inv_norms"], dz, w, Workspace())
+        v = cache["vlad"].reshape(B, R, D)
+        got = g - alpha.T[:, :, None] * v
+        y = _normalised_rows(cache).reshape(B, R, D)
+        dy = np.einsum("bo,rdo->brd", dz, w)
         norms = np.linalg.norm(v, axis=-1, keepdims=True)
-        y = v / np.where(norms > 0.0, norms, 1.0)
-        got = _l2_normalize_backward(dy.copy(), y, norms, np.empty_like(dy))
-        # d(v / |v|) = (dy - y (y . dy)) / |v|, and a zero row passes nothing
         want = (dy - y * (y * dy).sum(axis=-1, keepdims=True)) / np.maximum(norms, 1e-300)
-        want[1, 2] = 0.0
+        want[norms[..., 0] == 0.0] = 0.0
+        assert (norms == 0.0).sum() == 1 and not got[0, 0].any()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-        # a multiple of a unit or zero row y, as the descriptor-level step's
-        # correction is, changes nothing: the step projects it out
-        shifted = _l2_normalize_backward(dy - y * rng.normal(size=(3, 1, 1)), y, norms,
-                                         np.empty_like(dy))
-        np.testing.assert_allclose(shifted, want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_step_stays_in_the_parameters_dtype(self, rng, dtype):
@@ -293,6 +295,13 @@ class TestNetVLAD:
         arrays = float_arrays([logits, cache, grads, params, state.m, state.v])
         assert len(arrays) > 30
         assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+
+
+def _normalised_rows(cache):
+    """The intra-normalised rows y = v / |v| (zero rows stay zero) of a
+    forward's cache, from its raw rows and inverse norms."""
+    vlad = cache["vlad"]
+    return vlad * cache["inv_norms"].reshape(*vlad.shape[:3], 1)
 
 
 def _reference_normalize(v):
@@ -341,16 +350,22 @@ def _reference_netvlad(params, config, x, dlogits_of):
     return logits, grads
 
 
-def _netvlad_case(dtype, B=6, L=8, D=40, K=3, seed=0):
+def _netvlad_case(dtype, B=6, L=8, D=40, K=3, seed=0, zero_row=False):
     """Parameters, input and targets; sample 0 and the centres are zero, so
-    sample 0 has zero VLAD rows and a zero descriptor."""
+    sample 0 has zero VLAD rows and a zero descriptor. With zero_row, only
+    past centre 0 and sample 0's past frames are zero, so sample 0's first
+    row is zero and its other rows, -mass_k c_k and the future's, are not."""
     config = NetVLADConfig(input_dim=D, output_dim=18, clusters=K)
     rng = np.random.default_rng(seed)
     params = {k: v.astype(dtype) for k, v in init_netvlad_params(config, rng).items()}
     params["vlad.out.b"][:] = rng.normal(size=18)
-    params["vlad.past.centers"][:] = params["vlad.future.centers"][:] = 0.0
     x = rng.normal(size=(B, L, D)).astype(dtype)
-    x[0] = 0.0
+    if zero_row:
+        params["vlad.past.centers"][0] = 0.0
+        x[0, : L // 2] = 0.0
+    else:
+        params["vlad.past.centers"][:] = params["vlad.future.centers"][:] = 0.0
+        x[0] = 0.0
     return config, params, x, np.eye(18)[rng.integers(0, 18, B)]
 
 
@@ -358,6 +373,19 @@ def _netvlad_step(params, config, x, targets, workspace=None):
     logits, cache = netvlad_forward_batch(params, config, x, workspace)
     _, dlogits = cross_entropy_soft(logits, targets)
     return logits, netvlad_backward(cache, dlogits)
+
+
+def _assert_float64_matches_reference(config, params, x, targets):
+    """Logits and every gradient within 1e-12 of the oracle's; returns the logits."""
+    logits, grads = _netvlad_step(params, config, x, targets)
+    want_logits, want = _reference_netvlad(
+        params, config, x, lambda lg: cross_entropy_soft(lg, targets)[1])
+    assert _max_rel_diff(logits, want_logits) < 1e-12
+    assert sorted(grads) == sorted(want)
+    for name in want:
+        assert grads[name].shape == want[name].shape, name
+        assert _max_rel_diff(grads[name], want[name]) < 1e-12, name
+    return logits
 
 
 def _max_rel_diff(got, want) -> float:
@@ -375,16 +403,19 @@ class TestNetVLADAgainstReference:
                                        dict(B=2, L=2, D=5, K=1), dict(B=9, L=12, K=4)])
     def test_float64_logits_and_grads_match(self, shape):
         config, params, x, targets = _netvlad_case(np.float64, **shape)
-        logits, grads = _netvlad_step(params, config, x, targets)
-        want_logits, want = _reference_netvlad(
-            params, config, x, lambda lg: cross_entropy_soft(lg, targets)[1])
-        assert _max_rel_diff(logits, want_logits) < 1e-12
-        assert sorted(grads) == sorted(want)
-        for name in want:
-            assert grads[name].shape == want[name].shape, name
-            assert _max_rel_diff(grads[name], want[name]) < 1e-12, name
+        logits = _assert_float64_matches_reference(config, params, x, targets)
         # the zero sample: logits are the bias, and its VLAD rows pass nothing
         np.testing.assert_array_equal(logits[0], params["vlad.out.b"])
+
+    def test_float64_zero_row_beside_non_zero_rows(self):
+        """One zero row in a sample, where the norm is not differentiable:
+        it adds nothing to the logits or any gradient, its sample's
+        descriptor norm counts only the other rows, and no finite
+        difference is taken."""
+        config, params, x, targets = _netvlad_case(np.float64, zero_row=True)
+        _, cache = netvlad_forward_batch(params, config, x)
+        assert cache["inv_norms"][0, 0] == 0.0 and np.count_nonzero(cache["inv_norms"] == 0) == 1
+        _assert_float64_matches_reference(config, params, x, targets)
 
     def test_float32_difference_is_pinned(self):
         config, params, x, targets = _netvlad_case(np.float32, B=32, D=256, K=4)
@@ -418,6 +449,17 @@ class TestNetVLADAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 * 4 * 512 * 4, peak  # one (B, 2KD) float32 descriptor
+
+    def test_only_the_raw_rows_and_g_are_descriptor_sized(self):
+        """Neither the normalised rows nor their gradient is formed: a fresh
+        workspace ends one step with two buffers of B * 2K * D elements."""
+        config, params, x, targets = _netvlad_case(np.float32)
+        B, _, D = x.shape
+        ws = Workspace()
+        _netvlad_step(params, config, x, targets, ws)
+        sized = sorted(name for (name, _), flat in ws._flat.items()
+                       if flat.size == B * 2 * config.clusters * D)
+        assert sized == ["vlad", "vlad.g"]
 
 
 def _brute_force_nms(preds, window_s):
@@ -762,6 +804,20 @@ class TestScoreSeries:
                 probs = score_series(model, feats, chunk)
                 np.testing.assert_allclose(probs, _window_reference(model, feats.data, chunk),
                                            rtol=0, atol=1e-12)
+
+    def test_netvlad_scoring_allocates_less_than_one_copy_of_the_half(self):
+        config = NetVLADConfig(input_dim=256, clusters=4)
+        params = {k: v.astype(np.float32)
+                  for k, v in init_netvlad_params(config, np.random.default_rng(23)).items()}
+        model = Model(KIND_SPOT_NETVLAD, config, list(DEFAULT_VOCAB), params)
+        feats = make_features(T=2700, D=256)
+        tracemalloc.start()
+        try:
+            score_series(model, feats, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < feats.data.nbytes, peak
 
     def test_chunk_below_one_rejected(self):
         with pytest.raises(ShapeError):
