@@ -597,8 +597,12 @@ def cmd_eval_spot(args, cfg) -> list[Path]:
     tolerances = _parse_tolerances(cfg["tolerances"])
     vocab = _load_vocab_arg(args.vocab)
     preds_dir = Path(args.preds)
+    labels = _game_labels(Path(args.labels), vocab)
+    for path in sorted(preds_dir.glob("*/spotting.json")):
+        if path.parent.name not in labels:
+            raise ParseError(f"{path}: game {path.parent.name!r} has no labels under --labels")
     all_preds, all_gts = [], []
-    for game_id, (events, _) in _game_labels(Path(args.labels), vocab).items():
+    for game_id, (events, _) in labels.items():
         all_gts.extend(events)
         spot_path = preds_dir / game_id / "spotting.json"
         all_preds.extend(read_spot_predictions(spot_path, vocab, game_id))

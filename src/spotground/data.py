@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .jsonio import json_document, objects
-from .nn import Workspace
+from .nn import CACHE_BLOCK, Workspace
 from .npyio import read_npy_file, read_npy_shape
 from .vocab import DEFAULT_VOCAB
 
@@ -47,7 +47,8 @@ class FeatureSequence:
             raise DomainError(f"half must be 1 or 2, got {self.half}")
         if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise ShapeError(f"feature matrix must be T x D with T,D >= 1, got {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
+        # the extremes are NaN or infinite if any value is: no (T, D) mask is made
+        if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise ShapeError("feature matrix contains non-finite values")
 
     @property
@@ -158,7 +159,9 @@ def combine_features(sources: list[FeatureSequence]) -> FeatureSequence:
 
     All sources must describe the same game half; lengths may differ by at
     most LENGTH_SLACK_S seconds and are truncated to the shortest. Frames
-    with zero norm are kept as zero vectors and counted in a warning.
+    with zero norm are kept as zero vectors and counted in a warning. Each
+    source is normalised a block of rows at a time straight into its
+    columns of the one (T, sum of widths) float32 result.
     """
     if not sources:
         raise ShapeError("combine_features needs at least one source")
@@ -174,27 +177,35 @@ def combine_features(sources: list[FeatureSequence]) -> FeatureSequence:
     if t_max - t_min > LENGTH_SLACK_S:
         raise AlignmentError(f"source lengths {lengths} differ by more than {LENGTH_SLACK_S} s")
 
+    widths = [src.dim for src in sources]
+    out = np.empty((t_min, sum(widths)), dtype=np.float32)
     zero_frames = 0
-    blocks = []
-    for src in sources:
-        block = src.data[:t_min].astype(np.float32, copy=True)
-        with np.errstate(over="ignore"):  # a value above ~1.8e19 overflows the float32 norm
-            norms = np.linalg.norm(block, axis=1, keepdims=True)
-        big = np.isinf(norms[:, 0])
-        if big.any():  # every value is finite, so those frames normalise in float64
-            wide = block[big].astype(np.float64)
-            block[big] = wide / np.linalg.norm(wide, axis=1, keepdims=True)
-            norms[big] = 1.0
-        zero = norms[:, 0] == 0.0
-        zero_frames += int(zero.sum())
-        norms[zero] = 1.0  # leave zero frames untouched
-        block /= norms
-        blocks.append(block)
+    for src, hi in zip(sources, np.cumsum(widths).tolist()):
+        rows = max(CACHE_BLOCK // src.dim, 1)
+        for lo in range(0, t_min, rows):
+            end = min(lo + rows, t_min)
+            block = src.data[lo:end].astype(np.float32, copy=False)
+            zero_frames += _normalize_rows(block, out[lo:end, hi - src.dim : hi])
     if zero_frames:
         logger.warning(
             "combine_features: %d zero-norm frame(s) left as zero vectors", zero_frames
         )
-    return FeatureSequence(first.game_id, first.half, np.concatenate(blocks, axis=1))
+    return FeatureSequence(first.game_id, first.half, out)
+
+
+def _normalize_rows(block: np.ndarray, out: np.ndarray) -> int:
+    """out = block's rows divided by their float32 L2 norms; returns the
+    number of zero rows, which stay zero."""
+    with np.errstate(over="ignore"):  # a value above ~1.8e19 overflows the float32 norm
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+    big = np.isinf(norms[:, 0])
+    zero = norms[:, 0] == 0.0
+    norms[big | zero] = 1.0
+    np.divide(block, norms, out=out)
+    if big.any():  # every value is finite, so those frames normalise in float64
+        wide = block[big].astype(np.float64)
+        out[big] = wide / np.linalg.norm(wide, axis=1, keepdims=True)
+    return int(zero.sum())
 
 
 def gather_windows(datas: list[np.ndarray], which, starts, length_s: int, dtype,

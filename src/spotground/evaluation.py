@@ -21,32 +21,70 @@ DEFAULT_TOLERANCES: tuple[int, ...] = tuple(range(5, 61, 5))
 SVG_WIDTH, SVG_HEIGHT = 640, 360
 
 
-def _match_flags(entries, gts_by_group, tolerance_s):
-    """Greedy one-to-one matching.
+def _match_flags(keys, times, gt_keys, gt_times, tolerances) -> np.ndarray:
+    """Greedy one-to-one matching at every tolerance: TP flags of shape
+    (len(tolerances), len(keys)).
 
-    entries: (group_key, time, confidence) already sorted by descending
-    confidence. Returns a TP flag per entry; each ground truth time can
-    absorb only one prediction, the closest candidate wins (ties to the
-    earlier ground truth).
+    Entries come in rank order; an entry may match only the ground truths
+    of its own key. Per tolerance and key, each entry in turn takes the
+    nearest unused ground truth within the tolerance (ties to the earlier
+    one), if there is one.
+
+    The (tolerance, key) problems run in lockstep. A round gives every
+    problem's first entry that has an unused ground truth within reach its
+    nearest one, and drops the entries before it: a ground truth, once
+    used, stays used, so they never match. So there are at most as many
+    rounds as the most ground truths any key has.
     """
-    gts_by_group = {key: sorted(times) for key, times in gts_by_group.items()}
-    matched: dict = {key: np.zeros(len(times), dtype=bool) for key, times in gts_by_group.items()}
-    flags = np.zeros(len(entries), dtype=bool)
-    for i, (key, t, _conf) in enumerate(entries):
-        times = gts_by_group.get(key)
-        if times is None:
-            continue
-        used = matched[key]
-        best = None
-        for j, gt in enumerate(times):
-            if used[j]:
-                continue
-            d = abs(t - gt)
-            if d <= tolerance_s and (best is None or d < best[0]):
-                best = (d, j)
-        if best is not None:
-            used[best[1]] = True
-            flags[i] = True
+    tols = np.asarray(tolerances)
+    flags = np.zeros((len(tols), len(keys)), dtype=bool)
+    if not len(keys) or not len(gt_keys):
+        return flags
+    reach = max(int(tols.max()), 0)  # times are whole seconds
+    gt_order = np.lexsort((gt_times, gt_keys))
+    gk, gt = gt_keys[gt_order], gt_times[gt_order]
+    # each entry's window of ground truths within reach, as ranks in (key,
+    # time) order; times are clipped to just beyond every ground truth's
+    # reach, which keeps the composite (key, time) values small
+    lo_t, hi_t = int(gt.min()) - reach - 1, int(gt.max()) + reach + 1
+    span = hi_t - lo_t + reach + 1
+    times = np.clip(times, lo_t, hi_t)
+    ranks, at = gk * span + (gt - lo_t), keys * span + (times - lo_t)
+    first = np.searchsorted(ranks, at - reach)
+    last = np.searchsorted(ranks, at + reach, "right")
+    width = int((last - first).max())
+    if width == 0:
+        return flags
+    # window slots nearest first, ties to the earlier ground truth; slots
+    # outside the window sort last
+    slot = first[:, None] + np.arange(width)
+    dist = np.where(slot < last[:, None],
+                    np.abs(times[:, None] - gt[np.minimum(slot, len(gt) - 1)]), reach + 1)
+    nearest_first = np.argsort(dist, axis=1, kind="stable")
+    dist = np.take_along_axis(dist, nearest_first, axis=1)
+    slot = np.take_along_axis(slot, nearest_first, axis=1)
+
+    # one row per (tolerance, entry) pair that has a ground truth in reach,
+    # in (tolerance, key, rank) order: the flat indices of its in-reach
+    # ground truths in `used`, where the last element, always set, pads
+    used = np.zeros(len(tols) * len(gt) + 1, dtype=bool)
+    used[-1] = True
+    order = np.argsort(keys, kind="stable")  # key by key, rank order within each
+    dist, slot = dist[order], slot[order]
+    k, e = np.nonzero(dist[:, 0] <= tols[:, None])
+    rows = k * len(keys) + order[e]
+    cells = np.where(dist[e] <= tols[k, None], k[:, None] * len(gt) + slot[e], len(used) - 1)
+    problems = k * (int(keys.max()) + 1) + keys[order[e]]
+    while len(rows):
+        free = ~used[cells]
+        live = np.flatnonzero(free.any(axis=1))
+        if not len(live):
+            break
+        rows, cells, problems, free = rows[live], cells[live], problems[live], free[live]
+        head = np.flatnonzero(np.diff(problems, prepend=-1))  # each problem's first live entry
+        used[cells[head, free[head].argmax(axis=1)]] = True
+        flags.flat[rows[head]] = True
+        cells[head] = len(used) - 1
     return flags
 
 
@@ -62,22 +100,11 @@ def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
     return float(envelope[flags].sum() / n_gt)
 
 
-def _sorted_entries(preds):
-    # descending confidence; deterministic tie order by time then class
-    return sorted(preds, key=lambda e: (-e[2], e[1], e[0]))
-
-
-def _class_entries(preds, gts, label):
-    """One class's rank-ordered (group, time, confidence) entries, its
-    ground-truth times per (game, half) group and its ground-truth count."""
-    entries = _sorted_entries(
-        [((p.game_id, p.half), p.time_s, p.confidence) for p in preds if p.label == label]
-    )
-    gts_by_group: dict = {}
-    for g in gts:
-        if g.label == label:
-            gts_by_group.setdefault((g.game_id, g.half), []).append(g.time_s)
-    return entries, gts_by_group, sum(len(times) for times in gts_by_group.values())
+def _rank_order(classes, keys, times, confidences) -> np.ndarray:
+    """Entry indices class by class, each class in rank order: descending
+    confidence, then time, then key (the key orders like the (game_id,
+    half) or query it stands for), ties keeping input order."""
+    return np.lexsort((keys, times, -np.asarray(confidences, dtype=float), classes))
 
 
 @dataclass
@@ -125,29 +152,41 @@ def average_map(
     """
     if not tolerances:
         raise ShapeError("tolerance list must be non-empty")
-    if vocab is None:
-        labels = sorted({g.label for g in gts} | {p.label for p in preds})
-    else:
-        labels = list(vocab)
-    active = [
-        lb
-        for lb in labels
-        if any(g.label == lb for g in gts) or any(p.label == lb for p in preds)
-    ]
+    pred_labels = [p.label for p in preds]
+    gt_labels = [g.label for g in gts]
+    seen = set(gt_labels) | set(pred_labels)
+    labels = sorted(seen) if vocab is None else list(vocab)
+    active = list(dict.fromkeys(lb for lb in labels if lb in seen))
+    index = {lb: c for c, lb in enumerate(active)}
+    halves = {h: i for i, h in enumerate(sorted({(p.game_id, p.half) for p in preds}
+                                                | {(g.game_id, g.half) for g in gts}))}
+    # a class's matching problem per (game, half): class-major, halves in order
+    p_cls = np.array([index.get(lb, -1) for lb in pred_labels], dtype=np.int64)
+    p_key = p_cls * len(halves) + np.array([halves[p.game_id, p.half] for p in preds],
+                                           dtype=np.int64)
+    p_time = np.array([p.time_s for p in preds], dtype=np.int64)
+    p_conf = np.array([p.confidence for p in preds], dtype=float)
+    ranked = np.flatnonzero(p_cls >= 0)
+    ranked = ranked[_rank_order(p_cls[ranked], p_key[ranked], p_time[ranked], p_conf[ranked])]
+    g_cls = np.array([index.get(lb, -1) for lb in gt_labels], dtype=np.int64)
+    g_key = g_cls * len(halves) + np.array([halves[g.game_id, g.half] for g in gts],
+                                           dtype=np.int64)
+    counted = g_cls >= 0
+    flags = _match_flags(p_key[ranked], p_time[ranked], g_key[counted],
+                         np.array([g.time_s for g in gts], dtype=np.int64)[counted], tolerances)
+    bounds = np.searchsorted(p_cls[ranked], np.arange(len(active) + 1)).tolist()
+    n_gt = np.bincount(g_cls[counted], minlength=len(active)).tolist()
 
     per_class: dict[str, list[tuple[int, float]]] = {lb: [] for lb in active}
-    by_class = {lb: _class_entries(preds, gts, lb) for lb in active}
     map_per_tol: dict[int, float] = {}
     counts: dict[int, dict[str, int]] = {}
-    for tol in tolerances:
+    for tol, row in zip(tolerances, flags):
         aps = []
-        tp_total = 0
-        for lb, (entries, gts_by_group, n_gt) in by_class.items():
-            flags = _match_flags(entries, gts_by_group, tol)
-            ap = _ap_from_flags(flags, n_gt)
+        for c, lb in enumerate(active):
+            ap = _ap_from_flags(row[bounds[c] : bounds[c + 1]], n_gt[c])
             per_class[lb].append((tol, ap))
             aps.append(ap)
-            tp_total += int(flags.sum())
+        tp_total = int(row.sum())
         map_per_tol[tol] = float(np.mean(aps)) if aps else 0.0
         counts[tol] = {
             "matched": tp_total,
@@ -169,24 +208,20 @@ def replay_ap_report(preds_per_query, gt_times, tolerances=DEFAULT_TOLERANCES) -
         raise ShapeError("one ground-truth event per query is required")
     if not tolerances:
         raise ShapeError("tolerance list must be non-empty")
-    entries = _sorted_entries(
-        [
-            (q, p.time_s, p.confidence)
-            for q, preds in enumerate(preds_per_query)
-            for p in preds
-        ]
-    )
-    gts_by_group = {q: [t] for q, t in enumerate(gt_times)}
-    per_tol = {}
-    for tol in tolerances:
-        flags = _match_flags(entries, gts_by_group, tol)
-        per_tol[tol] = _ap_from_flags(flags, len(gt_times))
+    queries = np.array([q for q, preds in enumerate(preds_per_query) for _ in preds],
+                       dtype=np.int64)
+    pooled = [p for preds in preds_per_query for p in preds]
+    times = np.array([p.time_s for p in pooled], dtype=np.int64)
+    ranked = _rank_order(np.zeros_like(queries), queries, times, [p.confidence for p in pooled])
+    flags = _match_flags(queries[ranked], times[ranked], np.arange(len(gt_times)),
+                         np.array(gt_times, dtype=np.int64), tolerances)
+    per_tol = {tol: _ap_from_flags(row, len(gt_times)) for tol, row in zip(tolerances, flags)}
     avg = float(np.mean([per_tol[t] for t in tolerances])) if gt_times else 0.0
     return {
         "average_ap": avg,
         "ap_per_tolerance": per_tol,
         "num_queries": len(gt_times),
-        "num_predictions": len(entries),
+        "num_predictions": len(pooled),
     }
 
 

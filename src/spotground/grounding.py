@@ -29,7 +29,7 @@ from .nn import (
     init_encoder_params,
     sigmoid,
 )
-from .spotting import SpotPrediction, TrainSpec, _greedy_nms, fit, training_model
+from .spotting import SpotPrediction, TrainSpec, _nms_keep, fit, training_model
 
 logger = logging.getLogger(__name__)
 
@@ -293,4 +293,5 @@ def merge_nms(
     for preds in (preds_a, preds_b):
         for p, conf in zip(preds, minmax_normalize([p.confidence for p in preds])):
             pool.append(GroundingPrediction(p.time_s, conf))
-    return sorted(_greedy_nms(pool, window_s), key=lambda p: p.time_s)
+    keep = _nms_keep([p.time_s for p in pool], [p.confidence for p in pool], window_s)
+    return sorted((pool[i] for i in keep), key=lambda p: p.time_s)

@@ -9,7 +9,9 @@ Anything else is rejected with a specific error rather than guessed at.
 from __future__ import annotations
 
 import ast
+import io
 import struct
+from typing import BinaryIO
 
 import numpy as np
 
@@ -20,20 +22,21 @@ VERSION = (1, 0)
 _HEADER_ALIGN = 64
 
 
-def _parse_header(stream: bytes) -> tuple[tuple[int, int], int]:
-    """The (rows, cols) shape and the payload offset that the header of an
-    NPY v1.0 stream declares, with parse_npy's header errors."""
-    if len(stream) < 10 or stream[:6] != MAGIC:
+def _read_header(stream) -> tuple[int, int]:
+    """The (rows, cols) shape that the header of an NPY v1.0 stream
+    declares, read from a binary stream left at the payload's first byte."""
+    prefix = stream.read(10)
+    if len(prefix) < 10 or prefix[:6] != MAGIC:
         raise FormatError("not an NPY stream (bad magic)")
-    major, minor = stream[6], stream[7]
+    major, minor = prefix[6], prefix[7]
     if (major, minor) != VERSION:
         raise FormatError(f"unsupported NPY version {major}.{minor}, expected 1.0")
-    (header_len,) = struct.unpack("<H", stream[8:10])
-    header_end = 10 + header_len
-    if len(stream) < header_end:
+    (header_len,) = struct.unpack("<H", prefix[8:10])
+    text = stream.read(header_len)
+    if len(text) < header_len:
         raise TruncationError("stream ends inside the header")
     try:
-        header = ast.literal_eval(stream[10:header_end].decode("latin1"))
+        header = ast.literal_eval(text.decode("latin1"))
     except (ValueError, SyntaxError, TypeError, RecursionError) as exc:  # TypeError: {[]: 1}
         raise FormatError(f"malformed NPY header: {exc}") from exc
     if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
@@ -52,24 +55,31 @@ def _parse_header(stream: bytes) -> tuple[tuple[int, int], int]:
         or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
     ):
         raise UnsupportedLayoutError(f"shape {shape!r} is not a 2-D shape")
-    return shape, header_end
+    return shape
 
 
-def parse_npy(stream: bytes) -> np.ndarray:
-    """Decode an NPY v1.0 byte stream into a (T, D) float32 matrix.
+def parse_npy(stream: bytes | BinaryIO) -> np.ndarray:
+    """Decode an NPY v1.0 stream, bytes or a binary file at its first byte,
+    into a (T, D) float32 matrix. The payload is read straight into the
+    matrix, with no intermediate copy.
 
     Raises FormatError for bad magic/version/header syntax,
     UnsupportedLayoutError for any dtype other than '<f4', Fortran order
     or non-2-D shapes, and TruncationError when the payload size does not
     match the declared shape.
     """
-    (rows, cols), header_end = _parse_header(stream)
-    payload = stream[header_end:]
-    expected = rows * cols * 4
-    if len(payload) != expected:
-        raise TruncationError(f"payload is {len(payload)} bytes, header declares {expected}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
-    return np.ascontiguousarray(data)
+    if isinstance(stream, bytes):
+        stream = io.BytesIO(stream)
+    rows, cols = _read_header(stream)
+    start = stream.tell()
+    size = stream.seek(0, io.SEEK_END) - start
+    stream.seek(start)
+    if size != rows * cols * 4:  # checked before the matrix is allocated
+        raise TruncationError(f"payload is {size} bytes, header declares {rows * cols * 4}")
+    data = np.empty((rows, cols), dtype="<f4")
+    if stream.readinto(data) != data.nbytes:
+        raise TruncationError("stream ends inside the payload")
+    return data
 
 
 def write_npy(matrix: np.ndarray) -> bytes:
@@ -96,14 +106,14 @@ def write_npy(matrix: np.ndarray) -> bytes:
 
 def read_npy_file(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return parse_npy(fh.read())
+        return parse_npy(fh)
 
 
 def read_npy_shape(path) -> tuple[int, int]:
     """The (rows, cols) shape the NPY file's header declares, with
     parse_npy's header checks; the payload is neither read nor checked."""
-    with open(path, "rb") as fh:  # magic, version, length and the longest v1.0 header
-        return _parse_header(fh.read(10 + 0xFFFF))[0]
+    with open(path, "rb") as fh:
+        return _read_header(fh)
 
 
 def write_npy_file(path, matrix: np.ndarray) -> None:

@@ -17,7 +17,6 @@ workspace.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import logging
 import math
@@ -68,6 +67,23 @@ class SpotPrediction:
             raise ShapeError(f"confidence {self.confidence} outside [0, 1]")
         if not 0 <= self.class_index < BACKGROUND_INDEX:
             raise ShapeError("background is never emitted as a prediction")
+
+
+@dataclass(frozen=True)
+class SpotCandidates:
+    """One half's thresholded scores as arrays, class-major and each
+    class's times ascending: candidate i is class classes[i] at second
+    times[i] with confidence confidences[i]."""
+
+    game_id: str
+    half: int
+    labels: list[str]
+    classes: np.ndarray
+    times: np.ndarray
+    confidences: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -493,36 +509,55 @@ def train_spotting(
 # inference
 
 
-def _greedy_nms(preds: list, window_s: int) -> list:
-    """Greedy temporal NMS of predictions with time_s and confidence.
+def _nms_keep(times, confidences, window_s: int) -> list[int]:
+    """Greedy temporal NMS on arrays: the indices of the survivors, in the
+    order they are accepted.
 
-    In (-confidence, time_s) order, accept each prediction that lies more
-    than window_s from every one accepted before it. Returns the accepted
-    ones in that order.
+    In (-confidence, time) order, ties keeping input order, accept each
+    entry that lies more than window_s from every one accepted before it.
+    An accepted entry blocks the distinct times within window_s of it in a
+    mask, so each entry costs one mask look-up.
     """
+    times = np.asarray(times)
+    order = np.lexsort((times, -np.asarray(confidences, dtype=float)))
+    seconds, slot = np.unique(times, return_inverse=True)
+    lo = np.searchsorted(seconds, times - window_s)
+    hi = np.maximum(np.searchsorted(seconds, times + window_s, "right"), lo)
+    free = bytearray(b"\x01") * len(seconds)
     kept = []
-    taken: list[int] = []  # accepted times, sorted
-    for p in sorted(preds, key=lambda p: (-p.confidence, p.time_s)):
-        # only the nearest accepted time on each side can be within the window
-        i = bisect.bisect_left(taken, p.time_s)
-        if ((i == 0 or p.time_s - taken[i - 1] > window_s)
-                and (i == len(taken) or taken[i] - p.time_s > window_s)):
-            kept.append(p)
-            taken.insert(i, p.time_s)
+    for i, s, a, b in zip(order.tolist(), *(x[order].tolist() for x in (slot, lo, hi))):
+        if free[s]:
+            kept.append(i)
+            free[a:b] = bytes(b - a)
     return kept
 
 
-def nms_1d(preds: list[SpotPrediction], window_s: int) -> list[SpotPrediction]:
+def nms_1d(preds: list[SpotPrediction] | SpotCandidates, window_s: int) -> list[SpotPrediction]:
     """Greedy per-class, per-half temporal NMS.
 
     Accept the highest-confidence prediction, drop same-class predictions
     within +/-window_s of it, repeat. Survivors are returned time-sorted
-    and are pairwise more than window_s apart within a class.
+    and are pairwise more than window_s apart within a class. Of one
+    half's SpotCandidates, only the survivors become predictions.
     """
+    if isinstance(preds, SpotCandidates):
+        cs, ts, confs = preds.classes, preds.times, preds.confidences
+        bounds = np.searchsorted(cs, np.arange(BACKGROUND_INDEX + 1)).tolist()
+        kept = np.array([lo + i for lo, hi in zip(bounds, bounds[1:])
+                         for i in _nms_keep(ts[lo:hi], confs[lo:hi], window_s)], dtype=np.intp)
+        kept = kept[np.lexsort((cs[kept], ts[kept]))]  # time, then class
+        return [
+            SpotPrediction(preds.game_id, preds.half, t, c, preds.labels[c], conf)
+            for t, c, conf in zip(ts[kept].tolist(), cs[kept].tolist(), confs[kept].tolist())
+        ]
     groups: dict[tuple, list[SpotPrediction]] = {}
     for p in preds:
         groups.setdefault((p.game_id, p.half, p.class_index), []).append(p)
-    kept = [p for group in groups.values() for p in _greedy_nms(group, window_s)]
+    kept = [
+        group[i]
+        for group in groups.values()
+        for i in _nms_keep([p.time_s for p in group], [p.confidence for p in group], window_s)
+    ]
     return sorted(kept, key=lambda p: (p.game_id, p.half, p.time_s, p.class_index))
 
 
@@ -583,12 +618,8 @@ def select_predictions(
     """
     labels = [vocab[c] if c < len(vocab) else str(c) for c in range(BACKGROUND_INDEX)]
     by_class = probs[:, :BACKGROUND_INDEX].T
-    cs, ts = np.nonzero(by_class >= threshold)
-    candidates = [
-        SpotPrediction(game_id, half, t, c, labels[c], conf)
-        for c, t, conf in zip(cs.tolist(), ts.tolist(), by_class[cs, ts].tolist())
-    ]
-    return nms_1d(candidates, nms_window_s)
+    cs, ts = np.nonzero(by_class >= threshold)  # class-major, each class's times ascending
+    return nms_1d(SpotCandidates(game_id, half, labels, cs, ts, by_class[cs, ts]), nms_window_s)
 
 
 def spot_game(

@@ -1091,6 +1091,22 @@ class TestMissingPredictionFile:
         assert str(preds / "g1" / name) in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_eval_spot_rejects_a_document_for_an_unlabelled_game(self, tmp_path, capsys):
+        labels = TestStatedGameIdMismatch._labels(tmp_path)
+        preds = TestStatedGameIdMismatch._doc(tmp_path, "spotting.json", "g1")
+        argv = ["eval", "spot", "--preds", str(preds), "--labels", str(labels)]
+        assert run([*argv, "--out", str(tmp_path / "ok")]) == 0
+        stray = preds / "stray_001" / "spotting.json"
+        stray.parent.mkdir()
+        doc = json.loads((preds / "g1" / "spotting.json").read_text())
+        stray.write_text(json.dumps({**doc, "game_id": "stray_001"}))
+        code = run([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ParseError:"), err
+        assert len(err.strip("\n").splitlines()) == 1, err
+        assert str(stray) in err and "'stray_001'" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_fuse_needs_one_for_a_game_with_replays(self, tmp_path, capsys):
         labels = TestStatedGameIdMismatch._labels(tmp_path)
         spots = TestStatedGameIdMismatch._doc(tmp_path, "spotting.json", "g1")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import make_features
 from spotground.nn import Workspace
-from spotground.npyio import write_npy
+from spotground.npyio import write_npy, write_npy_file
 from spotground.data import (
     FeatureSequence,
     combine_features,
     gather_windows,
     load_game,
+    load_game_half,
     load_labels,
     parse_game_time,
     parse_labels,
@@ -120,6 +122,15 @@ class TestLoadLabels:
         assert load_labels(tmp_path) is None
 
 
+def _load_half(game_dir, *sources):
+    """Half 1 of game_dir through load_game_half, the path every command
+    loads features by, with each matrix written as one source file."""
+    game_dir.mkdir(parents=True, exist_ok=True)
+    for i, matrix in enumerate(sources):
+        write_npy_file(game_dir / f"1_{i}.npy", matrix)
+    return load_game_half(game_dir, "g0", 1)
+
+
 class TestCombineFeatures:
     def test_multi_backbone_dims_concatenate_to_10624(self):
         dims = [2048, 2048, 384, 2048, 2048, 2048]
@@ -151,13 +162,13 @@ class TestCombineFeatures:
             assert np.all((np.abs(norms - 1.0) < 1e-5) | (norms == 0.0))
             offset += d
 
-    def test_frame_that_overflows_the_float32_norm_becomes_a_unit_vector(self):
+    def test_frame_that_overflows_the_float32_norm_becomes_a_unit_vector(self, tmp_path):
         data = np.array([[1e20, 0.0, 0.0, 0.0], [3e19, -4e19, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0]],
                         dtype=np.float32)
         other = np.array([[0.0, 1.0]] * 3, dtype=np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = combine_features([make_features(data=data), make_features(data=other)])
+            out = _load_half(tmp_path, data, other)
         np.testing.assert_allclose(out.data[:, :4], [[1, 0, 0, 0], [0.6, -0.8, 0, 0],
                                                      [0.6, 0.8, 0, 0]], rtol=1e-6)
         np.testing.assert_array_equal(out.data[:, 4:], other)
@@ -179,21 +190,51 @@ class TestCombineFeatures:
         with pytest.raises(IdentityError):
             combine_features([a, b])
 
-    def test_length_slack(self):
-        a = make_features(T=100)
-        b = make_features(T=98)
-        assert combine_features([a, b]).duration_s == 98
-        c = make_features(T=97)
+    def test_length_slack(self, tmp_path):
+        rows = np.random.default_rng(0).normal(size=(100, 3)).astype(np.float32)
+        assert _load_half(tmp_path / "ok", rows, rows[:98]).duration_s == 98
         with pytest.raises(AlignmentError):
-            combine_features([a, c])
+            _load_half(tmp_path / "bad", rows, rows[:97])
 
-    def test_zero_norm_warning_count(self, caplog):
+    def test_zero_norm_warning_count(self, tmp_path, caplog):
         data = np.zeros((4, 3), dtype=np.float32)
         data[0, 0] = 1.0
         with caplog.at_level("WARNING"):
-            out = combine_features([make_features(data=data)])
+            out = _load_half(tmp_path, data)
         assert "3 zero-norm" in caplog.text
         assert np.all(out.data[1:] == 0.0)
+
+    def test_blocks_write_what_whole_sources_would(self, tmp_path):
+        # sources many row blocks long, with zero and overflowing frames in them
+        rng = np.random.default_rng(3)
+        sources = [rng.normal(size=(700 + extra, dim)).astype(np.float32)
+                   for extra, dim in ((2, 300), (0, 70), (1, 1))]
+        sources[0][[5, 400]] = 0.0
+        sources[1][[17, 650]] *= np.float32(1e30)
+        out = _load_half(tmp_path, *sources).data
+        cols = np.cumsum([0] + [len(s[0]) for s in sources])
+        for src, lo, hi in zip(sources, cols, cols[1:]):
+            block = src[:700]
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(block, axis=1, keepdims=True)
+            big = np.isinf(norms[:, 0])
+            expected = block / np.where((norms == 0.0) | big[:, None], 1.0, norms)
+            wide = block[big].astype(np.float64)
+            expected[big] = wide / np.linalg.norm(wide, axis=1, keepdims=True)
+            assert out[:, lo:hi].tobytes() == expected.tobytes()
+
+    def test_peak_memory_stays_below_two_and_a_half_combined_matrices(self, tmp_path):
+        rows = np.random.default_rng(1).normal(size=(600, 256)).astype(np.float32)
+        for name in ("1_a.npy", "1_b.npy"):
+            write_npy_file(tmp_path / name, rows)
+        tracemalloc.start()
+        try:
+            out = load_game_half(tmp_path, "g0", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == 2 * rows.nbytes
+        assert peak < 2.5 * out.data.nbytes, peak / out.data.nbytes
 
 
 class TestFeatureSequenceInvariants:

@@ -5,6 +5,7 @@ from conftest import make_event
 from spotground.data import ReplayAnnotation
 from spotground.errors import ShapeError
 from spotground.evaluation import (
+    DEFAULT_TOLERANCES,
     average_map,
     interval_histogram_svg,
     replay_ap_report,
@@ -204,6 +205,121 @@ class TestReplayAverageAp:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             replay_ap_report([[]], [1, 2])
+
+
+def _reference_flags(entries, gts_by_group, tolerance_s):
+    """Greedy matching one entry at a time: entries are (group, time)
+    pairs in rank order; each takes the nearest unused ground truth of its
+    group within the tolerance, ties to the earlier one."""
+    available = {key: sorted(times) for key, times in gts_by_group.items()}
+    used = {key: [False] * len(times) for key, times in available.items()}
+    flags = []
+    for key, t in entries:
+        best = None
+        for j, gt in enumerate(available.get(key, [])):
+            d = abs(t - gt)
+            if not used[key][j] and d <= tolerance_s and (best is None or d < best[0]):
+                best = (d, j)
+        if best is not None:
+            used[key][best[1]] = True
+        flags.append(best is not None)
+    return np.array(flags, dtype=bool)
+
+
+def _reference_ap(flags, n_gt):
+    if n_gt == 0 or len(flags) == 0:
+        return 0.0
+    tp = np.cumsum(flags)
+    precision = tp / np.arange(1, len(flags) + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    return float(envelope[flags].sum() / n_gt)
+
+
+def _reference_report(preds, gts, tolerances, vocab):
+    """average_map(...).to_dict() computed with the one-entry-at-a-time loop."""
+    labels = sorted({g.label for g in gts} | {p.label for p in preds}) if vocab is None \
+        else list(vocab)
+    active = [lb for lb in labels
+              if any(g.label == lb for g in gts) or any(p.label == lb for p in preds)]
+    per_class = {lb: [] for lb in active}
+    map_per_tol, counts = {}, {}
+    for tol in tolerances:
+        aps, tp_total = [], 0
+        for lb in active:
+            ranked = sorted([p for p in preds if p.label == lb],
+                            key=lambda p: (-p.confidence, p.time_s, (p.game_id, p.half)))
+            by_group = {}
+            for g in gts:
+                if g.label == lb:
+                    by_group.setdefault((g.game_id, g.half), []).append(g.time_s)
+            flags = _reference_flags([((p.game_id, p.half), p.time_s) for p in ranked],
+                                     by_group, tol)
+            ap = _reference_ap(flags, sum(len(v) for v in by_group.values()))
+            per_class[lb].append([tol, ap])
+            aps.append(ap)
+            tp_total += int(flags.sum())
+        map_per_tol[str(tol)] = float(np.mean(aps)) if aps else 0.0
+        counts[str(tol)] = {"matched": tp_total,
+                            "unmatched_predictions": len(preds) - tp_total,
+                            "unmatched_ground_truths": len(gts) - tp_total}
+    return {"average_map": float(np.mean([map_per_tol[str(t)] for t in tolerances])),
+            "tolerances": list(tolerances), "map_per_tolerance": map_per_tol,
+            "per_class_ap": per_class, "counts": counts}
+
+
+class TestLockstepMatching:
+    """average_map and replay_ap_report match every tolerance, class and
+    (game, half) at once; each problem must come out as the one-entry-at-a-
+    time greedy loop has it."""
+
+    LABELS = ("Goal", "Foul", "Corner", "Penalty")
+
+    def _instance(self, rng):
+        groups = [(g, h) for g in ("a", "b") for h in (1, 2)]
+        gts = []
+        for _ in range(int(rng.integers(0, 25))):
+            game, half = groups[int(rng.integers(0, 4))]
+            label = self.LABELS[int(rng.integers(0, 4))]
+            t = int(rng.integers(0, 40)) * 5  # a coarse grid repeats times
+            gts.append(make_event(t, label, game, half))
+            if rng.random() < 0.3:  # one on each side of a midpoint
+                gts.append(make_event(t + 2 * int(rng.integers(1, 20)), label, game, half))
+        preds = []
+        for _ in range(int(rng.integers(0, 40))):
+            game, half = groups[int(rng.integers(0, 4))]
+            label = self.LABELS[int(rng.integers(0, 3))]
+            if gts and rng.random() < 0.5:  # near, or midway between, ground truths
+                t = gts[int(rng.integers(0, len(gts)))].time_s + int(rng.integers(-30, 31))
+            else:
+                t = int(rng.integers(0, 220))
+            preds.append(SpotPrediction(game, half, t, 0, label,
+                                        float(rng.integers(1, 5)) / 4.0))  # tied confidences
+        return preds, gts
+
+    def test_average_map_matches_the_reference_loop(self, rng):
+        for i in range(500):
+            preds, gts = self._instance(rng)
+            vocab = None if i % 3 else list(self.LABELS[:3])
+            got = average_map(preds, gts, vocab=vocab).to_dict()
+            assert got == _reference_report(preds, gts, DEFAULT_TOLERANCES, vocab)
+
+    def test_replay_ap_report_matches_the_reference_loop(self, rng):
+        for _ in range(500):
+            gt_times = [int(t) for t in rng.integers(0, 30, int(rng.integers(0, 6))) * 5]
+            preds_per_query = [
+                [GroundingPrediction(t + int(rng.integers(-40, 41)), float(rng.integers(1, 5)) / 4)
+                 for _ in range(int(rng.integers(0, 5)))]
+                for t in gt_times
+            ]
+            got = replay_ap_report(preds_per_query, gt_times)
+            ranked = sorted(((q, p.time_s, p.confidence)
+                             for q, preds in enumerate(preds_per_query) for p in preds),
+                            key=lambda e: (-e[2], e[1], e[0]))
+            for tol in DEFAULT_TOLERANCES:
+                flags = _reference_flags([(q, t) for q, t, _ in ranked],
+                                         {q: [t] for q, t in enumerate(gt_times)}, tol)
+                assert got["ap_per_tolerance"][tol] == _reference_ap(flags, len(gt_times))
+            assert got["num_predictions"] == len(ranked)
 
 
 def _replay(end, event, label="Foul", game="g", half=1):

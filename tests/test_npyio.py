@@ -13,7 +13,7 @@ from spotground.errors import (
     TruncationError,
     UnsupportedLayoutError,
 )
-from spotground.npyio import parse_npy, write_npy
+from spotground.npyio import parse_npy, read_npy_file, write_npy
 
 
 def _manual_stream(shape, values, descr="'<f4'", fortran="False"):
@@ -102,6 +102,22 @@ def test_truncated_payload():
         parse_npy(stream[:-4])
     with pytest.raises(TruncationError):
         parse_npy(stream + b"\x00\x00\x00\x00")
+
+
+def test_file_payload_of_the_wrong_size(tmp_path):
+    path = tmp_path / "m.npy"
+    stream = write_npy(np.arange(6, dtype=np.float32).reshape(3, 2))
+    for wrong in (stream[:-4], stream + b"\x00\x00\x00\x00"):
+        path.write_bytes(wrong)
+        with pytest.raises(TruncationError):
+            read_npy_file(path)
+    path.write_bytes(stream)
+    assert read_npy_file(path).tobytes() == stream[-24:]
+
+
+def test_huge_declared_shape_is_a_truncation_not_an_allocation():
+    with pytest.raises(TruncationError):
+        parse_npy(_manual_stream("(1000000000, 1000000000)", [0.0]))
 
 
 def test_malformed_header_dict():

@@ -527,6 +527,18 @@ class TestNms:
             ]
             assert nms_1d(preds, window) == _brute_force_nms(preds, window)
 
+    def test_selection_matches_brute_force_oracle(self, rng):
+        # the array path `spot infer` runs, from a score series with tied scores
+        for _ in range(200):
+            probs = rng.integers(0, 8, (int(rng.integers(1, 60)), 18)) / 8.0
+            window = int(rng.integers(0, 30))
+            candidates = [
+                SpotPrediction("g", 2, t, c, DEFAULT_VOCAB[c], float(probs[t, c]))
+                for t in range(len(probs)) for c in range(BACKGROUND_INDEX) if probs[t, c] >= 0.5
+            ]
+            got = select_predictions(probs, "g", 2, DEFAULT_VOCAB, 0.5, window)
+            assert got == _brute_force_nms(candidates, window)
+
     def test_survivor_gaps_exceed_window(self, rng):
         for _ in range(50):
             preds = _random_preds(rng, 30)
