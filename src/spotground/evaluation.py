@@ -30,61 +30,56 @@ def _match_flags(keys, times, gt_keys, gt_times, tolerances) -> np.ndarray:
     nearest unused ground truth within the tolerance (ties to the earlier
     one), if there is one.
 
-    The (tolerance, key) problems run in lockstep. A round gives every
-    problem's first entry that has an unused ground truth within reach its
-    nearest one, and drops the entries before it: a ground truth, once
-    used, stays used, so they never match. So there are at most as many
-    rounds as the most ground truths any key has.
+    Tolerances run one after another, so memory does not grow with their
+    number; within one, the keys' problems run in lockstep. A round gives
+    every problem's first entry that has an unused ground truth within
+    reach its nearest one, and drops the entries before it: a ground
+    truth, once used, stays used, so they never match. So a tolerance
+    takes at most as many rounds as the most ground truths any key has.
     """
-    tols = np.asarray(tolerances)
-    flags = np.zeros((len(tols), len(keys)), dtype=bool)
+    flags = np.zeros((len(tolerances), len(keys)), dtype=bool)
     if not len(keys) or not len(gt_keys):
         return flags
-    reach = max(int(tols.max()), 0)  # times are whole seconds
+    reach = max(max(tolerances), 0)  # times are whole seconds
     gt_order = np.lexsort((gt_times, gt_keys))
     gk, gt = gt_keys[gt_order], gt_times[gt_order]
-    # each entry's window of ground truths within reach, as ranks in (key,
-    # time) order; times are clipped to just beyond every ground truth's
-    # reach, which keeps the composite (key, time) values small
+    # (key, time) as one sorted value per ground truth; times are clipped
+    # to just beyond every ground truth's reach, which keeps the values small
     lo_t, hi_t = int(gt.min()) - reach - 1, int(gt.max()) + reach + 1
     span = hi_t - lo_t + reach + 1
-    times = np.clip(times, lo_t, hi_t)
-    ranks, at = gk * span + (gt - lo_t), keys * span + (times - lo_t)
-    first = np.searchsorted(ranks, at - reach)
-    last = np.searchsorted(ranks, at + reach, "right")
-    width = int((last - first).max())
-    if width == 0:
-        return flags
-    # window slots nearest first, ties to the earlier ground truth; slots
-    # outside the window sort last
-    slot = first[:, None] + np.arange(width)
-    dist = np.where(slot < last[:, None],
-                    np.abs(times[:, None] - gt[np.minimum(slot, len(gt) - 1)]), reach + 1)
-    nearest_first = np.argsort(dist, axis=1, kind="stable")
-    dist = np.take_along_axis(dist, nearest_first, axis=1)
-    slot = np.take_along_axis(slot, nearest_first, axis=1)
-
-    # one row per (tolerance, entry) pair that has a ground truth in reach,
-    # in (tolerance, key, rank) order: the flat indices of its in-reach
-    # ground truths in `used`, where the last element, always set, pads
-    used = np.zeros(len(tols) * len(gt) + 1, dtype=bool)
-    used[-1] = True
     order = np.argsort(keys, kind="stable")  # key by key, rank order within each
-    dist, slot = dist[order], slot[order]
-    k, e = np.nonzero(dist[:, 0] <= tols[:, None])
-    rows = k * len(keys) + order[e]
-    cells = np.where(dist[e] <= tols[k, None], k[:, None] * len(gt) + slot[e], len(used) - 1)
-    problems = k * (int(keys.max()) + 1) + keys[order[e]]
-    while len(rows):
-        free = ~used[cells]
-        live = np.flatnonzero(free.any(axis=1))
-        if not len(live):
-            break
-        rows, cells, problems, free = rows[live], cells[live], problems[live], free[live]
-        head = np.flatnonzero(np.diff(problems, prepend=-1))  # each problem's first live entry
-        used[cells[head, free[head].argmax(axis=1)]] = True
-        flags.flat[rows[head]] = True
-        cells[head] = len(used) - 1
+    keys, times = keys[order], np.clip(times[order], lo_t, hi_t)
+    ranks, at = gk * span + (gt - lo_t), keys * span + (times - lo_t)
+    pad = len(gt)  # the index of `used`'s last element, always set
+    for row, tol in zip(flags, tolerances):
+        # each entry's window of ground truths within tol, as indices into gt
+        first = np.searchsorted(ranks, at - tol).astype(np.int32)
+        last = np.searchsorted(ranks, at + tol, "right").astype(np.int32)
+        rows = np.flatnonzero(last > first)
+        if not len(rows):
+            continue
+        first, last = first[rows], last[rows]
+        cells = first[:, None] + np.arange(int((last - first).max()), dtype=np.int32)
+        cells[cells >= last[:, None]] = pad
+        dist = gt[np.minimum(cells, pad - 1)]
+        dist -= times[rows, None]
+        np.abs(dist, out=dist)
+        used = np.zeros(pad + 1, dtype=bool)
+        used[pad] = True
+        problems = keys[rows]
+        while len(rows):
+            free = ~used[cells]
+            live = np.flatnonzero(free.any(axis=1))
+            if not len(live):
+                break
+            rows, cells, dist, problems, free = (
+                x[live] for x in (rows, cells, dist, problems, free))
+            head = np.flatnonzero(np.diff(problems, prepend=-1))  # each problem's first live entry
+            # its nearest unused ground truth, ties to the earlier one
+            near = np.where(free[head], dist[head], reach + 1).argmin(axis=1)
+            used[cells[head, near]] = True
+            row[order[rows[head]]] = True
+            cells[head] = pad
     return flags
 
 

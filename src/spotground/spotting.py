@@ -18,6 +18,7 @@ workspace.
 from __future__ import annotations
 
 import copy
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -71,13 +72,13 @@ class SpotPrediction:
 
 @dataclass(frozen=True)
 class SpotCandidates:
-    """One half's thresholded scores as arrays, class-major and each
-    class's times ascending: candidate i is class classes[i] at second
-    times[i] with confidence confidences[i]."""
+    """One half's candidate predictions as arrays, class-major and each
+    class's times ascending: candidate i is class classes[i], named
+    labels[i], at second times[i] with confidence confidences[i]."""
 
     game_id: str
     half: int
-    labels: list[str]
+    labels: np.ndarray  # of str
     classes: np.ndarray
     times: np.ndarray
     confidences: np.ndarray
@@ -532,33 +533,41 @@ def _nms_keep(times, confidences, window_s: int) -> list[int]:
     return kept
 
 
+def _halves(preds: list[SpotPrediction]) -> list[SpotCandidates]:
+    """Each (game, half)'s predictions as SpotCandidates, in (game_id, half)
+    order; equal (class, time) predictions keep their input order."""
+    ordered = sorted(preds, key=lambda p: (p.game_id, p.half, p.class_index, p.time_s))
+    halves = []
+    for (game_id, half), group in itertools.groupby(ordered, lambda p: (p.game_id, p.half)):
+        group = list(group)
+        classes, times, confidences = (np.array([getattr(p, a) for p in group])
+                                       for a in ("class_index", "time_s", "confidence"))
+        labels = np.array([p.label for p in group], dtype=object)
+        halves.append(SpotCandidates(game_id, half, labels, classes, times, confidences))
+    return halves
+
+
 def nms_1d(preds: list[SpotPrediction] | SpotCandidates, window_s: int) -> list[SpotPrediction]:
     """Greedy per-class, per-half temporal NMS.
 
     Accept the highest-confidence prediction, drop same-class predictions
-    within +/-window_s of it, repeat. Survivors are returned time-sorted
-    and are pairwise more than window_s apart within a class. Of one
-    half's SpotCandidates, only the survivors become predictions.
+    within +/-window_s of it, repeat. Survivors are returned sorted by
+    (game_id, half, time, class) and are pairwise more than window_s apart
+    within a class. A list is split into its halves' SpotCandidates, so
+    every half runs the same array code, and only survivors become
+    predictions.
     """
-    if isinstance(preds, SpotCandidates):
-        cs, ts, confs = preds.classes, preds.times, preds.confidences
-        bounds = np.searchsorted(cs, np.arange(BACKGROUND_INDEX + 1)).tolist()
-        kept = np.array([lo + i for lo, hi in zip(bounds, bounds[1:])
-                         for i in _nms_keep(ts[lo:hi], confs[lo:hi], window_s)], dtype=np.intp)
-        kept = kept[np.lexsort((cs[kept], ts[kept]))]  # time, then class
-        return [
-            SpotPrediction(preds.game_id, preds.half, t, c, preds.labels[c], conf)
-            for t, c, conf in zip(ts[kept].tolist(), cs[kept].tolist(), confs[kept].tolist())
-        ]
-    groups: dict[tuple, list[SpotPrediction]] = {}
-    for p in preds:
-        groups.setdefault((p.game_id, p.half, p.class_index), []).append(p)
-    kept = [
-        group[i]
-        for group in groups.values()
-        for i in _nms_keep([p.time_s for p in group], [p.confidence for p in group], window_s)
-    ]
-    return sorted(kept, key=lambda p: (p.game_id, p.half, p.time_s, p.class_index))
+    kept = []
+    for c in [preds] if isinstance(preds, SpotCandidates) else _halves(preds):
+        bounds = np.searchsorted(c.classes, np.arange(BACKGROUND_INDEX + 1)).tolist()
+        idx = np.array([lo + i for lo, hi in zip(bounds, bounds[1:])
+                        for i in _nms_keep(c.times[lo:hi], c.confidences[lo:hi], window_s)],
+                       dtype=np.intp)
+        idx = idx[np.lexsort((c.classes[idx], c.times[idx]))]  # time, then class
+        kept += [SpotPrediction(c.game_id, c.half, t, k, label, conf)
+                 for t, k, label, conf in zip(*(x[idx].tolist() for x in (
+                     c.times, c.classes, c.labels, c.confidences)))]
+    return kept
 
 
 def score_series(model: Model, features: FeatureSequence, chunk_size_s: int) -> np.ndarray:
@@ -616,10 +625,12 @@ def select_predictions(
     so any strictly increasing transform of the series leaves the
     surviving (time, class) set unchanged. Background is never emitted.
     """
-    labels = [vocab[c] if c < len(vocab) else str(c) for c in range(BACKGROUND_INDEX)]
+    labels = np.array([vocab[c] if c < len(vocab) else str(c) for c in range(BACKGROUND_INDEX)],
+                      dtype=object)
     by_class = probs[:, :BACKGROUND_INDEX].T
     cs, ts = np.nonzero(by_class >= threshold)  # class-major, each class's times ascending
-    return nms_1d(SpotCandidates(game_id, half, labels, cs, ts, by_class[cs, ts]), nms_window_s)
+    return nms_1d(SpotCandidates(game_id, half, labels[cs], cs, ts, by_class[cs, ts]),
+                  nms_window_s)
 
 
 def spot_game(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,32 @@ class TestLockstepMatching:
                                          {q: [t] for q, t in enumerate(gt_times)}, tol)
                 assert got["ap_per_tolerance"][tol] == _reference_ap(flags, len(gt_times))
             assert got["num_predictions"] == len(ranked)
+
+    def test_peak_memory_does_not_grow_with_the_tolerances(self):
+        # split-scale's size: 3 games x 2 halves x 17 classes, each with 200
+        # predictions and 20 ground truths over a 2,700 s half
+        rng = np.random.default_rng(7)
+        labels = [f"c{c}" for c in range(17)]
+        preds, gts = [], []
+        for game in ("a", "b", "c"):
+            for half in (1, 2):
+                for c, label in enumerate(labels):
+                    preds += [SpotPrediction(game, half, int(t), c, label, float(conf))
+                              for t, conf in zip(rng.integers(0, 2700, 200), rng.random(200))]
+                    gts += [make_event(int(t), label, game, half)
+                            for t in rng.integers(0, 2700, 20)]
+
+        def peak(tolerances):
+            tracemalloc.start()
+            try:
+                average_map(preds, gts, tolerances, vocab=labels)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, every = peak((max(DEFAULT_TOLERANCES),)), peak(DEFAULT_TOLERANCES)
+        assert every < 1.25 * one, (every, one)
+        assert every < 256 * len(preds), every / len(preds)
 
 
 def _replay(end, event, label="Foul", game="g", half=1):
