@@ -35,6 +35,7 @@ from .checkpoint import (
 from .data import (
     GameHalf,
     format_game_time,
+    check_annotation_times,
     check_feature_widths,
     game_dirs,
     load_dataset,
@@ -598,6 +599,8 @@ def cmd_eval_spot(args, cfg) -> list[Path]:
     vocab = _load_vocab_arg(args.vocab)
     preds_dir = Path(args.preds)
     labels = _game_labels(Path(args.labels), vocab)
+    for game_id, (events, replays) in labels.items():
+        check_annotation_times(Path(args.labels) / game_id, events, replays)
     for path in sorted(preds_dir.glob("*/spotting.json")):
         if path.parent.name not in labels:
             raise ParseError(f"{path}: game {path.parent.name!r} has no labels under --labels")

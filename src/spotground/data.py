@@ -275,6 +275,7 @@ def load_game(game_dir: str | Path, vocab=None) -> list[GameHalf]:
     game_dir = Path(game_dir)
     game_id = game_dir.name
     events, replays = load_labels(game_dir, vocab) or ([], [])
+    check_annotation_times(game_dir, events, replays)
     halves = []
     for half in (1, 2):
         if not list(game_dir.glob(f"{half}_*.npy")):
@@ -290,6 +291,24 @@ def load_game(game_dir: str | Path, vocab=None) -> list[GameHalf]:
     if not halves:
         raise ParseError(f"{game_dir} contains no feature files")
     return halves
+
+
+def check_annotation_times(game_dir: str | Path, events, replays) -> None:
+    """Raise ParseError if an event or replay lies at or past the end of
+    its half's features, where no window covers it and it could only be
+    scored as a miss. A half's length is what the headers of its
+    "<half>_*.npy" files declare (the shortest source's, as
+    combine_features keeps; no payload is read); a half without them is
+    not checked."""
+    game_dir = Path(game_dir)
+    for half in (1, 2):
+        rows = [read_npy_shape(path)[0] for path in game_dir.glob(f"{half}_*.npy")]
+        times = [e.time_s for e in events if e.half == half]
+        times += [r.replay_end_s for r in replays if r.half == half]
+        if rows and times and max(times) >= min(rows):
+            raise ParseError(f"{game_dir.name} half {half}: an annotation at "
+                             f"{format_game_time(half, max(times))} lies at or past the end "
+                             f"of the half's {min(rows)} s of features")
 
 
 def game_dirs(root: str | Path) -> list[Path]:

@@ -10,6 +10,7 @@ the package writes is written by `write_json`.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 
 
@@ -57,8 +58,60 @@ def bare_name(name: str, error: type[Exception], where: str) -> str:
 
 def write_json(path: str | pathlib.Path, doc, sort_keys: bool = True) -> pathlib.Path:
     """Write doc to path as UTF-8 JSON, indented by 2 and ending in a
-    newline, creating parent directories; returns the path."""
+    newline, creating parent directories; returns the path. The text is
+    exactly json.dumps(doc, indent=2, sort_keys=sort_keys) + "\\n"."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
+    path.write_text(_encode(doc, sort_keys, 0) + "\n", encoding="utf-8")
     return path
+
+
+# how json encodes a record's str, int and finite float values
+_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+
+
+def _encode(value, sort_keys: bool, depth: int) -> str:
+    """json.dumps(value, indent=2, sort_keys=sort_keys) with every line
+    after the first indented by depth more levels. json.dumps runs its
+    pure-Python encoder whenever it indents, so a dict with str keys is
+    laid out here and a list of records through one template (_records).
+    Any other value is json.dumps' own text, shifted line by line: every
+    newline it writes is layout, since it escapes those inside strings."""
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        inner = "\n" + "  " * (depth + 1)
+        items = sorted(value.items()) if sort_keys else value.items()
+        return "{" + inner + ("," + inner).join(
+            f"{_SCALARS[str](key)}: {_encode(item, sort_keys, depth + 1)}" for key, item in items
+        ) + "\n" + "  " * depth + "}"
+    if type(value) is list and (text := _records(value, sort_keys, depth)) is not None:
+        return text
+    text = json.dumps(value, indent=2, sort_keys=sort_keys)
+    return text.replace("\n", "\n" + "  " * depth) if depth else text
+
+
+def _records(rows: list, sort_keys: bool, depth: int) -> str | None:
+    """_encode's text for a list of records: non-empty dicts with the
+    first one's str keys in its order, where each key's values are all
+    str, all int or all finite floats (a bool is not an int). Each value
+    is encoded as json does and every record is formatted through one
+    template. None for any other list."""
+    if not rows or type(rows[0]) is not dict or not rows[0]:
+        return None
+    keys = tuple(rows[0])
+    if not (all(type(key) is str for key in keys)
+            and set(map(type, rows)) == {dict} and set(map(tuple, rows)) == {keys}):
+        return None
+    keys = sorted(keys) if sort_keys else keys
+    columns = []
+    for key in keys:
+        values = [row[key] for row in rows]
+        kinds = set(map(type, values))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind not in _SCALARS or (kind is float and not all(map(math.isfinite, values))):
+            return None
+        columns.append(map(_SCALARS[kind], values))
+    inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1)
+    template = "{" + inner + ("," + inner).join(
+        _SCALARS[str](key).replace("%", "%%") + ": %s" for key in keys) + outer + "}"
+    return ("[" + outer + ("," + outer).join(template % row for row in zip(*columns))
+            + "\n" + "  " * depth + "]")

@@ -16,6 +16,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import FormatError, ShapeError, TruncationError, UnsupportedLayoutError
+from .nn import CACHE_BLOCK
 
 MAGIC = b"\x93NUMPY"
 VERSION = (1, 0)
@@ -82,26 +83,31 @@ def parse_npy(stream: bytes | BinaryIO) -> np.ndarray:
     return data
 
 
-def write_npy(matrix: np.ndarray) -> bytes:
-    """Encode a 2-D matrix as NPY v1.0 bytes ('<f4', C order).
+def write_npy(matrix: np.ndarray, stream: BinaryIO | None = None) -> bytes | None:
+    """Encode a 2-D matrix as NPY v1.0 ('<f4', C order) into a binary file
+    at its write position, or as the returned bytes if none is given.
 
+    The payload is written CACHE_BLOCK elements of rows at a time straight
+    from the matrix: a C-ordered float32 one is never copied, and any other
+    dtype or stride is converted one block at a time.
     parse_npy(write_npy(m)) is bit-exact for float32 input.
     """
-    arr = np.ascontiguousarray(matrix, dtype="<f4")
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got {arr.ndim}-D")
-    header = "{'descr': '<f4', 'fortran_order': False, 'shape': (%d, %d), }" % arr.shape
+    if stream is None:
+        buffer = io.BytesIO()
+        write_npy(matrix, buffer)
+        return buffer.getvalue()
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix, got {matrix.ndim}-D")
+    header = "{'descr': '<f4', 'fortran_order': False, 'shape': (%d, %d), }" % matrix.shape
     # pad with spaces so magic+version+len+header is a multiple of 64, newline-terminated
     unpadded = len(MAGIC) + 2 + 2 + len(header) + 1
     pad = (-unpadded) % _HEADER_ALIGN
     header_bytes = (header + " " * pad + "\n").encode("latin1")
-    out = bytearray()
-    out += MAGIC
-    out += bytes(VERSION)
-    out += struct.pack("<H", len(header_bytes))
-    out += header_bytes
-    out += arr.tobytes(order="C")
-    return bytes(out)
+    stream.write(MAGIC + bytes(VERSION) + struct.pack("<H", len(header_bytes)) + header_bytes)
+    rows = max(CACHE_BLOCK // max(matrix.shape[1], 1), 1)
+    for lo in range(0, matrix.shape[0], rows):
+        stream.write(np.ascontiguousarray(matrix[lo : lo + rows], dtype="<f4"))
 
 
 def read_npy_file(path) -> np.ndarray:
@@ -118,4 +124,4 @@ def read_npy_shape(path) -> tuple[int, int]:
 
 def write_npy_file(path, matrix: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(write_npy(matrix))
+        write_npy(matrix, fh)

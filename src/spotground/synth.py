@@ -125,10 +125,9 @@ def synth_generate(
     classes = rng.permutation(np.repeat(np.arange(config.num_classes), config.events_per_class))
 
     def plant(center: int, class_idx: int) -> None:
-        for offset, amp in zip(range(-PATTERN_RADIUS_S, PATTERN_RADIUS_S + 1), PATTERN):
-            t = center + offset
-            if 0 <= t < T:
-                data[t] += amp * directions[class_idx]
+        lo, hi = max(center - PATTERN_RADIUS_S, 0), min(center + PATTERN_RADIUS_S + 1, T)
+        offsets = slice(lo - center + PATTERN_RADIUS_S, hi - center + PATTERN_RADIUS_S)
+        data[lo:hi] += PATTERN[offsets, None] * directions[class_idx]
 
     events: list[EventAnnotation] = []
     for t, c in zip(times, classes):
@@ -168,16 +167,19 @@ def synth_generate(
 
 
 def synth_dataset(config: SynthConfig, seed: int):
-    """Generate num_halves halves as (features, events, replays) triples.
+    """Generate num_halves halves as (features, events, replays) triples,
+    lazily: each half is generated when it is asked for.
 
     Halves are grouped two per game: half indices alternate 1, 2 and the
     game counter advances every other half (see synth_generate).
     """
-    return [synth_generate(config, seed, i) for i in range(config.num_halves)]
+    return (synth_generate(config, seed, i) for i in range(config.num_halves))
 
 
 def write_synth_dataset(root: str | Path, config: SynthConfig, seed: int):
-    """Write a synthetic dataset in the on-disk layout the loaders expect."""
+    """Write a synthetic dataset in the on-disk layout the loaders expect:
+    each half's features are written as soon as it is generated, so one
+    half at a time is held, and the games' labels.json files last."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -187,6 +189,7 @@ def write_synth_dataset(root: str | Path, config: SynthConfig, seed: int):
         game_dir.mkdir(exist_ok=True)
         npy_path = game_dir / f"{features.half}_synthetic.npy"
         write_npy_file(npy_path, features.data)
+        del features  # the next half is generated before the loop rebinds it
         written.append(npy_path)
         doc = docs.setdefault(game_dir / "labels.json", {"annotations": [], "replays": []})
         for ev in events:

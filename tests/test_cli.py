@@ -1220,3 +1220,58 @@ class TestVersionAndHelp:
 
     def test_missing_subcommand_is_usage_error(self):
         assert run([]) == 2
+
+
+class TestAnnotationPastTheHalf:
+    """An event or replay at or past the end of its half's features is an
+    error, not a ground truth no window can find: wherever features and
+    labels load together, and in `eval spot` when the labelled half's NPY
+    headers are present."""
+
+    @staticmethod
+    def _append(game_dir, key, entry):
+        path = game_dir / "labels.json"
+        doc = json.loads(path.read_text())
+        doc.setdefault(key, []).append(entry)
+        path.write_text(json.dumps(doc))
+
+    @staticmethod
+    def _rejected(argv, needle, capsys):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ParseError: synth_000 half "), err
+        assert len(err.strip("\n").splitlines()) == 1, err
+        assert needle in err and "200 s" in err, err
+
+    def test_train_infer_and_eval_exit_one_naming_the_half(self, tmp_path, capsys):
+        data = _synth(tmp_path / "data")
+        train = ["spot", "train", "--data", str(data), "--chunk", "7", *TRAIN_FAST]
+        assert run([*train, "--out", str(tmp_path / "train")]) == 0
+        infer = ["spot", "infer", "--model", str(tmp_path / "train" / "model.sgckpt"),
+                 "--data", str(data), "--chunk", "7"]
+        assert run([*infer, "--out", str(tmp_path / "preds")]) == 0
+        evals = ["eval", "spot", "--preds", str(tmp_path / "preds"), "--labels", str(data)]
+        # the half's last second (199) is inside it
+        self._append(data / "synth_000", "annotations", {"gameTime": "1 - 03:19", "label": "Goal"})
+        assert run([*evals, "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        self._append(data / "synth_000", "annotations", {"gameTime": "1 - 99:00", "label": "Goal"})
+        for argv in (train, infer, evals):
+            self._rejected([*argv, "--out", str(tmp_path / "out")], "1 - 99:00", capsys)
+            assert not (tmp_path / "out" / "spot_eval.json").exists()
+
+    def test_eval_spot_checks_only_halves_with_feature_headers(self, tmp_path, capsys):
+        data = _synth(tmp_path / "data")
+        preds = tmp_path / "preds"
+        (preds / "synth_000").mkdir(parents=True)
+        (preds / "synth_000" / "spotting.json").write_text(json.dumps({"predictions": [SPOT_ENTRY]}))
+        # a replay whose end is the half's length, one second past its last
+        self._append(data / "synth_000", "replays", {
+            "start": "2 - 03:12", "end": "2 - 03:20", "event": "2 - 03:00", "label": "Goal"})
+        argv = ["eval", "spot", "--preds", str(preds), "--out", str(tmp_path / "out")]
+        self._rejected([*argv, "--labels", str(data)], "2 - 03:20", capsys)
+        # labels alone, with no NPY file beside them, are not checked
+        labels = tmp_path / "labels" / "synth_000"
+        labels.mkdir(parents=True)
+        (labels / "labels.json").write_bytes((data / "synth_000" / "labels.json").read_bytes())
+        assert run([*argv, "--labels", str(labels.parent)]) == 0

@@ -1,11 +1,15 @@
 import ast
+import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spotground
 from spotground.errors import ParseError
-from spotground.jsonio import bare_name, json_document, objects, typed
+from spotground.jsonio import _records, bare_name, json_document, objects, typed, write_json
 
 DEEP = "[" * 100_000 + "]" * 100_000
 SRC = Path(spotground.__file__).parent
@@ -160,3 +164,93 @@ def test_no_test_only_api():
         "b.py": "from .a import f\n",
         "__init__.py": "from .a import f\nf(2)\n",
     }) == {"a.py": ["f"]}
+
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**30) | st.floats()
+    | st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf])
+    | st.text(max_size=8)
+    | st.sampled_from(['"', "\\", "\n", "\x00\x1f\x7f", "é€😀\u2028", "%s", "%%"])
+)
+COLUMNS = (st.text(max_size=6), st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of records, or of near-records: a row with its keys in
+    another order, an empty dict, or a value of another type or NaN."""
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    columns = [draw(st.sampled_from(COLUMNS)) for _ in keys]
+    rows = [{key: draw(column) for key, column in zip(keys, columns)}
+            for _ in range(draw(st.integers(1, 5)))]
+    i = draw(st.integers(0, len(rows) - 1))
+    change = draw(st.sampled_from([None, None, "order", "empty", "type", "nan"]))
+    if change == "order":
+        rows[i] = dict(reversed(rows[i].items()))
+    elif change == "empty":
+        rows.insert(i, {})
+    elif change == "type":
+        rows[i][keys[0]] = draw(SCALARS)
+    elif change == "nan":
+        rows[i][keys[0]] = math.nan
+    return rows
+
+
+DOCUMENTS = st.recursive(
+    SCALARS | record_lists(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),  # as EvalReport.to_dict
+    max_leaves=16,
+)
+
+
+def _is_records(rows: list) -> bool:
+    """Whether rows is a list of records in write_json's sense."""
+    if not rows or type(rows[0]) is not dict or not rows[0]:
+        return False
+    keys = list(rows[0])
+    if any(type(row) is not dict or list(row) != keys for row in rows):
+        return False
+    for key in keys:
+        kinds = {type(row[key]) for row in rows}
+        finite = all(type(row[key]) is float and math.isfinite(row[key]) for row in rows)
+        if type(key) is not str or (kinds not in ({str}, {int}) and not finite):
+            return False
+    return True
+
+
+def _assert_written_as_json_dumps(path, doc):
+    for sort_keys in (True, False):
+        write_json(path, doc, sort_keys=sort_keys)
+        expected = json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=DOCUMENTS)
+def test_write_json_writes_exactly_what_json_dumps_does(doc, tmp_path_factory):
+    _assert_written_as_json_dumps(tmp_path_factory.getbasetemp() / "doc.json", doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=record_lists(), sort_keys=st.booleans())
+def test_records_take_the_template_exactly_when_they_qualify(rows, sort_keys, tmp_path_factory):
+    """Both the template and the json.dumps fallback write json.dumps' bytes,
+    at the top level and nested."""
+    assert (_records(rows, sort_keys, 0) is not None) == _is_records(rows)
+    path = tmp_path_factory.getbasetemp() / "rows.json"
+    for doc in (rows, {"version": 1, "predictions": rows}, [[{"x": rows}]]):
+        _assert_written_as_json_dumps(path, doc)
+
+
+def test_prediction_records_take_the_template(tmp_path):
+    rows = [{"gameTime": "1 - 00:05", "label": "Goal", "half": 1, "position_s": 5,
+             "confidence": 0.25}, {"gameTime": "2 - 45:00", "label": "Foul", "half": 2,
+                                   "position_s": 2700, "confidence": 1e-7}]
+    assert _records(rows, True, 0) is not None
+    _assert_written_as_json_dumps(tmp_path / "p.json", {"r": [{"%s %": 1}, {"%s %": 2}]})
+    for bad in ({**rows[1], "half": True}, {**rows[1], "confidence": math.inf},
+                {**rows[1], "confidence": 1}, dict(reversed(rows[1].items())), {}):
+        assert _records([rows[0], bad], True, 0) is None
+        _assert_written_as_json_dumps(tmp_path / "p.json", {"predictions": [rows[0], bad]})

@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from spotground.errors import (
     TruncationError,
     UnsupportedLayoutError,
 )
-from spotground.npyio import parse_npy, read_npy_file, write_npy
+from spotground.npyio import parse_npy, read_npy_file, write_npy, write_npy_file
 
 
 def _manual_stream(shape, values, descr="'<f4'", fortran="False"):
@@ -145,3 +146,29 @@ def test_mutated_header_fails_only_with_spotground_errors(edits):
 def test_writer_rejects_non_2d():
     with pytest.raises(ShapeError):
         write_npy(np.zeros(3, dtype=np.float32))
+
+
+def test_writing_a_file_copies_no_payload(tmp_path):
+    """write_npy_file writes a float32 matrix's own buffer: what it
+    allocates stays far below the payload (copying it once is 1x)."""
+    matrix = np.random.default_rng(0).normal(size=(2700, 512)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_npy_file(tmp_path / "m.npy", matrix)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * matrix.nbytes
+    assert (tmp_path / "m.npy").read_bytes() == write_npy(matrix)
+
+
+def test_any_dtype_or_stride_writes_its_float32_copys_bytes(tmp_path):
+    """float64 input and column slices, written a block of rows at a time
+    over several blocks, give the bytes of their contiguous float32 copy."""
+    wide = np.random.default_rng(1).normal(size=(300, 700))
+    for matrix in (wide, wide[:, 100:400], wide.astype(np.float32)[:, ::3], wide.T):
+        write_npy_file(tmp_path / "m.npy", matrix)
+        expected = write_npy(np.ascontiguousarray(matrix, dtype=np.float32))
+        assert (tmp_path / "m.npy").read_bytes() == expected
+        assert np.array_equal(read_npy_file(tmp_path / "m.npy"), matrix.astype(np.float32))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from spotground.synth import (
     class_directions,
     synth_dataset,
     synth_generate,
+    write_synth_dataset,
 )
 
 
@@ -87,7 +90,7 @@ def test_every_half_shares_the_class_directions():
                       noise_sigma=0.0, min_gap_s=25, num_halves=3, with_replays=True,
                       replay_delay_min_s=12, replay_delay_max_s=12, replay_duration_s=6)
     directions = class_directions(cfg, 8)
-    halves = synth_dataset(cfg, seed=8)
+    halves = list(synth_dataset(cfg, seed=8))
     assert [(f.game_id, f.half) for f, _, _ in halves] == [
         ("synth_000", 1), ("synth_000", 2), ("synth_001", 1)]
     labels = ["Penalty", "Kick-off"]
@@ -149,3 +152,20 @@ def test_config_validation():
                 {"noise_sigma": -1.0}, {"game_prefix": "../x"}, {"game_prefix": "a/b"}):
         with pytest.raises(ShapeError, match=next(iter(bad))):
             SynthConfig(**bad)
+
+
+def test_writing_holds_one_half_at_a_time(tmp_path):
+    """write_synth_dataset writes each half as it is generated: its peak
+    allocation at 4 halves stays about that at 1 half."""
+    def peak(halves: int) -> int:
+        cfg = SynthConfig(duration_s=600, feature_dim=256, num_classes=3, events_per_class=4,
+                          min_gap_s=21, num_halves=halves)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_synth_dataset(tmp_path / str(halves), cfg, seed=1)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) <= 1.2 * peak(1)
