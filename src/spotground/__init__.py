@@ -47,6 +47,7 @@ from .nn import (  # noqa: F401
 from .npyio import parse_npy, write_npy  # noqa: F401
 from .spotting import (  # noqa: F401
     NetVLADConfig,
+    SpotCandidates,
     SpotPrediction,
     TrainSpec,
     make_chunks,
@@ -55,5 +56,5 @@ from .spotting import (  # noqa: F401
     spot_game,
     train_spotting,
 )
-from .synth import SynthConfig, synth_dataset, synth_generate  # noqa: F401
+from .synth import SynthConfig, synth_dataset  # noqa: F401
 from .vocab import DEFAULT_VOCAB, load_vocab, save_vocab  # noqa: F401

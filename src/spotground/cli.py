@@ -18,7 +18,7 @@ import subprocess
 import sys
 import time
 from concurrent import futures
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -59,7 +59,7 @@ from .grounding import (
     merge_nms,
     train_grounding,
 )
-from .jsonio import bare_name, json_document, objects, typed, write_json
+from .jsonio import Records, bare_name, json_document, objects, typed, typed_list, write_json
 from .nn import (
     EncoderConfig,
     Workspace,
@@ -68,10 +68,12 @@ from .nn import (
 )
 from .spotting import (
     NetVLADConfig,
+    SpotCandidates,
     SpotPrediction,
     TrainSpec,
     default_spot_epochs,
     default_spot_lr,
+    netvlad_grad_check,
     spot_game,
     train_spotting,
 )
@@ -104,29 +106,44 @@ def _load_vocab_arg(path: str | None) -> list[str]:
 
 
 def _game_labels(root: Path, vocab=None) -> dict:
-    """game id -> (events, replays) for every directory under root that holds labels."""
+    """game id -> (events, replays) for every directory under root that
+    holds labels; a root without one is a ParseError, not an empty score."""
     dirs = sorted(p for p in root.iterdir() if p.is_dir())
-    return {d.name: labels for d in dirs if (labels := load_labels(d, vocab)) is not None}
+    labels = {d.name: labels for d in dirs if (labels := load_labels(d, vocab)) is not None}
+    if not labels:
+        raise ParseError(f"no game directory under {root} holds labels.json or replays.json")
+    return labels
+
+
+def _unlabelled_documents(preds_dir: Path, name: str, labels: dict) -> None:
+    """A ParseError for a prediction document under preds_dir whose game
+    the labels lack: it would not be scored."""
+    for path in sorted(preds_dir.glob(f"*/{name}")):
+        if path.parent.name not in labels:
+            raise ParseError(f"{path}: game {path.parent.name!r} has no labels under --labels")
 
 
 # ---------------------------------------------------------------------------
 # prediction file round trips
 
 
-def write_spot_predictions(out_dir: Path, game_id: str, preds: list[SpotPrediction]) -> Path:
+def write_spot_predictions(out_dir: Path, game_id: str,
+                           preds: SpotCandidates | list[SpotPrediction]) -> Path:
+    """game_id's spotting.json, one record per prediction in order. A list
+    of SpotPredictions is first taken as game_id's columns."""
+    if not isinstance(preds, SpotCandidates):
+        preds = SpotCandidates.from_predictions(game_id, preds)
+    halves, times = preds.halves.tolist(), preds.times.tolist()
     doc = {
         "version": 1,
         "game_id": game_id,
-        "predictions": [
-            {
-                "gameTime": format_game_time(p.half, p.time_s),
-                "label": p.label,
-                "half": p.half,
-                "position_s": p.time_s,
-                "confidence": p.confidence,
-            }
-            for p in preds
-        ],
+        "predictions": Records({
+            "gameTime": list(map(format_game_time, halves, times)),
+            "label": preds.labels.tolist(),
+            "half": halves,
+            "position_s": times,
+            "confidence": preds.confidences.tolist(),
+        }),
     }
     return write_json(out_dir / game_id / "spotting.json", doc)
 
@@ -155,23 +172,27 @@ def _field_places(path: Path, *keys: str) -> dict[str, str]:
     return {key: f"{path}: prediction field {key!r}" for key in keys}
 
 
-def read_spot_predictions(path: Path, vocab, game_id: str | None = None) -> list[SpotPrediction]:
+def read_spot_predictions(path: Path, vocab, game_id: str | None = None) -> SpotCandidates:
+    """The document's predictions as its game's columns, in document order."""
     game_id, entries = _read_prediction_doc(path, "predictions", game_id)
     at = _field_places(path, "label", "half", "position_s", "confidence")
-    preds = []
-    for entry in entries:
-        label = typed(entry.get("label"), str, ParseError, at["label"])
-        preds.append(
-            SpotPrediction(
-                game_id,
-                typed(entry.get("half"), int, ParseError, at["half"]),
-                typed(entry.get("position_s"), int, ParseError, at["position_s"]),
-                label_index(vocab, label),
-                label,
-                typed(entry.get("confidence"), float, ParseError, at["confidence"]),
-            )
-        )
-    return preds
+    labels, halves, times, confidences = (
+        typed_list([entry.get(key) for entry in entries], kind, ParseError, at[key])
+        for key, kind in (("label", str), ("half", int), ("position_s", int),
+                          ("confidence", float)))
+    index = {label: c for c, label in enumerate(vocab)}
+    if unknown := set(labels) - index.keys():
+        label_index(vocab, next(label for label in labels if label in unknown))
+
+    def ints(values, key):
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            raise ParseError(f"{at[key]} must fit in a 64-bit int") from None
+
+    return SpotCandidates(game_id, ints(halves, "half"), np.array(labels, dtype=object),
+                          np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)),
+                          ints(times, "position_s"), np.array(confidences, dtype=float))
 
 
 def write_ground_predictions(
@@ -414,11 +435,11 @@ def _load_head(path: str, kinds: tuple[str, ...], outputs: int):
 
 def _spot_infer_game(task):
     game_dir, model, vocab, chunk, nms, threshold = task
-    halves = load_game(Path(game_dir), vocab=vocab)
-    preds: list[SpotPrediction] = []
-    for gh in halves:
-        preds.extend(spot_game(model, gh.features, chunk, nms, threshold))
-    return Path(game_dir).name, preds
+    game_id = Path(game_dir).name
+    halves = [spot_game(model, gh.features, chunk, nms, threshold)
+              for gh in load_game(Path(game_dir), vocab=vocab)]
+    return game_id, SpotCandidates(game_id, *(np.concatenate([getattr(c, f.name) for c in halves])
+                                              for f in fields(SpotCandidates)[1:]))
 
 
 def cmd_spot_infer(args, cfg) -> list[Path]:
@@ -521,15 +542,14 @@ def cmd_ground_fuse(args, cfg) -> list[Path]:
     n_queries = 0
     for game_id, (_, replays) in _game_labels(Path(args.labels), vocab).items():
         spot_path = spot_dir / game_id / "spotting.json"
-        spots = (read_spot_predictions(spot_path, vocab, game_id)
-                 if replays or spot_path.exists() else [])  # a game without replays needs none
+        if not replays and not spot_path.exists():  # a game without replays needs none
+            continue
+        spots = read_spot_predictions(spot_path, vocab, game_id)
         results = []
         for rp in replays:
             query = ReplayQuery(rp.game_id, rp.half, rp.replay_start_s, rp.replay_end_s)
-            half_spots = [p for p in spots if p.half == rp.half]
-            preds = fuse_with_spotting(
-                half_spots, rp.replay_start_s, cfg["W"], cfg["S"], cfg["b1"], cfg["b2"]
-            )
+            preds = fuse_with_spotting(spots[spots.halves == rp.half], rp.replay_start_s,
+                                       cfg["W"], cfg["S"], cfg["b1"], cfg["b2"])
             results.append((query, preds))
             n_queries += 1
         if results:
@@ -601,34 +621,38 @@ def cmd_eval_spot(args, cfg) -> list[Path]:
     labels = _game_labels(Path(args.labels), vocab)
     for game_id, (events, replays) in labels.items():
         check_annotation_times(Path(args.labels) / game_id, events, replays)
-    for path in sorted(preds_dir.glob("*/spotting.json")):
-        if path.parent.name not in labels:
-            raise ParseError(f"{path}: game {path.parent.name!r} has no labels under --labels")
-    all_preds, all_gts = [], []
-    for game_id, (events, _) in labels.items():
-        all_gts.extend(events)
-        spot_path = preds_dir / game_id / "spotting.json"
-        all_preds.extend(read_spot_predictions(spot_path, vocab, game_id))
+    _unlabelled_documents(preds_dir, "spotting.json", labels)
+    all_preds = [read_spot_predictions(preds_dir / game_id / "spotting.json", vocab, game_id)
+                 for game_id in labels]
+    all_gts = [ev for events, _ in labels.values() for ev in events]
     report = average_map(all_preds, all_gts, tolerances, vocab=vocab)
     out = Path(args.out)
     report_path = write_json(out / "spot_eval.json", report.to_dict())
     csv_path = out / "spot_eval.csv"
     csv_path.write_text(report.to_csv(), encoding="utf-8")
     print(f"Average-mAP: {report.average_map:.4f} "
-          f"({len(all_preds)} predictions, {len(all_gts)} ground truths)")
+          f"({sum(map(len, all_preds))} predictions, {len(all_gts)} ground truths)")
     return [report_path, csv_path]
 
 
 def cmd_eval_ground(args, cfg) -> list[Path]:
     tolerances = _parse_tolerances(cfg["tolerances"])
     preds_dir = Path(args.preds)
+    labels = _game_labels(Path(args.labels))
+    _unlabelled_documents(preds_dir, "grounding.json", labels)
     preds_per_query, gt_times = [], []
-    for game_id, (_, replays) in _game_labels(Path(args.labels)).items():
+    for game_id, (_, replays) in labels.items():
         pred_path = preds_dir / game_id / "grounding.json"
         by_key = {
             (q.half, q.start_s, q.end_s): preds
             for q, preds in read_ground_predictions(pred_path, game_id)
         }
+        labelled = {(rp.half, rp.replay_start_s, rp.replay_end_s) for rp in replays}
+        if stray := sorted(by_key.keys() - labelled):
+            half, start, end = stray[0]
+            raise ParseError(f"{pred_path}: query {format_game_time(half, start)} to "
+                             f"{format_game_time(half, end)} matches no replay labelled for "
+                             f"game {game_id!r}")
         for rp in replays:
             gt_times.append(rp.event_time_s)
             preds_per_query.append(
@@ -673,13 +697,14 @@ GRADCHECK_DEFAULTS = {"trials": 100, "h": 1e-5, "seed": 0}
 
 
 def cmd_gradcheck(args, cfg) -> int:
-    """The exit code: 0 if both heads pass the gate, 1 if not."""
-    spot_err = _checked(spotting_grad_check, trials=cfg["trials"], h=cfg["h"], seed=cfg["seed"])
-    ground_err = _checked(grounding_grad_check, trials=cfg["trials"], h=cfg["h"],
-                          seed=cfg["seed"])
-    ok = spot_err < GRADCHECK_GATE and ground_err < GRADCHECK_GATE  # NaN fails
-    print(f"spotting head max relative error:  {spot_err:.3e}")
-    print(f"grounding head max relative error: {ground_err:.3e}")
+    """The exit code: 0 if every head passes the gate, 1 if not."""
+    errors = {head: _checked(check, trials=cfg["trials"], h=cfg["h"], seed=cfg["seed"])
+              for head, check in (("spotting", spotting_grad_check),
+                                  ("netvlad", netvlad_grad_check),
+                                  ("grounding", grounding_grad_check))}
+    ok = all(err < GRADCHECK_GATE for err in errors.values())  # NaN fails
+    for head, err in errors.items():
+        print(f"{head} head max relative error: {err:.3e}")
     print(f"gate {GRADCHECK_GATE:.0e}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -818,8 +843,8 @@ COMMANDS = (
     Command(("analyze", "replays"), "replay interval histogram and label counts",
             cmd_analyze_replays, ANALYZE_DEFAULTS, ("labels", "out", "svg"),
             {"buckets": "histogram bucket width in seconds"}),
-    Command(("gradcheck",), "verify analytic gradients of the transformer spotting head "
-            "and the grounding head", cmd_gradcheck,
+    Command(("gradcheck",), "verify analytic gradients of the transformer and NetVLAD "
+            "spotting heads and the grounding head", cmd_gradcheck,
             GRADCHECK_DEFAULTS, (), {
                 "trials": "probed coordinates per head, >= 1",
                 "h": "finite-difference step, > 0",

@@ -10,12 +10,13 @@ interpolation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .data import EventAnnotation, ReplayAnnotation
 from .errors import ShapeError
-from .spotting import SpotPrediction
+from .spotting import SpotCandidates
 
 DEFAULT_TOLERANCES: tuple[int, ...] = tuple(range(5, 61, 5))
 SVG_WIDTH, SVG_HEIGHT = 640, 360
@@ -135,32 +136,40 @@ class EvalReport:
 
 
 def average_map(
-    preds: list[SpotPrediction],
+    preds: list[SpotCandidates],
     gts: list[EventAnnotation],
     tolerances: tuple[int, ...] | list[int] = DEFAULT_TOLERANCES,
     vocab: list[str] | tuple[str, ...] | None = None,
 ) -> EvalReport:
     """Mean AP over classes per tolerance, averaged over tolerances.
 
-    Classes with neither ground truths nor predictions are excluded from
-    the class mean; classes with predictions but no ground truths score 0.
+    preds holds the columns of any number of games. Classes with neither
+    ground truths nor predictions are excluded from the class mean;
+    classes with predictions but no ground truths score 0.
     """
     if not tolerances:
         raise ShapeError("tolerance list must be non-empty")
-    pred_labels = [p.label for p in preds]
+
+    def column(name, dtype):
+        return np.concatenate([np.empty(0, dtype)] + [getattr(c, name) for c in preds])
+
+    pred_labels = column("labels", object).tolist()
     gt_labels = [g.label for g in gts]
     seen = set(gt_labels) | set(pred_labels)
     labels = sorted(seen) if vocab is None else list(vocab)
     active = list(dict.fromkeys(lb for lb in labels if lb in seen))
     index = {lb: c for c, lb in enumerate(active)}
-    halves = {h: i for i, h in enumerate(sorted({(p.game_id, p.half) for p in preds}
-                                                | {(g.game_id, g.half) for g in gts}))}
+    # each game's distinct halves, and each of its predictions' index into them
+    game_halves = [(c.game_id, *np.unique(c.halves, return_inverse=True)) for c in preds]
+    halves = {h: i for i, h in enumerate(sorted(
+        {(game, half) for game, distinct, _ in game_halves for half in distinct.tolist()}
+        | {(g.game_id, g.half) for g in gts}))}
     # a class's matching problem per (game, half): class-major, halves in order
-    p_cls = np.array([index.get(lb, -1) for lb in pred_labels], dtype=np.int64)
-    p_key = p_cls * len(halves) + np.array([halves[p.game_id, p.half] for p in preds],
-                                           dtype=np.int64)
-    p_time = np.array([p.time_s for p in preds], dtype=np.int64)
-    p_conf = np.array([p.confidence for p in preds], dtype=float)
+    p_cls = np.fromiter(map(index.get, pred_labels, repeat(-1)), np.int64, len(pred_labels))
+    p_key = p_cls * len(halves) + np.concatenate([np.empty(0, np.int64)] + [
+        np.array([halves[game, half] for half in distinct.tolist()], dtype=np.int64)[which]
+        for game, distinct, which in game_halves])
+    p_time, p_conf = column("times", np.int64), column("confidences", float)
     ranked = np.flatnonzero(p_cls >= 0)
     ranked = ranked[_rank_order(p_cls[ranked], p_key[ranked], p_time[ranked], p_conf[ranked])]
     g_cls = np.array([index.get(lb, -1) for lb in gt_labels], dtype=np.int64)
@@ -185,7 +194,7 @@ def average_map(
         map_per_tol[tol] = float(np.mean(aps)) if aps else 0.0
         counts[tol] = {
             "matched": tp_total,
-            "unmatched_predictions": len(preds) - tp_total,
+            "unmatched_predictions": len(p_cls) - tp_total,
             "unmatched_ground_truths": len(gts) - tp_total,
         }
     avg = float(np.mean([map_per_tol[t] for t in tolerances]))

@@ -29,7 +29,7 @@ from .nn import (
     init_encoder_params,
     sigmoid,
 )
-from .spotting import SpotPrediction, TrainSpec, _nms_keep, fit, training_model
+from .spotting import SpotCandidates, TrainSpec, _nms_keep, fit, training_model
 
 logger = logging.getLogger(__name__)
 
@@ -245,7 +245,7 @@ def filter_predictions(
 
 
 def fuse_with_spotting(
-    spot_preds: list[SpotPrediction],
+    spot_preds: SpotCandidates,
     replay_start_s: int,
     W: int = 42,
     S: float = 0.02,
@@ -256,21 +256,18 @@ def fuse_with_spotting(
 
     Keep spots with a FUSION_LABELS label and confidence above S that fall in
     [T - W, T]; the nearest and second-nearest to T (ties to the earlier
-    timestamp) are emitted with confidences beta1 * conf and beta2 * conf,
+    timestamp, then the higher confidence, the lower class and the earlier
+    spot) are emitted with confidences beta1 * conf and beta2 * conf,
     clamped to [0, 1].
     """
-    T = replay_start_s
-    eligible = [
-        p
-        for p in spot_preds
-        if p.label in FUSION_LABELS and p.confidence > S and T - W <= p.time_s <= T
-    ]
-    eligible.sort(key=lambda p: (abs(T - p.time_s), p.time_s, -p.confidence, p.class_index))
-    out = []
-    for p, beta in zip(eligible[:2], (beta1, beta2)):
-        conf = min(max(beta * p.confidence, 0.0), 1.0)
-        out.append(GroundingPrediction(p.time_s, conf))
-    return out
+    T, c = replay_start_s, spot_preds
+    eligible = np.flatnonzero(np.isin(c.labels, list(FUSION_LABELS)) & (c.confidences > S)
+                              & (T - W <= c.times) & (c.times <= T))
+    times, confidences = c.times[eligible], c.confidences[eligible]
+    nearest = np.lexsort((c.classes[eligible], -confidences, times, np.abs(T - times)))[:2]
+    return [GroundingPrediction(t, min(max(beta * conf, 0.0), 1.0))
+            for t, conf, beta in zip(times[nearest].tolist(), confidences[nearest].tolist(),
+                                     (beta1, beta2))]
 
 
 def minmax_normalize(values: list[float]) -> list[float]:

@@ -1,10 +1,10 @@
 """JSON documents in and out, and names that become paths.
 
 Every JSON document the package reads is decoded by `json_document`, and
-its values are checked by `objects` and `typed`; a value that becomes one
-path component is checked by `bare_name`. Each raises the caller's error
-class, so every input keeps its own error and exit code. Every JSON file
-the package writes is written by `write_json`.
+its values are checked by `objects`, `typed` and `typed_list`; a value
+that becomes one path component is checked by `bare_name`. Each raises
+the caller's error class, so every input keeps its own error and exit
+code. Every JSON file the package writes is written by `write_json`.
 """
 
 from __future__ import annotations
@@ -48,6 +48,14 @@ def typed(value, kind: type, error: type[Exception], where: str):
     raise error(f"{where} must be {kind.__name__}, got {type(value).__name__} {value!r}")
 
 
+def typed_list(values: list, kind: type, error: type[Exception], where: str) -> list:
+    """values if each is a kind, as typed checks one: the first that is not
+    raises typed's error, and an int among floats becomes a float."""
+    if set(map(type, values)) <= {kind}:
+        return values
+    return [typed(value, kind, error, where) for value in values]
+
+
 def bare_name(name: str, error: type[Exception], where: str) -> str:
     """name if it can be one path component: not empty, `.` or `..`, and
     holding no `/` or NUL."""
@@ -59,11 +67,24 @@ def bare_name(name: str, error: type[Exception], where: str) -> str:
 def write_json(path: str | pathlib.Path, doc, sort_keys: bool = True) -> pathlib.Path:
     """Write doc to path as UTF-8 JSON, indented by 2 and ending in a
     newline, creating parent directories; returns the path. The text is
-    exactly json.dumps(doc, indent=2, sort_keys=sort_keys) + "\\n"."""
+    exactly json.dumps(doc, indent=2, sort_keys=sort_keys) + "\\n", with
+    a Records written as the list of records it stands for."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_encode(doc, sort_keys, 0) + "\n", encoding="utf-8")
     return path
+
+
+class Records:
+    """A list of records given as its columns, str key -> list of values:
+    record i maps each key to the i-th value of its column. A writer that
+    holds columns hands them over as they are, without building records.
+    Each column must be all str, all int or all finite floats, and the
+    Records must be the document or the value of a str-keyed dict in it;
+    json.dumps cannot encode one, so any other is a TypeError."""
+
+    def __init__(self, columns: dict[str, list]):
+        self.columns = columns
 
 
 # how json encodes a record's str, int and finite float values
@@ -83,28 +104,35 @@ def _encode(value, sort_keys: bool, depth: int) -> str:
         return "{" + inner + ("," + inner).join(
             f"{_SCALARS[str](key)}: {_encode(item, sort_keys, depth + 1)}" for key, item in items
         ) + "\n" + "  " * depth + "}"
-    if type(value) is list and (text := _records(value, sort_keys, depth)) is not None:
+    if type(value) in (list, Records) and (text := _records(value, sort_keys, depth)) is not None:
         return text
     text = json.dumps(value, indent=2, sort_keys=sort_keys)
     return text.replace("\n", "\n" + "  " * depth) if depth else text
 
 
-def _records(rows: list, sort_keys: bool, depth: int) -> str | None:
-    """_encode's text for a list of records: non-empty dicts with the
-    first one's str keys in its order, where each key's values are all
-    str, all int or all finite floats (a bool is not an int). Each value
-    is encoded as json does and every record is formatted through one
-    template. None for any other list."""
-    if not rows or type(rows[0]) is not dict or not rows[0]:
+def _records(rows: list | Records, sort_keys: bool, depth: int) -> str | None:
+    """_encode's text for a list of records, as a list or as Records: a
+    list must hold non-empty dicts with the first one's str keys in its
+    order. Each key's values must be all str, all int or all finite floats
+    (a bool is not an int), and a list at least one record. Each value is
+    encoded as json does and every record is formatted through one
+    template; Records without a record are "[]". None for anything else."""
+    if type(rows) is Records:
+        rows = rows.columns
+        if not any(rows.values()):
+            return "[]"
+    elif not rows or type(rows[0]) is not dict or not rows[0]:
         return None
-    keys = tuple(rows[0])
-    if not (all(type(key) is str for key in keys)
-            and set(map(type, rows)) == {dict} and set(map(tuple, rows)) == {keys}):
-        return None
-    keys = sorted(keys) if sort_keys else keys
+    else:
+        keys = tuple(rows[0])
+        if not (all(type(key) is str for key in keys)
+                and set(map(type, rows)) == {dict} and set(map(tuple, rows)) == {keys}):
+            return None
+        rows = {key: [row[key] for row in rows] for key in keys}
+    keys = sorted(rows) if sort_keys else list(rows)
     columns = []
     for key in keys:
-        values = [row[key] for row in rows]
+        values = rows[key]
         kinds = set(map(type, values))
         kind = kinds.pop() if len(kinds) == 1 else None
         if kind not in _SCALARS or (kind is float and not all(map(math.isfinite, values))):

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -730,40 +731,45 @@ SPOT_GRADCHECK_T = 7  # a spotting chunk
 GROUND_GRADCHECK_T = 16  # two segments of 8 rows
 
 
-def _head_grad_check(config, trials, h, seed, T, segments, draw_loss) -> float:
-    """Finite-difference check of one encoder head on a random batch.
+def _head_grad_check(config, trials, h, seed, T, draw_loss, init=init_encoder_params,
+                     forward=encoder_forward_batch, backward=encoder_backward) -> float:
+    """Finite-difference check of one head on a random batch, in float64.
 
-    The rng draws the parameters, then the (GRADCHECK_BATCH, T) input,
-    then, through draw_loss(rng, config), the head's targets; draw_loss
-    returns the loss, a function of the outputs giving (loss, d loss / d
-    outputs). The forward runs in eval mode, without dropout.
+    The rng draws the parameters with init(config, rng), then the
+    (GRADCHECK_BATCH, T) input, then, through draw_loss(rng, config), the
+    head's targets; draw_loss returns the loss, a function of the outputs
+    giving (loss, d loss / d outputs). forward(params, config, x) runs
+    the head in eval mode, without dropout, and backward(cache, d loss /
+    d outputs) gives its gradients.
     """
     rng = np.random.default_rng(seed)
-    params = init_encoder_params(config, rng)
+    params = init(config, rng)
     x = rng.normal(size=(GRADCHECK_BATCH, T, config.input_dim))
     loss = draw_loss(rng, config)
 
     def loss_fn(p, want_grads):
-        outputs, cache = encoder_forward_batch(p, config, x, segments=segments)
+        outputs, cache = forward(p, config, x)
         value, dout = loss(outputs)
         if not want_grads:
             return value, None
-        return value, encoder_backward(cache, dout)
+        return value, backward(cache, dout)
 
     return grad_check(params, loss_fn, trials=trials, h=h, rng=rng)
 
 
+def _class_targets_loss(rng, config):
+    """The spotting heads' gradient-check loss: cross-entropy against one
+    drawn class per sample."""
+    targets = np.zeros((GRADCHECK_BATCH, config.output_dim))
+    classes = rng.integers(0, config.output_dim, GRADCHECK_BATCH)
+    targets[np.arange(GRADCHECK_BATCH), classes] = 1.0
+    return lambda logits: cross_entropy_soft(logits, targets)
+
+
 def spotting_grad_check(trials: int = 100, h: float = 1e-5, seed: int = 0) -> float:
     """Finite-difference check of the SPOT_GRADCHECK_CONFIG head under cross-entropy."""
-
-    def draw_loss(rng, config):
-        targets = np.zeros((GRADCHECK_BATCH, config.output_dim))
-        classes = rng.integers(0, config.output_dim, GRADCHECK_BATCH)
-        targets[np.arange(GRADCHECK_BATCH), classes] = 1.0
-        return lambda logits: cross_entropy_soft(logits, targets)
-
-    return _head_grad_check(SPOT_GRADCHECK_CONFIG, trials, h, seed, SPOT_GRADCHECK_T, None,
-                            draw_loss)
+    return _head_grad_check(SPOT_GRADCHECK_CONFIG, trials, h, seed, SPOT_GRADCHECK_T,
+                            _class_targets_loss)
 
 
 def grounding_grad_check(trials: int = 100, h: float = 1e-5, seed: int = 0) -> float:
@@ -777,4 +783,4 @@ def grounding_grad_check(trials: int = 100, h: float = 1e-5, seed: int = 0) -> f
         return lambda outputs: bce_plus_l2(outputs, labels, offsets)
 
     return _head_grad_check(GROUND_GRADCHECK_CONFIG, trials, h, seed, GROUND_GRADCHECK_T,
-                            segments, draw_loss)
+                            draw_loss, forward=partial(encoder_forward_batch, segments=segments))

@@ -18,10 +18,9 @@ workspace.
 from __future__ import annotations
 
 import copy
-import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -33,7 +32,9 @@ from .nn import (
     CACHE_BLOCK,
     AdamState,
     _check_finite,
+    _class_targets_loss,
     _glorot,
+    _head_grad_check,
     EncoderConfig,
     Workspace,
     adam_step,
@@ -70,21 +71,48 @@ class SpotPrediction:
             raise ShapeError("background is never emitted as a prediction")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpotCandidates:
-    """One half's candidate predictions as arrays, class-major and each
-    class's times ascending: candidate i is class classes[i], named
-    labels[i], at second times[i] with confidence confidences[i]."""
+    """Spotting predictions of one game as columns, the one form they
+    take from selection to scoring: prediction i is class classes[i],
+    named labels[i], in half halves[i] at second times[i] with
+    confidence confidences[i], which must lie in [0, 1]."""
 
     game_id: str
-    half: int
+    halves: np.ndarray
     labels: np.ndarray  # of str
     classes: np.ndarray
     times: np.ndarray
     confidences: np.ndarray
 
+    def __post_init__(self):
+        bad = np.flatnonzero(~((self.confidences >= 0.0) & (self.confidences <= 1.0)))
+        if len(bad):
+            raise ShapeError(f"confidence {self.confidences[bad[0]]} outside [0, 1]")
+
+    @classmethod
+    def from_predictions(cls, game_id: str, preds: list[SpotPrediction]) -> SpotCandidates:
+        """game_id's predictions as its columns, in list order."""
+        if any(p.game_id != game_id for p in preds):
+            raise ShapeError(f"SpotPredictions of several games given as {game_id!r}'s")
+        return cls(game_id, *(np.array([getattr(p, a) for p in preds], dtype=dtype)
+                              for a, dtype in (("half", np.int64), ("label", object),
+                                               ("class_index", np.int64), ("time_s", np.int64),
+                                               ("confidence", float))))
+
+    def predictions(self) -> list[SpotPrediction]:
+        """The columns as SpotPrediction objects, in order."""
+        return [SpotPrediction(self.game_id, *row) for row in zip(*(
+            getattr(self, k).tolist() for k in ("halves", "times", "classes", "labels",
+                                                "confidences")))]
+
     def __len__(self) -> int:
         return len(self.times)
+
+    def __getitem__(self, index) -> SpotCandidates:
+        """The predictions an index array or mask selects, as columns."""
+        return SpotCandidates(self.game_id, *(getattr(self, f.name)[index]
+                                              for f in fields(self)[1:]))
 
 
 @dataclass(frozen=True)
@@ -389,6 +417,18 @@ def netvlad_backward(cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     return grads
 
 
+NETVLAD_GRADCHECK_CONFIG = NetVLADConfig(input_dim=16, output_dim=NUM_OUTPUT_CLASSES, clusters=4)
+NETVLAD_GRADCHECK_L = 8  # an even spotting chunk
+
+
+def netvlad_grad_check(trials: int = 100, h: float = 1e-5, seed: int = 0) -> float:
+    """Finite-difference check of the NETVLAD_GRADCHECK_CONFIG head under
+    cross-entropy, on a (GRADCHECK_BATCH, NETVLAD_GRADCHECK_L) batch."""
+    return _head_grad_check(NETVLAD_GRADCHECK_CONFIG, trials, h, seed, NETVLAD_GRADCHECK_L,
+                            _class_targets_loss, init_netvlad_params, netvlad_forward_batch,
+                            netvlad_backward)
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -533,41 +573,29 @@ def _nms_keep(times, confidences, window_s: int) -> list[int]:
     return kept
 
 
-def _halves(preds: list[SpotPrediction]) -> list[SpotCandidates]:
-    """Each (game, half)'s predictions as SpotCandidates, in (game_id, half)
-    order; equal (class, time) predictions keep their input order."""
-    ordered = sorted(preds, key=lambda p: (p.game_id, p.half, p.class_index, p.time_s))
-    halves = []
-    for (game_id, half), group in itertools.groupby(ordered, lambda p: (p.game_id, p.half)):
-        group = list(group)
-        classes, times, confidences = (np.array([getattr(p, a) for p in group])
-                                       for a in ("class_index", "time_s", "confidence"))
-        labels = np.array([p.label for p in group], dtype=object)
-        halves.append(SpotCandidates(game_id, half, labels, classes, times, confidences))
-    return halves
-
-
-def nms_1d(preds: list[SpotPrediction] | SpotCandidates, window_s: int) -> list[SpotPrediction]:
+def nms_1d(preds: SpotCandidates, window_s: int) -> SpotCandidates:
     """Greedy per-class, per-half temporal NMS.
 
     Accept the highest-confidence prediction, drop same-class predictions
-    within +/-window_s of it, repeat. Survivors are returned sorted by
-    (game_id, half, time, class) and are pairwise more than window_s apart
-    within a class. A list is split into its halves' SpotCandidates, so
-    every half runs the same array code, and only survivors become
-    predictions.
+    within +/-window_s of it, repeat; equal confidences go to the earlier
+    time, then to the earlier prediction. Survivors are returned sorted by
+    (half, time, class) and are pairwise more than window_s apart within
+    a class and half. A list of one game's SpotPredictions, as perfbench's
+    tracer test passes, runs as its columns and gets a list back.
     """
-    kept = []
-    for c in [preds] if isinstance(preds, SpotCandidates) else _halves(preds):
-        bounds = np.searchsorted(c.classes, np.arange(BACKGROUND_INDEX + 1)).tolist()
-        idx = np.array([lo + i for lo, hi in zip(bounds, bounds[1:])
-                        for i in _nms_keep(c.times[lo:hi], c.confidences[lo:hi], window_s)],
-                       dtype=np.intp)
-        idx = idx[np.lexsort((c.classes[idx], c.times[idx]))]  # time, then class
-        kept += [SpotPrediction(c.game_id, c.half, t, k, label, conf)
-                 for t, k, label, conf in zip(*(x[idx].tolist() for x in (
-                     c.times, c.classes, c.labels, c.confidences)))]
-    return kept
+    listed = isinstance(preds, list)
+    if listed:
+        preds = SpotCandidates.from_predictions(preds[0].game_id if preds else "", preds)
+    order = np.lexsort((preds.classes, preds.halves))  # stable: input order within a group
+    h, k = preds.halves[order], preds.classes[order]
+    starts = np.flatnonzero((h[1:] != h[:-1]) | (k[1:] != k[:-1])) + 1
+    bounds = [0, *starts.tolist(), len(order)]
+    times, confidences = preds.times[order], preds.confidences[order]
+    kept = order[np.array([lo + i for lo, hi in zip(bounds, bounds[1:])
+                           for i in _nms_keep(times[lo:hi], confidences[lo:hi], window_s)],
+                          dtype=np.intp)]
+    kept = preds[kept[np.lexsort((preds.classes[kept], preds.times[kept], preds.halves[kept]))]]
+    return kept.predictions() if listed else kept
 
 
 def score_series(model: Model, features: FeatureSequence, chunk_size_s: int) -> np.ndarray:
@@ -618,7 +646,7 @@ def select_predictions(
     vocab,
     threshold: float,
     nms_window_s: int,
-) -> list[SpotPrediction]:
+) -> SpotCandidates:
     """Threshold a (T, 18) score series and reduce it with per-class NMS.
 
     Selection depends only on the ordering of scores above the threshold,
@@ -628,9 +656,9 @@ def select_predictions(
     labels = np.array([vocab[c] if c < len(vocab) else str(c) for c in range(BACKGROUND_INDEX)],
                       dtype=object)
     by_class = probs[:, :BACKGROUND_INDEX].T
-    cs, ts = np.nonzero(by_class >= threshold)  # class-major, each class's times ascending
-    return nms_1d(SpotCandidates(game_id, half, labels[cs], cs, ts, by_class[cs, ts]),
-                  nms_window_s)
+    cs, ts = np.nonzero(by_class >= threshold)
+    return nms_1d(SpotCandidates(game_id, np.full(len(cs), half), labels[cs], cs, ts,
+                                 by_class[cs, ts]), nms_window_s)
 
 
 def spot_game(
@@ -639,7 +667,7 @@ def spot_game(
     chunk_size_s: int = 7,
     nms_window_s: int = 20,
     threshold: float = 0.05,
-) -> list[SpotPrediction]:
+) -> SpotCandidates:
     """Slide at 1 s stride, threshold the per-class score series, NMS."""
     probs = score_series(model, features, chunk_size_s)
     return select_predictions(

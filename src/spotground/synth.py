@@ -11,6 +11,7 @@ of (config, seed).
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,19 +100,13 @@ def _place_events(rng, config: SynthConfig) -> np.ndarray:
     return lo + extras + np.arange(n) * config.min_gap_s
 
 
-def synth_generate(
-    config: SynthConfig,
-    seed: int,
-    index: int = 0,
-) -> tuple[FeatureSequence, list[EventAnnotation], list[ReplayAnnotation]]:
-    """Generate half `index` of the dataset of this seed: half 1 + index % 2
-    of game index // 2. Its event times, classes, delays and noise are drawn
-    from seed + 1000 * index; the class directions come from seed itself.
-    Labels are the first num_classes names of DEFAULT_VOCAB."""
+def _synth_half(config: SynthConfig, seed: int, index: int, directions: np.ndarray
+                ) -> tuple[FeatureSequence, list[EventAnnotation], list[ReplayAnnotation]]:
+    """Half `index` of the dataset (see synth_dataset), given its class
+    directions."""
     game_id = f"{config.game_prefix}_{index // 2:03d}"
     half = 1 + index % 2
     rng = np.random.default_rng(np.random.SeedSequence([seed + 1000 * index, 1, half]))
-    directions = class_directions(config, seed)
     labels = DEFAULT_VOCAB[: config.num_classes]
 
     T, D = config.duration_s, config.feature_dim
@@ -170,41 +165,51 @@ def synth_dataset(config: SynthConfig, seed: int):
     """Generate num_halves halves as (features, events, replays) triples,
     lazily: each half is generated when it is asked for.
 
-    Halves are grouped two per game: half indices alternate 1, 2 and the
-    game counter advances every other half (see synth_generate).
+    Half i is half 1 + i % 2 of game i // 2. Its event times, classes,
+    delays and noise are drawn from seed + 1000 * i; the class directions
+    come from seed itself, computed once for every half. Labels are the
+    first num_classes names of DEFAULT_VOCAB.
     """
-    return (synth_generate(config, seed, i) for i in range(config.num_halves))
+    directions = class_directions(config, seed)
+    return (_synth_half(config, seed, i, directions) for i in range(config.num_halves))
 
 
 def write_synth_dataset(root: str | Path, config: SynthConfig, seed: int):
     """Write a synthetic dataset in the on-disk layout the loaders expect:
     each half's features are written as soon as it is generated, so one
-    half at a time is held, and the games' labels.json files last."""
+    half at a time is held, and the games' labels.json files last. A root
+    this call creates is removed again if generating or writing fails."""
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    docs: dict[Path, dict] = {}
-    for features, events, replays in synth_dataset(config, seed):
-        game_dir = root / features.game_id
-        game_dir.mkdir(exist_ok=True)
-        npy_path = game_dir / f"{features.half}_synthetic.npy"
-        write_npy_file(npy_path, features.data)
-        del features  # the next half is generated before the loop rebinds it
-        written.append(npy_path)
-        doc = docs.setdefault(game_dir / "labels.json", {"annotations": [], "replays": []})
-        for ev in events:
-            doc["annotations"].append(
-                {"gameTime": format_game_time(ev.half, ev.time_s), "label": ev.label}
-            )
-        for rp in replays:
-            doc["replays"].append(
-                {
-                    "start": format_game_time(rp.half, rp.replay_start_s),
-                    "end": format_game_time(rp.half, rp.replay_end_s),
-                    "event": format_game_time(rp.half, rp.event_time_s),
-                    "label": rp.event_label,
-                }
-            )
-    for path, doc in docs.items():
-        written.append(write_json(path, doc))
-    return written
+    created = not root.exists()
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        written: list[Path] = []
+        docs: dict[Path, dict] = {}
+        for features, events, replays in synth_dataset(config, seed):
+            game_dir = root / features.game_id
+            game_dir.mkdir(exist_ok=True)
+            npy_path = game_dir / f"{features.half}_synthetic.npy"
+            write_npy_file(npy_path, features.data)
+            del features  # the next half is generated before the loop rebinds it
+            written.append(npy_path)
+            doc = docs.setdefault(game_dir / "labels.json", {"annotations": [], "replays": []})
+            for ev in events:
+                doc["annotations"].append(
+                    {"gameTime": format_game_time(ev.half, ev.time_s), "label": ev.label}
+                )
+            for rp in replays:
+                doc["replays"].append(
+                    {
+                        "start": format_game_time(rp.half, rp.replay_start_s),
+                        "end": format_game_time(rp.half, rp.replay_end_s),
+                        "event": format_game_time(rp.half, rp.event_time_s),
+                        "label": rp.event_label,
+                    }
+                )
+        for path, doc in docs.items():
+            written.append(write_json(path, doc))
+        return written
+    except BaseException:
+        if created:
+            shutil.rmtree(root, ignore_errors=True)
+        raise

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spotground.data import EventAnnotation, FeatureSequence
+from spotground.spotting import SpotCandidates
 
 
 @pytest.fixture
@@ -37,3 +38,12 @@ def float_arrays(obj):
     if isinstance(obj, (list, tuple)):
         return [a for item in obj for a in float_arrays(item)]
     return []
+
+
+def by_game(preds):
+    """SpotPrediction objects as columns, one SpotCandidates per game in
+    game order, each game's predictions in list order."""
+    games = sorted({p.game_id for p in preds})
+    return [SpotCandidates.from_predictions(g, [p for p in preds if p.game_id == g])
+            for g in games]
+

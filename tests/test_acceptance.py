@@ -7,13 +7,16 @@ take a few minutes combined.
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_event
+import spotground
+from conftest import by_game, make_event
 from spotground.cli import run
 from spotground.data import GameHalf
 from spotground.evaluation import average_map, replay_ap_report, replay_stats
@@ -27,6 +30,7 @@ from spotground.grounding import (
     train_grounding,
 )
 from spotground.nn import (
+    GRADCHECK_BATCH,
     GROUND_GRADCHECK_CONFIG,
     SPOT_GRADCHECK_CONFIG,
     EncoderConfig,
@@ -34,7 +38,16 @@ from spotground.nn import (
     spotting_grad_check,
 )
 from spotground.npyio import parse_npy, write_npy
-from spotground.spotting import SpotPrediction, TrainSpec, nms_1d
+from spotground.spotting import (
+    NETVLAD_GRADCHECK_CONFIG,
+    NETVLAD_GRADCHECK_L,
+    NetVLADConfig,
+    SpotCandidates,
+    SpotPrediction,
+    TrainSpec,
+    netvlad_grad_check,
+    nms_1d,
+)
 from spotground.synth import SynthConfig, synth_dataset
 
 from test_evaluation import oracle_ap, _pred
@@ -49,12 +62,13 @@ def _report(line: str) -> None:
 def test_c1_gradient_fidelity():
     t0 = time.time()
     spot_err = spotting_grad_check(trials=100, h=1e-5, seed=0)
+    netvlad_err = netvlad_grad_check(trials=100, h=1e-5, seed=0)
     ground_err = grounding_grad_check(trials=100, h=1e-5, seed=0)
     elapsed = time.time() - t0
-    ok = spot_err < 1e-5 and ground_err < 1e-5 and elapsed < 60.0
+    ok = max(spot_err, netvlad_err, ground_err) < 1e-5 and elapsed < 60.0
     _report(
-        f"C1 gradient fidelity: spot {spot_err:.2e}, ground {ground_err:.2e}, "
-        f"{elapsed:.1f}s -> {'PASS' if ok else 'FAIL'}"
+        f"C1 gradient fidelity: spot {spot_err:.2e}, netvlad {netvlad_err:.2e}, "
+        f"ground {ground_err:.2e}, {elapsed:.1f}s -> {'PASS' if ok else 'FAIL'}"
     )
     assert SPOT_GRADCHECK_CONFIG.num_layers == 3
     assert SPOT_GRADCHECK_CONFIG.num_heads == 4
@@ -62,7 +76,10 @@ def test_c1_gradient_fidelity():
     assert SPOT_GRADCHECK_CONFIG.output_dim == 18
     assert GROUND_GRADCHECK_CONFIG.num_layers == 4
     assert GROUND_GRADCHECK_CONFIG.output_dim == 2
+    assert NETVLAD_GRADCHECK_CONFIG == NetVLADConfig(input_dim=16, clusters=4, output_dim=18)
+    assert (GRADCHECK_BATCH, NETVLAD_GRADCHECK_L) == (2, 8)
     assert spot_err < 1e-5
+    assert netvlad_err < 1e-5
     assert ground_err < 1e-5
     assert elapsed < 60.0
 
@@ -72,7 +89,8 @@ def test_c2_nms_oracles():
     for _ in range(1000):
         preds = _random_preds(rng, int(rng.integers(0, 51)), classes=4, t_max=200)
         window = int(rng.integers(1, 40))
-        assert nms_1d(preds, window) == _brute_force_nms(preds, window)
+        got = nms_1d(SpotCandidates.from_predictions("g", preds), window)
+        assert got.predictions() == _brute_force_nms(preds, window)
     for _ in range(1000):
         def side(n):
             return [
@@ -92,8 +110,8 @@ def test_c2_nms_oracles():
 
 def test_c3_metric_oracle():
     # through average_map, the function `eval spot` runs: one class, one tolerance
-    assert average_map([_pred(50, 0.9)], [make_event(52)], [5]).average_map == 1.0
-    assert average_map([_pred(50, 0.9)], [make_event(52)], [1]).average_map == 0.0
+    assert average_map(by_game([_pred(50, 0.9)]), [make_event(52)], [5]).average_map == 1.0
+    assert average_map(by_game([_pred(50, 0.9)]), [make_event(52)], [1]).average_map == 0.0
     rng = np.random.default_rng(99)
     for _ in range(1000):
         preds = [
@@ -107,7 +125,7 @@ def test_c3_metric_oracle():
             for _ in range(int(rng.integers(0, 6)))
         ]
         tol = int(rng.integers(1, 15))
-        got = average_map(preds, gts, [tol]).average_map
+        got = average_map(by_game(preds), gts, [tol]).average_map
         assert got == pytest.approx(oracle_ap(preds, gts, tol), abs=1e-12)
     _report("C3 metric oracle equivalence (1000 instances + hand cases): PASS")
 
@@ -125,7 +143,8 @@ def test_c4_fusion_oracle():
             for lb in (labels[int(rng.integers(0, 4))]
                        for _ in range(int(rng.integers(0, 12))))
         ]
-        got = fuse_with_spotting(spots, T, 42, 0.02, 1.25, 0.8)
+        got = fuse_with_spotting(SpotCandidates.from_predictions("g", spots), T,
+                                 42, 0.02, 1.25, 0.8)
         assert [(p.time_s, p.confidence) for p in got] == _fuse_oracle(
             spots, T, 42, 0.02, 1.25, 0.8, allowed
         )
@@ -239,6 +258,39 @@ def test_c7_command_determinism(tmp_path):
                                        "--data", str(gdata), "--out", str(out)])
     _report("C7 determinism (synth, spot train/infer, ground train/infer, "
             "byte-compared twice): PASS")
+
+
+# trains both heads at their default widths, whose products are large enough
+# for OpenBLAS to split them across threads
+TRAIN_BOTH_HEADS = """
+import sys
+from spotground.cli import run
+data, gdata, out = sys.argv[1:]
+for command, inputs in (("spot", data), ("ground", gdata)):
+    argv = [command, "train", "--data", inputs, "--out", f"{out}/{command}", "--epochs", "2"]
+    assert run([*argv, "--seed", "1"]) == 0
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+def test_c7_checkpoints_at_two_blas_threads(tmp_path):
+    """Both heads' checkpoints are the same bytes with OPENBLAS_NUM_THREADS=2
+    as with 1, each set in a fresh process before numpy loads."""
+    data, gdata = tmp_path / "data", tmp_path / "gdata"
+    assert run(["synth", "--out", str(data), "--seed", "3", *SYNTH_ARGS]) == 0
+    assert run(["synth", "--out", str(gdata), "--seed", "4", *GROUND_SYNTH_ARGS]) == 0
+    path = os.pathsep.join([str(Path(spotground.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    checkpoints = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", TRAIN_BOTH_HEADS, str(data), str(gdata), str(out)],
+                       env=env, check=True)
+        checkpoints[threads] = [(out / head / "model.sgckpt").read_bytes()
+                                for head in ("spot", "ground")]
+    assert checkpoints["1"] == checkpoints["2"]
+    _report("C7 determinism at two BLAS threads (spot and ground checkpoints): PASS")
 
 
 def test_c8_real_replay_statistics():

@@ -76,6 +76,15 @@ class TestSynthCommand:
         assert manifest["config"]["duration"] == 200
         assert "wall_time_s" in manifest and "build" in manifest
 
+    def test_failed_placement_leaves_no_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = run(["synth", "--out", str(out), "--duration", "50",
+                    "--events-per-class", "30"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: PlacementError:"), err
+        assert len(err.splitlines()) == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("prefix", ["../esc", "a/b", "..", ""])
     def test_prefix_must_be_a_bare_name(self, prefix, tmp_path, capsys):
         """A game id names a directory under --out; nothing is written for a
@@ -1126,12 +1135,66 @@ class TestMissingPredictionFile:
         assert "fused spotting into 0 replay queries" in capsys.readouterr().out
 
 
+class TestUnscoredInputs:
+    """Input that no score would count exits 1 with one ParseError line
+    naming it, before anything is scored or written."""
+
+    @staticmethod
+    def _rejected(argv, needles, capsys):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ParseError:"), err
+        assert len(err.strip("\n").splitlines()) == 1, err
+        assert all(needle in err for needle in needles), err
+
+    def test_eval_ground_rejects_a_document_for_an_unlabelled_game(self, tmp_path, capsys):
+        labels = TestStatedGameIdMismatch._labels(tmp_path)
+        preds = TestStatedGameIdMismatch._doc(tmp_path, "grounding.json", "g1")
+        argv = ["eval", "ground", "--preds", str(preds), "--labels", str(labels)]
+        assert run([*argv, "--out", str(tmp_path / "ok")]) == 0
+        stray = preds / "stray_001" / "grounding.json"
+        stray.parent.mkdir()
+        stray.write_text((preds / "g1" / "grounding.json").read_text().replace('"g1"',
+                                                                              '"stray_001"'))
+        self._rejected([*argv, "--out", str(tmp_path / "out")], [str(stray), "'stray_001'"],
+                       capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_ground_rejects_a_query_no_replay_is_labelled_for(self, tmp_path, capsys):
+        labels = TestStatedGameIdMismatch._labels(tmp_path)
+        preds = TestStatedGameIdMismatch._doc(tmp_path, "grounding.json", "g1")
+        path = preds / "g1" / "grounding.json"
+        doc = json.loads(path.read_text())
+        doc["queries"].append({"query": {"half": 2, "start": "2 - 03:00", "end": "2 - 03:10"},
+                               "predictions": []})
+        path.write_text(json.dumps(doc))
+        self._rejected(["eval", "ground", "--preds", str(preds), "--labels", str(labels),
+                        "--out", str(tmp_path / "out")],
+                       [str(path), "2 - 03:00 to 2 - 03:10", "'g1'"], capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "spot", "--preds", "{root}/preds"],
+        ["eval", "ground", "--preds", "{root}/preds"],
+        ["analyze", "replays"],
+        ["ground", "fuse", "--spot-preds", "{root}/preds"],
+    ])
+    def test_a_labels_tree_without_a_labelled_game(self, argv, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        (labels / "empty_game").mkdir(parents=True)
+        (tmp_path / "preds").mkdir()
+        argv = [a.format(root=tmp_path) for a in argv]
+        self._rejected([*argv, "--labels", str(labels), "--out", str(tmp_path / "out")],
+                       [str(labels)], capsys)
+        assert not (tmp_path / "out").exists()
+
+
 class TestPredictionReaders:
     def test_round_trip_documents_are_read(self, tmp_path):
         path = tmp_path / "g" / "spotting.json"
         path.parent.mkdir()
         path.write_text(json.dumps({"predictions": [SPOT_ENTRY]}))
-        (p,) = read_spot_predictions(path, DEFAULT_VOCAB)
+        (p,) = read_spot_predictions(path, DEFAULT_VOCAB).predictions()
         assert (p.game_id, p.half, p.time_s, p.label, p.confidence) == ("g", 1, 5, "Goal", 0.5)
         path.write_text(json.dumps({"game_id": "h", "queries": [
             {"query": GROUND_QUERY, "predictions": [{"position_s": 115, "confidence": 1}]}]}))
@@ -1145,6 +1208,7 @@ class TestPredictionReaders:
             {k: v for k, v in SPOT_ENTRY.items() if k != "half"}]}),
         ("spot", "spotting.json", {"predictions": [dict(SPOT_ENTRY, confidence="high")]}),
         ("spot", "spotting.json", {"predictions": [dict(SPOT_ENTRY, confidence=10**400)]}),
+        ("spot", "spotting.json", {"predictions": [dict(SPOT_ENTRY, position_s=2**70)]}),
         ("ground", "grounding.json", {"queries": None}),
         ("ground", "grounding.json", {"queries": [{"query": GROUND_QUERY}]}),
         ("ground", "grounding.json", {"queries": [
@@ -1210,7 +1274,9 @@ class TestGradcheckCommand:
     def test_passes_with_exit_zero(self, capsys):
         assert run(["gradcheck", "--trials", "10", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "spotting head" in out and "grounding head" in out and "PASS" in out
+        for head in ("spotting", "netvlad", "grounding"):
+            assert f"{head} head max relative error" in out, out
+        assert "PASS" in out
 
 
 class TestVersionAndHelp:

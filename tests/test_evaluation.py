@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_event
+from conftest import by_game, make_event
 from spotground.data import ReplayAnnotation
 from spotground.errors import ShapeError
 from spotground.evaluation import (
@@ -66,13 +66,13 @@ class TestAveragePrecision:
     `eval spot` runs."""
 
     def test_single_match_within_tolerance(self):
-        assert average_map([_pred(50, 0.9)], [make_event(52)], [5]).average_map == 1.0
+        assert average_map(by_game([_pred(50, 0.9)]), [make_event(52)], [5]).average_map == 1.0
 
     def test_single_match_outside_tolerance(self):
-        assert average_map([_pred(50, 0.9)], [make_event(52)], [1]).average_map == 0.0
+        assert average_map(by_game([_pred(50, 0.9)]), [make_event(52)], [1]).average_map == 0.0
 
     def test_no_ground_truth_with_predictions_is_zero(self):
-        assert average_map([_pred(10, 0.5)], [], [5]).average_map == 0.0
+        assert average_map(by_game([_pred(10, 0.5)]), [], [5]).average_map == 0.0
 
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(1000):
@@ -86,41 +86,42 @@ class TestAveragePrecision:
             gts = [make_event(int(rng.integers(0, 40)),
                               game_id=("a" if rng.integers(0, 2) else "b"))
                    for _ in range(n_gt)]
-            got = average_map(preds, gts, [tol]).average_map
+            got = average_map(by_game(preds), gts, [tol]).average_map
             assert got == pytest.approx(oracle_ap(preds, gts, tol), abs=1e-12)
 
     def test_one_to_one_matching_bounds_tp(self, rng):
         preds = [_pred(20, 0.9), _pred(21, 0.8), _pred(22, 0.7)]
         gts = [make_event(20)]
         # only one of three near predictions can match the single GT
-        ap = average_map(preds, gts, [10]).average_map
+        ap = average_map(by_game(preds), gts, [10]).average_map
         assert ap == 1.0  # the top-ranked one matches; later FPs do not lower it
 
     def test_monotone_in_tolerance(self, rng):
         preds = [_pred(int(t), float(c) / 100.0)
                  for t, c in zip(rng.integers(0, 100, 20), rng.integers(1, 100, 20))]
         gts = [make_event(int(t)) for t in rng.integers(0, 100, 8)]
-        aps = [average_map(preds, gts, [tol]).average_map for tol in (1, 3, 5, 10, 20, 40)]
+        columns = by_game(preds)
+        aps = [average_map(columns, gts, [tol]).average_map for tol in (1, 3, 5, 10, 20, 40)]
         assert all(b >= a - 1e-12 for a, b in zip(aps, aps[1:]))
 
     def test_rank_invariance_under_monotone_confidence_transform(self, rng):
         preds = [_pred(int(t), float(c) / 100.0)
                  for t, c in zip(rng.integers(0, 100, 15), rng.integers(1, 100, 15))]
         gts = [make_event(int(t)) for t in rng.integers(0, 100, 6)]
-        base = average_map(preds, gts, [10]).average_map
+        base = average_map(by_game(preds), gts, [10]).average_map
         squeezed = [
             SpotPrediction(p.game_id, p.half, p.time_s, p.class_index, p.label,
                            p.confidence**2)
             for p in preds
         ]
-        assert average_map(squeezed, gts, [10]).average_map == pytest.approx(base)
+        assert average_map(by_game(squeezed), gts, [10]).average_map == pytest.approx(base)
 
 
 class TestAverageMap:
     def test_perfect_predictions(self):
         gts = [make_event(t, label) for t, label in ((10, "Goal"), (60, "Foul"))]
         preds = [_pred(10, 0.9, "Goal"), SpotPrediction("g0", 1, 60, 10, "Foul", 0.8)]
-        report = average_map(preds, gts)
+        report = average_map(by_game(preds), gts)
         assert report.average_map == 1.0
         assert all(v == 1.0 for v in report.map_per_tolerance.values())
 
@@ -131,20 +132,20 @@ class TestAverageMap:
     def test_single_tolerance_degenerates(self):
         gts = [make_event(10)]
         preds = [_pred(12, 0.9)]
-        report = average_map(preds, gts, tolerances=[5])
+        report = average_map(by_game(preds), gts, tolerances=[5])
         assert report.average_map == report.map_per_tolerance[5]
 
     def test_self_evaluation_is_perfect(self, rng):
         preds = [_pred(int(t), float(c) / 100.0)
                  for t, c in zip(rng.integers(0, 500, 30), rng.integers(1, 100, 30))]
         gts = [make_event(p.time_s) for p in preds]
-        report = average_map(preds, gts)
+        report = average_map(by_game(preds), gts)
         assert report.average_map == 1.0
 
     def test_classes_without_gt_or_preds_excluded(self):
         gts = [make_event(10, "Goal")]
         preds = [_pred(10, 0.9, "Goal")]
-        report = average_map(preds, gts, vocab=["Goal", "Foul", "Corner"])
+        report = average_map(by_game(preds), gts, vocab=["Goal", "Foul", "Corner"])
         assert set(report.per_class_ap) == {"Goal"}
         assert report.average_map == 1.0
 
@@ -160,7 +161,7 @@ class TestAverageMap:
         gts = [make_event(int(t), label)
                for t, label in zip(rng.integers(0, 200, 12),
                                    rng.choice(["Goal", "Foul"], 12))]
-        report = average_map(preds, gts)
+        report = average_map(by_game(preds), gts)
         assert report.average_map == pytest.approx(
             np.mean([report.map_per_tolerance[t] for t in report.tolerances])
         )
@@ -302,7 +303,7 @@ class TestLockstepMatching:
         for i in range(500):
             preds, gts = self._instance(rng)
             vocab = None if i % 3 else list(self.LABELS[:3])
-            got = average_map(preds, gts, vocab=vocab).to_dict()
+            got = average_map(by_game(preds), gts, vocab=vocab).to_dict()
             assert got == _reference_report(preds, gts, DEFAULT_TOLERANCES, vocab)
 
     def test_replay_ap_report_matches_the_reference_loop(self, rng):
@@ -337,10 +338,12 @@ class TestLockstepMatching:
                     gts += [make_event(int(t), label, game, half)
                             for t in rng.integers(0, 2700, 20)]
 
+        columns = by_game(preds)
+
         def peak(tolerances):
             tracemalloc.start()
             try:
-                average_map(preds, gts, tolerances, vocab=labels)
+                average_map(columns, gts, tolerances, vocab=labels)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

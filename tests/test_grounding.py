@@ -28,7 +28,7 @@ from spotground.nn import (
     init_encoder_params,
     sigmoid,
 )
-from spotground.spotting import SpotPrediction, TrainSpec
+from spotground.spotting import SpotCandidates, SpotPrediction, TrainSpec
 from spotground.synth import SynthConfig, synth_dataset
 
 
@@ -404,6 +404,10 @@ def _spot(t, conf, label="Goal", game="g", half=1):
                                           "Corner": 13}[label], label, conf)
 
 
+def _columns(spots):
+    return SpotCandidates.from_predictions("g", spots)
+
+
 def _fuse_oracle(spots, T, W, S, b1, b2, allowed):
     eligible = [p for p in spots
                 if p.label in allowed and p.confidence > S and T - W <= p.time_s <= T]
@@ -420,7 +424,7 @@ class TestFusion:
     def test_worked_example(self):
         T = 500
         spots = [_spot(T - 10, 0.4, "Goal"), _spot(T - 30, 0.6, "Foul")]
-        out = fuse_with_spotting(spots, T)
+        out = fuse_with_spotting(_columns(spots), T)
         assert [(p.time_s, p.confidence) for p in out] == [
             (T - 10, 0.5),
             (T - 30, pytest.approx(0.48)),
@@ -442,11 +446,11 @@ class TestFusion:
             _spot(T - 6, 0.01, "Goal"),  # below S
             _spot(T - 50, 0.9, "Goal"),  # outside [T-42, T]
         ]
-        assert fuse_with_spotting(spots, T) == []
+        assert fuse_with_spotting(_columns(spots), T) == []
 
     def test_confidence_clamped(self):
         T = 100
-        out = fuse_with_spotting([_spot(T - 1, 0.9, "Goal")], T)
+        out = fuse_with_spotting(_columns([_spot(T - 1, 0.9, "Goal")]), T)
         assert out[0].confidence == 1.0  # 0.9 * 1.25 clamped
 
     def test_matches_exhaustive_oracle(self, rng):
@@ -460,7 +464,7 @@ class TestFusion:
                       labels[int(rng.integers(0, 4))])
                 for _ in range(int(rng.integers(0, 12)))
             ]
-            got = fuse_with_spotting(spots, T, 42, 0.02, 1.25, 0.8)
+            got = fuse_with_spotting(_columns(spots), T, 42, 0.02, 1.25, 0.8)
             assert [(p.time_s, p.confidence) for p in got] == _fuse_oracle(
                 spots, T, 42, 0.02, 1.25, 0.8, allowed
             )
@@ -470,7 +474,7 @@ class TestFusion:
             T = int(rng.integers(50, 200))
             spots = [_spot(int(rng.integers(T - 60, T)), float(rng.random()), "Goal")
                      for _ in range(8)]
-            out = fuse_with_spotting(spots, T)
+            out = fuse_with_spotting(_columns(spots), T)
             assert len(out) <= 2
             for p in out:
                 assert T - 42 <= p.time_s <= T

@@ -4,12 +4,21 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spotground
 from spotground.errors import ParseError
-from spotground.jsonio import _records, bare_name, json_document, objects, typed, write_json
+from spotground.jsonio import (
+    Records,
+    _records,
+    bare_name,
+    json_document,
+    objects,
+    typed,
+    typed_list,
+    write_json,
+)
 
 DEEP = "[" * 100_000 + "]" * 100_000
 SRC = Path(spotground.__file__).parent
@@ -254,3 +263,47 @@ def test_prediction_records_take_the_template(tmp_path):
                 {**rows[1], "confidence": 1}, dict(reversed(rows[1].items())), {}):
         assert _records([rows[0], bad], True, 0) is None
         _assert_written_as_json_dumps(tmp_path / "p.json", {"predictions": [rows[0], bad]})
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=record_lists(), sort_keys=st.booleans())
+def test_records_given_as_columns_write_as_their_rows(rows, sort_keys, tmp_path_factory):
+    """Records, as the document or a dict's value, write json.dumps' bytes
+    for the records they stand for where the template takes those records;
+    any other Records is a TypeError."""
+    keys = list(rows[0])
+    assume(keys and all(type(row) is dict and list(row) == keys for row in rows))
+    columns = Records({key: [row[key] for row in rows] for key in keys})
+    path = tmp_path_factory.getbasetemp() / "columns.json"
+    for doc, same in (({"version": 1, "predictions": columns}, {"version": 1, "predictions": rows}),
+                      (columns, rows)):
+        if _records(rows, sort_keys, 0) is None:
+            with pytest.raises(TypeError):
+                write_json(path, doc, sort_keys=sort_keys)
+            continue
+        write_json(path, doc, sort_keys=sort_keys)
+        expected = json.dumps(same, indent=2, sort_keys=sort_keys) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_records_without_rows_or_out_of_place(tmp_path):
+    """Records without a record write "[]"; a Records json.dumps would meet,
+    in a list or under a dict with a key that is not a str, is a TypeError
+    rather than a dict of columns."""
+    path = tmp_path / "r.json"
+    for empty in (Records({"a": []}), Records({})):
+        write_json(path, {"p": empty})
+        assert path.read_bytes() == b'{\n  "p": []\n}\n'
+    one = Records({"a": [1]})
+    for doc in ([one], {"p": [one]}, {1: one}, {"p": {1: one}}):
+        with pytest.raises(TypeError):
+            write_json(path, doc)
+
+
+def test_typed_list_checks_each_value_as_typed_does():
+    assert typed_list(["a", "b"], str, ParseError, "w") == ["a", "b"]
+    assert typed_list([1, 2.5], float, ParseError, "w") == [1.0, 2.5]
+    assert typed_list([], int, ParseError, "w") == []
+    for values, kind in (([1, True], int), ([1.0, "x"], float), (["a", None], str)):
+        with pytest.raises(ParseError, match="^w must be"):
+            typed_list(values, kind, ParseError, "w")

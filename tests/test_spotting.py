@@ -21,6 +21,7 @@ from spotground.nn import (
 )
 from spotground.spotting import (
     NetVLADConfig,
+    SpotCandidates,
     SpotPrediction,
     TrainSpec,
     _chunk_samples,
@@ -498,6 +499,11 @@ def _random_preds(rng, n, classes=3, t_max=120):
     return preds
 
 
+def _nms(preds, window_s):
+    """nms_1d on the predictions' columns, its survivors as objects."""
+    return nms_1d(SpotCandidates.from_predictions("g", preds), window_s).predictions()
+
+
 class TestNms:
     def test_window_keeps_far_apart(self):
         preds = [
@@ -505,27 +511,35 @@ class TestNms:
             SpotPrediction("g", 1, 15, 0, "Penalty", 0.8),
             SpotPrediction("g", 1, 40, 0, "Penalty", 0.7),
         ]
-        kept = nms_1d(preds, 20)
+        kept = _nms(preds, 20)
         assert [(p.time_s, p.confidence) for p in kept] == [(10, 0.9), (40, 0.7)]
+        assert nms_1d(preds, 20) == kept  # a list runs as its columns
 
     def test_empty(self):
-        assert nms_1d([], 20) == []
+        assert _nms([], 20) == []
+
+    def test_halves_are_suppressed_apart(self, rng):
+        for _ in range(100):
+            preds = [SpotPrediction("g", half, p.time_s, p.class_index, p.label, p.confidence)
+                     for p, half in zip(_random_preds(rng, 40), rng.integers(1, 3, 40).tolist())]
+            window = int(rng.integers(1, 40))
+            assert _nms(preds, window) == _brute_force_nms(preds, window)
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(300):
             preds = _random_preds(rng, int(rng.integers(0, 50)))
             window = int(rng.integers(1, 40))
-            assert nms_1d(preds, window) == _brute_force_nms(preds, window)
+            assert _nms(preds, window) == _brute_force_nms(preds, window)
         for _ in range(100):  # window 0 suppresses only same-second duplicates
             preds = _random_preds(rng, int(rng.integers(0, 50)), t_max=20)
-            assert nms_1d(preds, 0) == _brute_force_nms(preds, 0)
+            assert _nms(preds, 0) == _brute_force_nms(preds, 0)
         for window in (0, 1, 3, 10):  # tie-heavy: few times, three confidences
             preds = [
                 SpotPrediction("g", 1, int(t), int(c), DEFAULT_VOCAB[int(c)], conf)
                 for t, c, conf in zip(rng.integers(0, 15, 200), rng.integers(0, 2, 200),
                                       rng.choice([0.25, 0.5, 0.75], 200))
             ]
-            assert nms_1d(preds, window) == _brute_force_nms(preds, window)
+            assert _nms(preds, window) == _brute_force_nms(preds, window)
 
     def test_selection_matches_brute_force_oracle(self, rng):
         # the array path `spot infer` runs, from a score series with tied scores
@@ -537,13 +551,13 @@ class TestNms:
                 for t in range(len(probs)) for c in range(BACKGROUND_INDEX) if probs[t, c] >= 0.5
             ]
             got = select_predictions(probs, "g", 2, DEFAULT_VOCAB, 0.5, window)
-            assert got == _brute_force_nms(candidates, window)
+            assert got.predictions() == _brute_force_nms(candidates, window)
 
     def test_survivor_gaps_exceed_window(self, rng):
         for _ in range(50):
             preds = _random_preds(rng, 30)
             window = int(rng.integers(1, 30))
-            kept = nms_1d(preds, window)
+            kept = _nms(preds, window)
             by_class = {}
             for p in kept:
                 by_class.setdefault(p.class_index, []).append(p.time_s)
@@ -742,7 +756,7 @@ class TestSpotGame:
     def test_threshold_one_gives_empty(self, rng):
         model = _zero_transformer_model(input_dim=16)
         feats = make_features(T=60, D=16)
-        assert spot_game(model, feats, 7, 20, threshold=1.0) == []
+        assert len(spot_game(model, feats, 7, 20, threshold=1.0)) == 0
 
     def test_trained_model_localizes_noiseless_events(self):
         cfg = SynthConfig(duration_s=200, feature_dim=16, num_classes=1,
@@ -754,7 +768,7 @@ class TestSpotGame:
                                num_heads=2, hidden_dim=32, dropout_p=0.0)
         model = train_spotting(halves, [], spec, config, chunk_size_s=7, mixup_alpha=0.0)
         for gh in halves:
-            preds = spot_game(model, gh.features, 7, 20, threshold=0.05)
+            preds = spot_game(model, gh.features, 7, 20, threshold=0.05).predictions()
             assert len(preds) == len(gh.events)
             for ev in gh.events:
                 close = [p for p in preds
@@ -764,10 +778,10 @@ class TestSpotGame:
     def test_monotone_transform_invariance(self, rng):
         probs = rng.random((80, 18))
         base = select_predictions(probs, "g", 1, DEFAULT_VOCAB, 0.0, 15)
-        key = [(p.time_s, p.class_index) for p in base]
+        key = list(zip(base.times.tolist(), base.classes.tolist()))
         for transform in (np.sqrt, lambda s: s**3, lambda s: s / 2.0):
             alt = select_predictions(transform(probs), "g", 1, DEFAULT_VOCAB, 0.0, 15)
-            assert [(p.time_s, p.class_index) for p in alt] == key
+            assert list(zip(alt.times.tolist(), alt.classes.tolist())) == key
 
     def test_shorter_than_chunk_still_scores_every_second(self):
         model = _zero_transformer_model(input_dim=16)

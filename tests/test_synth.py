@@ -1,15 +1,16 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spotground import synth
 from spotground.errors import PlacementError, ShapeError
 from spotground.synth import (
     PATTERN,
     SynthConfig,
     class_directions,
     synth_dataset,
-    synth_generate,
     write_synth_dataset,
 )
 
@@ -17,7 +18,7 @@ from spotground.synth import (
 def test_noiseless_pattern_rows_only():
     cfg = SynthConfig(duration_s=120, feature_dim=8, num_classes=1, events_per_class=1,
                       noise_sigma=0.0, min_gap_s=10, num_halves=1)
-    feats, events, _ = synth_generate(cfg, seed=4)
+    feats, events, _ = next(synth_dataset(cfg, seed=4))
     (ev,) = events
     t = ev.time_s
     nonzero_rows = set(np.nonzero(np.abs(feats.data).sum(axis=1))[0].tolist())
@@ -41,8 +42,8 @@ def test_same_seed_identical():
 def test_different_seed_differs():
     cfg = SynthConfig(duration_s=200, num_classes=1, events_per_class=2, min_gap_s=15,
                       num_halves=1)
-    a, _, _ = synth_generate(cfg, seed=1)
-    b, _, _ = synth_generate(cfg, seed=2)
+    a, _, _ = next(synth_dataset(cfg, seed=1))
+    b, _, _ = next(synth_dataset(cfg, seed=2))
     assert a.data.tobytes() != b.data.tobytes()
 
 
@@ -50,7 +51,7 @@ def test_constant_delay():
     cfg = SynthConfig(duration_s=400, feature_dim=8, num_classes=1, events_per_class=3,
                       noise_sigma=0.0, min_gap_s=60, num_halves=1, with_replays=True,
                       replay_delay_min_s=40, replay_delay_max_s=40, replay_duration_s=8)
-    _, _, replays = synth_generate(cfg, seed=5)
+    _, _, replays = next(synth_dataset(cfg, seed=5))
     assert len(replays) == 3
     assert all(r.replay_end_s - r.event_time_s == 40 for r in replays)
 
@@ -60,7 +61,7 @@ def test_uniform_delay_bounds():
                       noise_sigma=0.0, min_gap_s=150, edge_margin_s=120, num_halves=1,
                       with_replays=True, replay_delay_min_s=10, replay_delay_max_s=110,
                       replay_duration_s=8)
-    _, _, replays = synth_generate(cfg, seed=6)
+    _, _, replays = next(synth_dataset(cfg, seed=6))
     delays = [r.interval_s for r in replays]
     assert all(10 <= d <= 110 for d in delays)
     assert len(set(delays)) > 1
@@ -70,7 +71,7 @@ def test_matched_filter_reconstruction():
     # noiseless data is exactly recoverable by per-class matched filters
     cfg = SynthConfig(duration_s=500, feature_dim=16, num_classes=3, events_per_class=4,
                       noise_sigma=0.0, min_gap_s=25, num_halves=1)
-    feats, events, _ = synth_generate(cfg, seed=7)
+    feats, events, _ = next(synth_dataset(cfg, seed=7))
     directions = class_directions(cfg, 7)
     proj = feats.data.astype(np.float64) @ directions.T  # (T, classes)
     kernel = np.asarray(PATTERN)
@@ -106,20 +107,36 @@ def test_every_half_shares_the_class_directions():
 
 
 def test_index_sets_the_game_half_and_draws():
-    """Half `index` of a dataset is synth_generate(config, seed, index)."""
+    """Half i of a dataset is half 1 + i % 2 of game i // 2, drawn as the
+    half generated on its own and the same however many halves follow it."""
     cfg = SynthConfig(duration_s=200, feature_dim=8, num_classes=1, events_per_class=2,
                       min_gap_s=15, num_halves=4, game_prefix="m")
+    directions = class_directions(cfg, 5)
+    first_two = list(synth_dataset(replace(cfg, num_halves=2), seed=5))
     for i, (feats, events, _) in enumerate(synth_dataset(cfg, seed=5)):
-        alone, alone_events, _ = synth_generate(cfg, 5, i)
         assert (feats.game_id, feats.half) == (f"m_{i // 2:03d}", 1 + i % 2)
+        alone, alone_events, _ = synth._synth_half(cfg, 5, i, directions)
         assert feats.data.tobytes() == alone.data.tobytes() and events == alone_events
+        if i < 2:
+            alone, alone_events, _ = first_two[i]
+            assert feats.data.tobytes() == alone.data.tobytes() and events == alone_events
+
+
+def test_a_dataset_computes_its_class_directions_once(monkeypatch):
+    cfg = SynthConfig(duration_s=200, feature_dim=8, num_classes=2, events_per_class=2,
+                      min_gap_s=15, num_halves=4)
+    calls = []
+    monkeypatch.setattr(synth, "class_directions",
+                        lambda *args: calls.append(args) or class_directions(*args))
+    assert len(list(synth_dataset(cfg, seed=3))) == 4
+    assert calls == [(cfg, 3)]
 
 
 def test_placement_error_when_too_dense():
     cfg = SynthConfig(duration_s=50, num_classes=3, events_per_class=8, min_gap_s=21,
                       num_halves=1)
     with pytest.raises(PlacementError):
-        synth_generate(cfg, seed=0)
+        next(synth_dataset(cfg, seed=0))
 
 
 def test_replay_collision_is_placement_error():
@@ -129,13 +146,13 @@ def test_replay_collision_is_placement_error():
                       noise_sigma=0.0, min_gap_s=30, num_halves=1, with_replays=True,
                       replay_delay_min_s=31, replay_delay_max_s=31, replay_duration_s=5)
     with pytest.raises(PlacementError):
-        synth_generate(cfg, seed=3)
+        next(synth_dataset(cfg, seed=3))
 
 
 def test_min_gap_respected():
     cfg = SynthConfig(duration_s=600, num_classes=3, events_per_class=8, min_gap_s=21,
                       num_halves=1)
-    _, events, _ = synth_generate(cfg, seed=11)
+    _, events, _ = next(synth_dataset(cfg, seed=11))
     times = sorted(ev.time_s for ev in events)
     assert min(b - a for a, b in zip(times, times[1:])) >= 21
 
