@@ -219,21 +219,31 @@ def write_ground_predictions(
 
 
 def read_ground_predictions(path: Path, game_id: str | None = None):
+    """The document's queries and their predictions, in document order. A
+    query's 'half', 'start' and 'end' must name one half, and a query listed
+    again must repeat its predictions (as `ground infer` and `ground fuse`
+    write a replay labelled twice): either case would leave predictions
+    unscored or score them under another half."""
     game_id, entries = _read_prediction_doc(path, "queries", game_id)
     at = _field_places(path, "position_s", "confidence")
-    results = []
+    results, seen = [], {}
     for entry in entries:
         q = entry.get("query")
         if not isinstance(q, dict):
             raise ParseError(f"{path}: a query entry needs a 'query' object")
         half, start = parse_game_time(q.get("start"))
-        _, end = parse_game_time(q.get("end"))
+        end_half, end = parse_game_time(q.get("end"))
+        where = f"{path}: query {q['start']!r} to {q['end']!r}"
+        if typed(q.get("half"), int, ParseError, f"{where}: 'half'") != half or end_half != half:
+            raise ParseError(f"{where} with 'half' {q['half']!r} does not name one half")
         query = ReplayQuery(game_id, half, start, end)
         preds = [
             GroundingPrediction(typed(p.get("position_s"), int, ParseError, at["position_s"]),
                                 typed(p.get("confidence"), float, ParseError, at["confidence"]))
             for p in objects(entry.get("predictions"), ParseError, f"{path}: 'predictions'")
         ]
+        if seen.setdefault(query, preds) != preds:
+            raise ParseError(f"{where} is listed twice, with other predictions")
         results.append((query, preds))
     return results
 

@@ -8,13 +8,13 @@ which would silently promote a float32 array to float64. The encoder is the
 classic post-norm arrangement: input projection (scaled by sqrt(model_dim)
 before the positional encoding is added, per the original encoder recipe,
 so low-magnitude embedding rows are not drowned by the encoding), optional
-learned segment offsets, sinusoidal positional encoding, N x (multi-head
-self-attention + residual + layer-norm, ReLU feed-forward + residual +
-layer-norm), mean pooling over time, final linear projection. The input
-projection is its own step (`embed_input`), so inference can embed a
-sequence once and run the body on windows of it (`encoder_forward_embedded`).
-The backward pass is exact and is verified against central finite
-differences by grad_check.
+learned segment offsets, sinusoidal positional encoding, N x
+(`attention_block`: multi-head self-attention, `ffn_block`: ReLU feed-forward;
+each + dropout + residual + layer-norm), mean pooling over time, final
+linear projection. The input projection is its own step (`embed_input`), so
+inference can embed a sequence once and run the body on windows of it
+(`encoder_forward_embedded`). The backward pass is exact and is verified
+against central finite differences by grad_check.
 
 Every product of an activation and a weight goes through `_mm`, which runs
 it as one 2-D BLAS product over all rows: numpy's `@` on a 3-D activation
@@ -155,6 +155,11 @@ def _col_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(np.ones(x.shape[0], dtype=x.dtype), x, out=out)
 
 
+def _weight_grad(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over every leading axis of a[..., i] * b[..., j], as one BLAS product."""
+    return np.matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out=out)
+
+
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -212,37 +217,6 @@ def _dropout(x, p, rng, ws: Workspace, name: str) -> np.ndarray:
     return mask
 
 
-def _layernorm_forward(x, g, b, ws: Workspace | None = None, tag: str = ""):
-    """Layer norm over the last axis: (y, xhat, inv_std), written into the
-    workspace buffers tag + "y", "xhat" and "inv"."""
-    ws = Workspace() if ws is None else ws
-    xhat = ws.array(tag + "xhat", x.shape, x.dtype)
-    inv_std = ws.array(tag + "inv", (*x.shape[:-1], 1), x.dtype)
-    np.subtract(x, _row_mean(x, inv_std), out=xhat)  # inv_std holds the mean until here
-    _row_mean(np.multiply(xhat, xhat, out=ws.array("ln.sq", x.shape, x.dtype)), inv_std)
-    inv_std += LN_EPS
-    np.sqrt(inv_std, out=inv_std)
-    np.divide(1.0, inv_std, out=inv_std)
-    xhat *= inv_std
-    y = np.multiply(xhat, g, out=ws.array(tag + "y", x.shape, x.dtype))
-    y += b
-    return y, xhat, inv_std
-
-
-def _layernorm_backward(dy, xhat, inv_std, g, ws: Workspace, dx, dgamma, dbeta):
-    """Writes d loss / d (input, gain, bias) into dx, dgamma and dbeta; dx
-    may be dy itself. Returns dx."""
-    t = ws.array("ln.t", dy.shape, dy.dtype)
-    _col_sum(np.multiply(dy, xhat, out=t), dgamma)
-    _col_sum(dy, dbeta)
-    dxhat = np.multiply(dy, g, out=ws.array("ln.dxhat", dy.shape, dy.dtype))
-    m1 = _row_mean(dxhat, ws.array("ln.m1", inv_std.shape, dy.dtype))
-    m2 = _row_mean(np.multiply(dxhat, xhat, out=t), ws.array("ln.m2", inv_std.shape, dy.dtype))
-    dxhat -= m1
-    dxhat -= np.multiply(xhat, m2, out=t)
-    return np.multiply(inv_std, dxhat, out=dx)
-
-
 def _split_heads(x, num_heads):
     """(B, T, H * dk) -> a (B, H, T, dk) view."""
     B, T, dm = x.shape
@@ -279,6 +253,102 @@ def _attention_backward(q, k, v, attn, do, num_heads, ws: Workspace, dq, dk, dv)
     dq *= scale
     np.matmul(dattn.transpose(0, 1, 3, 2), qh, out=_split_heads(dk, num_heads))
     dk *= scale
+
+
+def _add_norm(y, x, params, ln, p, rng, ws: Workspace, tag: str, **saved):
+    """Both blocks' tail: dropout of y in place (given an rng), + the residual x,
+    layer norm by params ln + "g", ln + "b", into buffers tag + ... Returns
+    (output, record): saved, x, "norm" (xhat, inv_std) and the "drop" mask."""
+    drop = None if rng is None else _dropout(y, p, rng, ws, tag + "drop")
+    y += x
+    xhat = ws.array(tag + "xhat", y.shape, y.dtype)
+    inv_std = ws.array(tag + "inv", (*y.shape[:-1], 1), y.dtype)
+    np.subtract(y, _row_mean(y, inv_std), out=xhat)  # inv_std holds the mean until here
+    _row_mean(np.multiply(xhat, xhat, out=ws.array("ln.sq", y.shape, y.dtype)), inv_std)
+    inv_std += LN_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    out = np.multiply(xhat, params[ln + "g"], out=ws.array(tag + "y", y.shape, y.dtype))
+    out += params[ln + "b"]
+    return out, {**saved, "x": x, "norm": (xhat, inv_std), "drop": drop}
+
+
+def _add_norm_backward(dh, rec, params, ln, ws: Workspace, grad, name: str):
+    """Backward of `_add_norm`: dh, d loss / d output, becomes in place the residual's
+    share of d loss / d input. Returns d loss / d y: dh, or its dropped copy in name."""
+    xhat, inv_std = rec["norm"]
+    t = ws.array("ln.t", dh.shape, dh.dtype)
+    _col_sum(np.multiply(dh, xhat, out=t), grad(ln + "g"))
+    _col_sum(dh, grad(ln + "b"))
+    dxhat = np.multiply(dh, params[ln + "g"], out=ws.array("ln.dxhat", dh.shape, dh.dtype))
+    m1 = _row_mean(dxhat, ws.array("ln.m1", inv_std.shape, dh.dtype))
+    m2 = _row_mean(np.multiply(dxhat, xhat, out=t), ws.array("ln.m2", inv_std.shape, dh.dtype))
+    dxhat -= m1
+    dxhat -= np.multiply(xhat, m2, out=t)
+    np.multiply(inv_std, dxhat, out=dh)
+    drop = rec["drop"]
+    return dh if drop is None else np.multiply(dh, drop, out=ws.array(name, dh.shape, dh.dtype))
+
+
+def attention_block(params, pre, config: EncoderConfig, h, ws: Workspace, tag, rng):
+    """Self-attention on h (B, T, model_dim) with the parameters pre + "attn.*" and
+    "ln1.*", into buffers tag + ... Returns (output, record for the backward)."""
+    q, k, v = (_mm(h, params[pre + f"attn.w{name}"], ws.array(tag + name, h.shape, h.dtype))
+               for name in "qkv")
+    q += params[pre + "attn.bq"]
+    v += params[pre + "attn.bv"]
+    B, T, _ = h.shape
+    attn = ws.array(tag + "attn", (B, config.num_heads, T, T), h.dtype)
+    o = ws.array(tag + "o", h.shape, h.dtype)
+    _attention(q, k, v, config.num_heads, ws, attn, o)
+    y = _mm(o, params[pre + "attn.wo"], ws.array("attn.y", h.shape, h.dtype))
+    y += params[pre + "attn.bo"]
+    return _add_norm(y, h, params, pre + "ln1.", config.dropout_p, rng, ws, tag + "ln1.",
+                     q=q, k=k, v=v, attn=attn, o=o)
+
+
+def attention_block_backward(params, pre, rec: dict, dh, ws: Workspace, grad):
+    """Overwrites dh, d loss / d output, with d loss / d input and returns it;
+    grad(name) is the buffer each parameter's gradient is written into."""
+    dy = _add_norm_backward(dh, rec, params, pre + "ln1.", ws, grad, "dy")
+    _weight_grad(rec["o"], dy, grad(pre + "attn.wo"))
+    _col_sum(dy, grad(pre + "attn.bo"))
+    do = _mm(dy, params[pre + "attn.wo"].T, ws.array("do", dh.shape, dh.dtype))
+    dq, dk, dv = (ws.array(name, dh.shape, dh.dtype) for name in ("dq", "dk", "dv"))
+    heads = rec["attn"].shape[1]
+    _attention_backward(rec["q"], rec["k"], rec["v"], rec["attn"], do, heads, ws, dq, dk, dv)
+    # dh holds the residual's share, so the input gradient sums in this order
+    for name, d in (("q", dq), ("k", dk), ("v", dv)):
+        _weight_grad(rec["x"], d, grad(pre + f"attn.w{name}"))
+        if name != "k":
+            _col_sum(d, grad(pre + f"attn.b{name}"))
+        dh += _mm(d, params[pre + f"attn.w{name}"].T, ws.array("dx.part", dh.shape, dh.dtype))
+    return dh
+
+
+def ffn_block(params, pre, config: EncoderConfig, h, ws: Workspace, tag, rng):
+    """ReLU feed-forward on h (B, T, model_dim), parameters pre + "ffn.*", "ln2.*"."""
+    f1 = _mm(h, params[pre + "ffn.w1"],
+             ws.array(tag + "f1", (*h.shape[:-1], config.hidden_dim), h.dtype))
+    f1 += params[pre + "ffn.b1"]
+    np.maximum(f1, 0.0, out=f1)
+    f2 = _mm(f1, params[pre + "ffn.w2"], ws.array("ffn.y", h.shape, h.dtype))
+    f2 += params[pre + "ffn.b2"]
+    return _add_norm(f2, h, params, pre + "ln2.", config.dropout_p, rng, ws, tag + "ln2.", f1=f1)
+
+
+def ffn_block_backward(params, pre, rec: dict, dh, ws: Workspace, grad):
+    """Backward of `ffn_block`, as `attention_block_backward` is of its block."""
+    df2 = _add_norm_backward(dh, rec, params, pre + "ln2.", ws, grad, "df2")
+    _weight_grad(rec["f1"], df2, grad(pre + "ffn.w2"))
+    _col_sum(df2, grad(pre + "ffn.b2"))
+    dfpre = _mm(df2, params[pre + "ffn.w2"].T, ws.array("dfpre", rec["f1"].shape, dh.dtype))
+    dfpre *= np.greater(rec["f1"], 0.0, out=ws.array("relu", dfpre.shape, bool))
+    _weight_grad(rec["x"], dfpre, grad(pre + "ffn.w1"))
+    _col_sum(dfpre, grad(pre + "ffn.b1"))
+    dh += _mm(dfpre, params[pre + "ffn.w1"].T, ws.array("dx.part", dh.shape, dh.dtype))
+    return dh
 
 
 def embed_input(params: dict[str, np.ndarray], config: EncoderConfig, x: np.ndarray,
@@ -351,7 +421,7 @@ def _encode(params, config, h, segments, train_mode, rng, ws, keep_layers=True):
     if dropping and rng is None:
         raise ShapeError("train-mode forward with dropout needs an rng")
 
-    cache: dict = {"params": params, "config": config, "workspace": ws}
+    cache: dict = {"params": params, "config": config, "workspace": ws, "layers": []}
     x0 = ws.array("h0", h.shape, dt)
     if config.num_segments:
         seg = np.asarray(segments, dtype=np.int64)
@@ -372,48 +442,15 @@ def _encode(params, config, h, segments, train_mode, rng, ws, keep_layers=True):
         cache["drop0"] = _dropout(h, config.dropout_p, rng, ws, "drop0")
     _check_finite(h, "input projection")
 
-    H = config.num_heads
-    layers = []
+    drop_rng = rng if dropping else None
     for i in range(config.num_layers):
         pre = f"layer{i}."
         tag = pre if keep_layers else ""
-
-        def buf(name, width=dm):
-            return ws.array(tag + name, (B, T, width), dt)
-
-        rec: dict = {"x": h}
-        q = _mm(h, params[pre + "attn.wq"], buf("q"))
-        q += params[pre + "attn.bq"]
-        k = _mm(h, params[pre + "attn.wk"], buf("k"))
-        v = _mm(h, params[pre + "attn.wv"], buf("v"))
-        v += params[pre + "attn.bv"]
-        attn, o = ws.array(tag + "attn", (B, H, T, T), dt), buf("o")
-        _attention(q, k, v, H, ws, attn, o)
-        y = _mm(o, params[pre + "attn.wo"], ws.array("attn.y", h.shape, dt))
-        y += params[pre + "attn.bo"]
-        if dropping:
-            rec["attn_drop"] = _dropout(y, config.dropout_p, rng, ws, tag + "attn_drop")
-        y += h
-        h1, xhat1, inv1 = _layernorm_forward(y, params[pre + "ln1.g"], params[pre + "ln1.b"],
-                                             ws, tag + "ln1.")
-
-        f1 = _mm(h1, params[pre + "ffn.w1"], buf("f1", config.hidden_dim))
-        f1 += params[pre + "ffn.b1"]
-        np.maximum(f1, 0.0, out=f1)
-        f2 = _mm(f1, params[pre + "ffn.w2"], ws.array("ffn.y", h.shape, dt))
-        f2 += params[pre + "ffn.b2"]
-        if dropping:
-            rec["ffn_drop"] = _dropout(f2, config.dropout_p, rng, ws, tag + "ffn_drop")
-        f2 += h1
+        h1, attn_rec = attention_block(params, pre, config, h, ws, tag, drop_rng)
         # without keep_layers this overwrites the layer's input h, read for the last time above
-        h, xhat2, inv2 = _layernorm_forward(f2, params[pre + "ln2.g"], params[pre + "ln2.b"],
-                                            ws, tag + "ln2.")
-        rec.update(q=q, k=k, v=v, attn=attn, o=o, ln1=(xhat1, inv1), h1=h1, f1=f1,
-                   ln2=(xhat2, inv2))
+        h, ffn_rec = ffn_block(params, pre, config, h1, ws, tag, drop_rng)
         _check_finite(h, f"encoder layer {i}")
-        if keep_layers:
-            layers.append(rec)
-    cache["layers"] = layers
+        cache["layers"].append((attn_rec, ffn_rec))
 
     # bit-equal to np.mean, which divides the same sum in float64 and rounds:
     # for a quotient of float32 values that is the float32 quotient
@@ -426,11 +463,6 @@ def _encode(params, config, h, segments, train_mode, rng, ws, keep_layers=True):
     _check_finite(logits, "output projection")
     cache["logits_shape"] = logits.shape
     return logits, cache
-
-
-def _weight_grad(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum over every leading axis of a[..., i] * b[..., j], as one BLAS product."""
-    return np.matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out=out)
 
 
 def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]:
@@ -446,53 +478,21 @@ def encoder_backward(cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]
         )
     ws = cache["workspace"]
     B, T, _ = cache["x"].shape
-    dm, H, dtype = config.model_dim, config.num_heads, upstream.dtype
+    dm, dtype = config.model_dim, upstream.dtype
     grads: dict[str, np.ndarray] = {}
 
     def grad(name):
         grads[name] = ws.array("grad." + name, params[name].shape, dtype)
         return grads[name]
 
-    def buf(name, width=dm):
-        return ws.array(name, (B, T, width), dtype)
-
     _weight_grad(cache["pooled"], upstream, grad("out.w"))
     _col_sum(upstream, grad("out.b"))
     dpooled = upstream @ params["out.w"].T
-    dh = np.divide(dpooled[:, None, :], T, out=buf("dh"))
-
+    dh = np.divide(dpooled[:, None, :], T, out=ws.array("dh", (B, T, dm), dtype))
     for i in reversed(range(config.num_layers)):
-        pre = f"layer{i}."
-        rec = cache["layers"][i]
-        dr2 = _layernorm_backward(dh, *rec["ln2"], params[pre + "ln2.g"], ws, buf("dr2"),
-                                  grad(pre + "ln2.g"), grad(pre + "ln2.b"))
-
-        df2 = np.multiply(dr2, rec["ffn_drop"], out=buf("df2")) if "ffn_drop" in rec else dr2
-        _weight_grad(rec["f1"], df2, grad(pre + "ffn.w2"))
-        _col_sum(df2, grad(pre + "ffn.b2"))
-        dfpre = _mm(df2, params[pre + "ffn.w2"].T, buf("dfpre", config.hidden_dim))
-        dfpre *= np.greater(rec["f1"], 0.0, out=ws.array("relu", dfpre.shape, bool))
-        _weight_grad(rec["h1"], dfpre, grad(pre + "ffn.w1"))
-        _col_sum(dfpre, grad(pre + "ffn.b1"))
-        dh1 = _mm(dfpre, params[pre + "ffn.w1"].T, buf("dh1"))
-        dh1 += dr2
-
-        # dh was read for the last time above: dr1 takes its buffer, and the
-        # gradient of the layer's input is summed into it once dy is used
-        dr1 = _layernorm_backward(dh1, *rec["ln1"], params[pre + "ln1.g"], ws, dh,
-                                  grad(pre + "ln1.g"), grad(pre + "ln1.b"))
-        dy = np.multiply(dr1, rec["attn_drop"], out=buf("dy")) if "attn_drop" in rec else dr1
-        _weight_grad(rec["o"], dy, grad(pre + "attn.wo"))
-        _col_sum(dy, grad(pre + "attn.bo"))
-        do = _mm(dy, params[pre + "attn.wo"].T, buf("do"))
-        dq, dk, dv = buf("dq"), buf("dk"), buf("dv")
-        _attention_backward(rec["q"], rec["k"], rec["v"], rec["attn"], do, H, ws, dq, dk, dv)
-
-        for name, dt in (("q", dq), ("k", dk), ("v", dv)):
-            _weight_grad(rec["x"], dt, grad(pre + f"attn.w{name}"))
-            if name != "k":
-                _col_sum(dt, grad(pre + f"attn.b{name}"))
-            dh += _mm(dt, params[pre + f"attn.w{name}"].T, buf("dx.part"))
+        attn_rec, ffn_rec = cache["layers"][i]
+        dh = ffn_block_backward(params, f"layer{i}.", ffn_rec, dh, ws, grad)
+        dh = attention_block_backward(params, f"layer{i}.", attn_rec, dh, ws, grad)
 
     if "drop0" in cache:
         dh *= cache["drop0"]
@@ -739,8 +739,8 @@ def _head_grad_check(config, trials, h, seed, T, draw_loss, init=init_encoder_pa
     (GRADCHECK_BATCH, T) input, then, through draw_loss(rng, config), the
     head's targets; draw_loss returns the loss, a function of the outputs
     giving (loss, d loss / d outputs). forward(params, config, x) runs
-    the head in eval mode, without dropout, and backward(cache, d loss /
-    d outputs) gives its gradients.
+    the head as a pure function of params (eval mode, or dropout masks drawn
+    afresh from one seed), and backward(cache, d loss / d outputs) gives its gradients.
     """
     rng = np.random.default_rng(seed)
     params = init(config, rng)

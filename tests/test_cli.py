@@ -1173,6 +1173,44 @@ class TestUnscoredInputs:
                        [str(path), "2 - 03:00 to 2 - 03:10", "'g1'"], capsys)
         assert not (tmp_path / "out").exists()
 
+    def _ground_doc_rejected(self, tmp_path, capsys, queries, needles):
+        """eval ground and ground merge both reject g1's grounding.json with
+        these queries, and write nothing."""
+        labels = TestStatedGameIdMismatch._labels(tmp_path)
+        preds = TestStatedGameIdMismatch._doc(tmp_path, "grounding.json", "g1")
+        path = preds / "g1" / "grounding.json"
+        path.write_text(json.dumps({"game_id": "g1", "queries": queries}))
+        self._rejected(["eval", "ground", "--preds", str(preds), "--labels", str(labels),
+                        "--out", str(tmp_path / "out")], [str(path), *needles], capsys)
+        self._rejected(["ground", "merge", str(preds), str(preds), "--out",
+                        str(tmp_path / "merged")], [str(path), *needles], capsys)
+        assert not (tmp_path / "out").exists() and not (tmp_path / "merged").exists()
+
+    def test_a_query_listed_twice_with_other_predictions(self, tmp_path, capsys):
+        """Keyed by query, the last copy would win: here the one without the
+        prediction at the event. A replay labelled twice is written twice
+        with the same predictions, and that is scored."""
+        hit = {"query": GROUND_QUERY, "predictions": [{"position_s": 115, "confidence": 1}]}
+        self._ground_doc_rejected(tmp_path, capsys, [hit, {"query": GROUND_QUERY,
+                                                           "predictions": []}],
+                                  ["'1 - 02:00' to '1 - 02:10'", "twice"])
+        preds = tmp_path / "preds"
+        (preds / "g1" / "grounding.json").write_text(json.dumps({"queries": [hit, hit]}))
+        assert run(["eval", "ground", "--preds", str(preds), "--labels", str(tmp_path / "labels"),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert "average-AP: 1.0000 over 1 queries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("query", [
+        dict(GROUND_QUERY, half=2),
+        dict(GROUND_QUERY, end="2 - 02:10"),
+        {"start": "1 - 02:00", "end": "1 - 02:10"},
+    ])
+    def test_a_query_that_names_no_one_half(self, query, tmp_path, capsys):
+        """The half was read from 'start' alone, so each was scored as half 1."""
+        preds = [{"position_s": 115, "confidence": 1}]
+        self._ground_doc_rejected(tmp_path, capsys, [{"query": query, "predictions": preds}],
+                                  [f"'1 - 02:00' to {query['end']!r}", "'half'"])
+
     @pytest.mark.parametrize("argv", [
         ["eval", "spot", "--preds", "{root}/preds"],
         ["eval", "ground", "--preds", "{root}/preds"],

@@ -77,7 +77,8 @@ class TestPooledMean:
         x = np.random.default_rng(T + 1).normal(size=(3, T, SMALL.input_dim)).astype(np.float32)
         _, cache = encoder_forward_batch(params, SMALL, x)
         last = SMALL.num_layers - 1
-        xhat, _ = cache["layers"][last]["ln2"]
+        _, ffn = cache["layers"][last]
+        xhat, _ = ffn["norm"]
         h = xhat * params[f"layer{last}.ln2.g"]
         h += params[f"layer{last}.ln2.b"]  # the last layer norm's output, as it is computed
         assert cache["pooled"].tobytes() == np.mean(h, axis=1).tobytes()
@@ -127,16 +128,16 @@ class TestForward:
         params = init_encoder_params(SMALL, np.random.default_rng(2))
         x = rng.normal(size=(2, 9, SMALL.input_dim))
         _, cache = encoder_forward_batch(params, SMALL, x)
-        for rec in cache["layers"]:
-            sums = rec["attn"].sum(axis=-1)
+        for attention, _ in cache["layers"]:
+            sums = attention["attn"].sum(axis=-1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_layernorm_unit_statistics(self, rng):
         # with row variance >> eps the normalized variance sits within 1e-6 of 1
-        from spotground.nn import _layernorm_forward
-
         x = rng.normal(0.0, 50.0, size=(3, 7, 16))
-        _, xhat, _ = _layernorm_forward(x, np.ones(16), np.zeros(16))
+        params = {"ln.g": np.ones(16), "ln.b": np.zeros(16)}
+        _, rec = nn._add_norm(x, np.zeros_like(x), params, "ln.", 0.0, None, Workspace(), "")
+        xhat, _ = rec["norm"]
         np.testing.assert_allclose(xhat.mean(axis=-1), 0.0, atol=1e-9)
         np.testing.assert_allclose(xhat.var(axis=-1), 1.0, atol=1e-6)
 
@@ -145,9 +146,9 @@ class TestForward:
         params = init_encoder_params(SMALL, np.random.default_rng(3))
         x = rng.normal(size=(2, 6, SMALL.input_dim))
         _, cache = encoder_forward_batch(params, SMALL, x)
-        for rec in cache["layers"]:
-            for key in ("ln1", "ln2"):
-                xhat, _ = rec[key]
+        for layer in cache["layers"]:
+            for block in layer:  # attention, then FFN
+                xhat, _ = block["norm"]
                 np.testing.assert_allclose(xhat.mean(axis=-1), 0.0, atol=1e-9)
                 np.testing.assert_allclose(xhat.var(axis=-1), 1.0, atol=1e-4)
 
@@ -339,6 +340,38 @@ def _train_pass(params, x, seed, workspace=None, config=ORACLE):
     upstream = np.random.default_rng(seed + 1).normal(size=logits.shape).astype(x.dtype)
     grads = encoder_backward(cache, upstream)
     return logits.tobytes(), {k: g.tobytes() for k, g in grads.items()}
+
+
+class TestTracedBlocks:
+    """A tracer wraps the encoder's blocks by rebinding their names in
+    `spotground.nn`, so the encoder must reach each block through that
+    name: once per layer, in layer order."""
+
+    BLOCKS = ("attention_block", "ffn_block", "attention_block_backward", "ffn_block_backward")
+
+    @pytest.mark.parametrize("num_segments", [0, 2])
+    def test_every_entry_point_calls_each_block_once_per_layer(self, num_segments,
+                                                              monkeypatch):
+        config = replace(SMALL, num_segments=num_segments)
+        assert config.num_layers == 2
+        calls = []
+        for name in self.BLOCKS:
+            def counted(*args, _block=getattr(nn, name), **kwargs):
+                calls.append(_block.__name__)
+                return _block(*args, **kwargs)
+            monkeypatch.setattr(nn, name, counted)
+        params = init_encoder_params(config, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(2, 6, config.input_dim))
+        segments = np.repeat([0, 1], 3) if num_segments else None
+
+        logits, cache = encoder_forward_batch(params, config, x, segments)
+        assert calls == ["attention_block", "ffn_block"] * 2
+        calls.clear()
+        encoder_backward(cache, np.ones_like(logits))
+        assert calls == ["ffn_block_backward", "attention_block_backward"] * 2
+        calls.clear()
+        encoder_forward_embedded(params, config, embed_input(params, config, x), segments)
+        assert calls == ["attention_block", "ffn_block"] * 2
 
 
 class TestKeyMajorScores:
@@ -687,7 +720,7 @@ class TestDtype:
         grads = encoder_backward(cache, dlogits)
         adam_step(params, grads, state, lr=1e-3)
 
-        assert "drop0" in cache and "ffn_drop" in cache["layers"][0]
+        assert "drop0" in cache and cache["layers"][0][1]["drop"] is not None
         arrays = float_arrays([logits, cache, grads, params, state.m, state.v])
         assert len(arrays) > 100
         assert {a.dtype for a in arrays} == {np.dtype(dtype)}
